@@ -64,6 +64,11 @@ def _config_from_args(args, sweep: bool = True) -> RunConfig:
     return cfg.validate(sweep=sweep)
 
 
+def _num(v, spec: str) -> str:
+    """A report value for printing; error rows carry None, shown as '-'."""
+    return "-" if v is None else format(v, spec)
+
+
 def _emit_report(report: RateReport, cfg: RunConfig) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     for fmt in cfg.formats:
@@ -102,7 +107,8 @@ def cmd_corrector_verify(args) -> int:
         structural=True, decay=False, blowup=False))
     for r in report.rows:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.check} a={r.alpha} "
-              f"{r.window}: measured={r.measured:.3e} tol={r.tolerance:g}")
+              f"{r.window}: measured={_num(r.measured, '.3e')} "
+              f"tol={_num(r.tolerance, 'g')}")
     _emit_report(report, cfg)
     return 0 if report.all_passed else 1
 

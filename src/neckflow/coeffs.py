@@ -144,10 +144,17 @@ class Coeff:
         return v
 
     def sexp(self) -> str:
+        return self._sexp(sys.maxsize)
+
+    def _sexp(self, room) -> str:
+        """sexp() cut short once past ``room`` characters: the full text, or
+        one whose first room+1 characters are those of the full text.  A
+        node prints no further child once its text is past ``room``, so the
+        cost follows the length printed."""
         raise NotImplementedError
 
     def __repr__(self):
-        s = self.sexp()
+        s = self._sexp(80)
         return s if len(s) <= 80 else s[:77] + "..."
 
 
@@ -168,7 +175,7 @@ class _Const(Coeff):
     def _eval_impl(self, memo, x, tol):
         return self.value
 
-    def sexp(self):
+    def _sexp(self, room):
         return repr(self.value)
 
 
@@ -181,7 +188,7 @@ class _X1(Coeff):
     def _eval_impl(self, memo, x, tol):
         return x
 
-    def sexp(self):
+    def _sexp(self, room):
         return "x1"
 
 
@@ -202,7 +209,7 @@ class _ProfileDeriv(Coeff):
             self._fn = fn
         return fn(x)
 
-    def sexp(self):
+    def _sexp(self, room):
         return f"(d{self.order} h{self.wall})"
 
 
@@ -220,11 +227,20 @@ class _Sum(Coeff):
             out = out + c * t._eval(memo, x, tol)
         return out
 
-    def sexp(self):
-        parts = [repr(self.c0)] if self.c0 else []
+    def _sexp(self, room):
+        parts = [f"(+ {self.c0!r}" if self.c0 else "(+"]
+        used = len(parts[0])
         for t, c in self.terms:
-            parts.append(t.sexp() if c == 1.0 else f"(* {c!r} {t.sexp()})")
-        return "(+ " + " ".join(parts) + ")"
+            if used > room:
+                break
+            if c == 1.0:
+                s = t._sexp(room - used - 1)
+            else:
+                pre = f"(* {c!r} "
+                s = f"{pre}{t._sexp(room - used - 1 - len(pre))})"
+            parts.append(s)
+            used += 1 + len(s)
+        return " ".join(parts) + ")"
 
 
 class _Prod(Coeff):
@@ -247,11 +263,16 @@ class _Prod(Coeff):
             out = out * t._eval(memo, x, tol) ** e
         return out
 
-    def sexp(self):
-        parts = [] if self.c == 1.0 else [repr(self.c)]
+    def _sexp(self, room):
+        parts = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
+        used = len(parts[0])
         for t, e in self.factors:
-            parts.append(t.sexp() if e == 1 else f"(^ {t.sexp()} {e})")
-        return "(* " + " ".join(parts) + ")"
+            if used > room:
+                break
+            s = t._sexp(room - used - 1) if e == 1 else f"(^ {t._sexp(room - used - 4)} {e})"
+            parts.append(s)
+            used += 1 + len(s)
+        return " ".join(parts) + ")"
 
 
 class _Antideriv(Coeff):
@@ -267,10 +288,11 @@ class _Antideriv(Coeff):
         if table is None or table.tol > max(tol, _PanelTable.TOL_FLOOR):
             table = _PanelTable(self, tol)
             self._table = table
-        return table.value_at(x) - table.lower_value(self.lower)
+        return table.value_at(x)
 
-    def sexp(self):
-        return f"(int {self.lower!r} {self.integrand.sexp()})"
+    def _sexp(self, room):
+        head = f"(int {self.lower!r} "
+        return f"{head}{self.integrand._sexp(room - len(head))})"
 
 
 # -- smart constructors ----------------------------------------------------
@@ -359,7 +381,7 @@ def lin(terms, c0: float = 0.0) -> Coeff:
     kept = [(n, c) for n, c in acc.values() if c != 0.0]
     if not kept:
         return const(c0)
-    kept.sort(key=lambda nc: nc[0]._id)
+    kept.sort(key=_term_order)
     if c0 == 0.0 and len(kept) == 1:
         n, c = kept[0]
         if c == 1.0:
@@ -375,6 +397,14 @@ def lin(terms, c0: float = 0.0) -> Coeff:
         return node
 
     return _intern(profile, key, build)
+
+
+def _term_order(pair):
+    # profile-free nodes (x1, its powers) live in the global table and may
+    # predate every node of the current profile; ordering them first keeps
+    # float sums in one order however old the process is
+    node = pair[0]
+    return node.profile is not None, node._id
 
 
 def mul_pow(factors, c: float = 1.0) -> Coeff:
@@ -411,9 +441,9 @@ def mul_pow(factors, c: float = 1.0) -> Coeff:
     for n, e in kept:
         if e < 0 and not _is_positive(n):
             raise ValueError(
-                f"denominator is not provably positive on the chart: {n.sexp()}"
+                f"denominator is not provably positive on the chart: {n!r}"
             )
-    kept.sort(key=lambda ne: ne[0]._id)
+    kept.sort(key=_term_order)
     if c == 1.0 and len(kept) == 1 and kept[0][1] == 1:
         return kept[0][0]
     profile = _merge_profile(*(n for n, _ in kept))
@@ -611,7 +641,7 @@ class _PanelTable:
             if len(lo) >= _MAX_PANELS:
                 raise QuadratureError(
                     f"quadrature did not converge after {_MAX_PANELS} panels "
-                    f"(err~{float(np.sum(err)):.2e}) on node {self.node.sexp()[:120]}"
+                    f"(err~{float(np.sum(err)):.2e}) on node {self.node._sexp(120)[:120]}"
                 )
             split = err > target / (2.0 * len(lo))
             if not np.any(split):
@@ -641,11 +671,8 @@ class _PanelTable:
         left = -np.cumsum(panel_totals[:i0][::-1])[::-1]
         self.prefix = np.concatenate([left, right])  # integral from `lower`
 
-    def lower_value(self, lower: float) -> float:
-        return 0.0  # prefix is anchored at the node's lower limit
-
     def value_at(self, x):
-        """Cumulative integral from the left edge of the table to x."""
+        """Integral from the node's lower limit to x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         shape = x.shape
         x = x.ravel()

@@ -31,6 +31,7 @@ from .fields import (
     ScalarPressure,
     VectorField2,
     cheb_nodes,
+    eval_fields,
     fiber_x2,
     keller_field,
     keller_plus_half,
@@ -573,16 +574,14 @@ def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
     x2 = fiber_x2(profile, x1, 9)
     direct = lev.v.laplacian().scale(profile.mu)
     grad_p = lev.pressure.gradient()
+    prev = [h.level(l - 1).residual] if l > 1 else []
+    vals = eval_fields([lev.residual, direct, grad_p] + prev, x1, x2)
     err = 0.0
     scale = 1e-300
-    for comp in (1, 2):
-        red = getattr(lev.residual, f"u{comp}").eval(x1, x2)
-        lap = getattr(direct, f"u{comp}").eval(x1, x2)
-        gp = getattr(grad_p, f"u{comp}").eval(x1, x2)
-        prev = 0.0
-        if l > 1:
-            prev = getattr(h.level(l - 1).residual, f"u{comp}").eval(x1, x2)
-        err = max(err, float(np.max(np.abs(red - (prev + lap - gp)))))
+    for comp in (0, 1):
+        red, lap, gp = vals[comp], vals[2 + comp], vals[4 + comp]
+        before = vals[6 + comp] if prev else 0.0
+        err = max(err, float(np.max(np.abs(red - (before + lap - gp)))))
         scale = max(scale, float(np.max(np.abs(lap))), float(np.max(np.abs(gp))))
     out["identity_abs"] = err
     out["identity_rel"] = err / scale

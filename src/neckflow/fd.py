@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import coeffs as ca
-from .fields import PolyField, VectorField2, keller_plus_half
+from .fields import PolyField, VectorField2, eval_fields, keller_plus_half
 from .geometry import NeckProfile
 
 __all__ = [
@@ -160,7 +160,6 @@ class NeckGrid:
         inv_dc = _dia(1.0 / np.broadcast_to(self._delta(self.xc)[:, None], (n1, n2)))
         div_u = inv_dc @ (dxu + dtv @ phi_u)
         div_v = inv_dc @ (dtv @ sel_v)
-        self._wall_flux_coef = (da_v[:, 0].copy(), da_v[:, -1].copy())
         return lap_u, lap_v, div_u, div_v
 
     def _volumes(self):
@@ -191,7 +190,6 @@ class NeckGrid:
         G_u, G_v = G[:n_u], G[n_u:]
 
         rows_a, cols_a, vals_a = [], [], []
-        rhs_rows = []  # (row, kind, payload) resolved at solve time
 
         def add_block(row_ids, mat, col_off):
             mat = mat.tocoo()
@@ -200,47 +198,43 @@ class NeckGrid:
             vals_a.append(mat.data)
 
         # momentum u at interior nodes
-        int_u = np.array([i * (n2 + 2) + (j + 1)
-                          for i in range(1, n1) for j in range(n2)])
+        iu = np.arange(n_u).reshape(n1 + 1, n2 + 2)
+        int_u = iu[1:-1, 1:-1].ravel()
         add_block(int_u, -mu * lap_u, 0)
         add_block(int_u, G_u.tocsr()[int_u], n_u + n_v)
 
         # momentum v at interior nodes
-        int_v = np.array([n_u + (i + 1) * (n2 + 1) + j
-                          for i in range(n1) for j in range(1, n2)])
+        iv = n_u + np.arange(n_v).reshape(n1 + 2, n2 + 1)
+        int_v = iv[1:-1, 1:-1].ravel()
         add_block(int_v, -mu * lap_v, n_u)
         add_block(int_v, G_v.tocsr()[int_v - n_u], n_u + n_v)
 
-        # Dirichlet u at side columns
-        for i in (0, n1):
-            for j in range(n2):
-                r_ = i * (n2 + 2) + (j + 1)
-                rows_a.append(np.array([r_])); cols_a.append(np.array([r_]))
-                vals_a.append(np.array([1.0]))
-                rhs_rows.append((r_, "u_side", (i, j)))
-        # ghost u rows at both walls: ghost + first = 2 * wall value
-        for i in range(n1 + 1):
-            for jg, jn, side in ((0, 1, "bottom"), (n2 + 1, n2, "top")):
-                r_ = i * (n2 + 2) + jg
-                rows_a.append(np.array([r_, r_]))
-                cols_a.append(np.array([r_, i * (n2 + 2) + jn]))
-                vals_a.append(np.array([1.0, 1.0]))
-                rhs_rows.append((r_, "u_wall", (i, side)))
-        # Dirichlet v at walls
-        for i in range(n1):
-            for j in (0, n2):
-                r_ = n_u + (i + 1) * (n2 + 1) + j
-                rows_a.append(np.array([r_])); cols_a.append(np.array([r_]))
-                vals_a.append(np.array([1.0]))
-                rhs_rows.append((r_, "v_wall", (i, j)))
-        # ghost v rows at side boundaries
-        for j in range(n2 + 1):
-            for ig, inn, side in ((0, 1, "left"), (n1 + 1, n1, "right")):
-                r_ = n_u + ig * (n2 + 1) + j
-                rows_a.append(np.array([r_, r_]))
-                cols_a.append(np.array([r_, n_u + inn * (n2 + 1) + j]))
-                vals_a.append(np.array([1.0, 1.0]))
-                rhs_rows.append((r_, "v_side", (j, side)))
+        # boundary rows as one table: row, mapped sample point (x, t), data
+        # component and weight.  Dirichlet rows (weight 1) take the data;
+        # ghost rows pair with their first interior node, ghost + first =
+        # 2 * wall value (weight 2); the first and last cell rows take the
+        # wall metric flux delta*a*w1 / (delta*dt) of the tangential data
+        # (the pin is interior, as n2 >= 32).
+        ends_x, ends_t = self.xf[[0, -1]], self.tf[[0, -1]]
+        flux = self.a_of(self.xc, ends_t) * np.array([1.0, -1.0]) / self.dt
+        ghost_u, ghost_v = iu[:, [0, -1]], iv[[0, -1]].T
+        wall_cells = n_u + n_v + np.arange(n_p).reshape(n1, n2)[:, [0, -1]]
+        table = (
+            (iu[[0, -1], 1:-1], ends_x[:, None], self.tc, 0, 1.0),     # u at the sides
+            (ghost_u, self.xf[:, None], ends_t, 0, 2.0),               # u ghosts, walls
+            (iv[1:-1, [0, -1]], self.xc[:, None], ends_t, 1, 1.0),     # v at the walls
+            (ghost_v, ends_x, self.tf[:, None], 1, 2.0),               # v ghosts, sides
+            (wall_cells, self.xc[:, None], ends_t, 0, flux),           # wall fluxes
+        )
+        self._bc_rows = tuple(
+            np.concatenate([np.broadcast_to(g[k], g[0].shape).ravel() for g in table])
+            for k in range(5))
+        bnd = np.concatenate([g[0].ravel() for g in table[:4]])
+        ghost = np.concatenate([ghost_u.ravel(), ghost_v.ravel()])
+        first = np.concatenate([iu[:, [1, -2]].ravel(), iv[[1, -2]].T.ravel()])
+        rows_a += [bnd, ghost]
+        cols_a += [bnd, first]
+        vals_a += [np.ones(bnd.size), np.ones(ghost.size)]
 
         # continuity at cells, one interior cell pinned for the pressure gauge
         pin = (n1 // 2) * n2 + n2 // 2
@@ -259,7 +253,7 @@ class NeckGrid:
             (np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
             shape=(n_u + n_v + n_p, n_u + n_v + n_p),
         )
-        self._parts = (A, rhs_rows, int_u, int_v, D, vol_c)
+        self._parts = (A, int_u, int_v, D, vol_c)
         self._lu = spla.splu(A)
 
     def solver(self):
@@ -296,9 +290,11 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
 
     ``f1``/``f2`` are arrays sampled at interior u/v nodes (or full-node
     arrays; only interior entries are used).  ``bc`` maps (x1, x2) -> (w1, w2)
-    for the boundary data; omitted means homogeneous (the w-problem).
+    for the boundary data; omitted means homogeneous (the w-problem).  It is
+    called once, with 1-D arrays holding every boundary and wall-flux point,
+    and returns the two arrays of data values there.
     """
-    lu, (A, rhs_rows, int_u, int_v, D, vol_c) = grid.solver()
+    lu, (A, int_u, int_v, D, vol_c) = grid.solver()
     n1, n2 = grid.n1, grid.n2
     n_u = (n1 + 1) * (n2 + 2)
     n_v = (n1 + 2) * (n2 + 1)
@@ -320,35 +316,9 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     b[int_v] = f2.ravel()
 
     if bc is not None:
-        w1 = lambda x, t: bc(x, grid.x2_of(x, t))[0]
-        w2 = lambda x, t: bc(x, grid.x2_of(x, t))[1]
-        for row, kind, payload in rhs_rows:
-            if kind == "u_side":
-                i, j = payload
-                b[row] = w1(grid.xf[i], grid.tc[j])
-            elif kind == "u_wall":
-                i, side = payload
-                t = 0.5 if side == "top" else -0.5
-                b[row] = 2.0 * w1(grid.xf[i], t)
-            elif kind == "v_wall":
-                i, j = payload
-                b[row] = w2(grid.xc[i], grid.tf[j])
-            elif kind == "v_side":
-                j, side = payload
-                x = grid.r if side == "right" else -grid.r
-                b[row] = 2.0 * w2(x, grid.tf[j])
-        # wall metric fluxes carry the tangential boundary data directly
-        coef_b, coef_t = grid._wall_flux_coef
-        d_c = grid._delta(grid.xc)
-        u_wb = np.array([w1(x, -0.5) for x in grid.xc])
-        u_wt = np.array([w1(x, 0.5) for x in grid.xc])
-        for i in range(n1):
-            rb = n_u + n_v + i * n2
-            if rb != n_u + n_v + grid._pin:
-                b[rb] += coef_b[i] * u_wb[i] / (d_c[i] * grid.dt)
-            rt = n_u + n_v + i * n2 + (n2 - 1)
-            if rt != n_u + n_v + grid._pin:
-                b[rt] -= coef_t[i] * u_wt[i] / (d_c[i] * grid.dt)
+        rows, x, t, comp, weight = grid._bc_rows
+        w1, w2 = bc(x, grid.x2_of(x, t))
+        b[rows] = weight * np.where(comp == 0, w1, w2)
 
     sol = lu.solve(b)
     sol += lu.solve(b - A @ sol)  # one refinement pass tightens the residual
@@ -370,17 +340,12 @@ def solve_fields(grid: NeckGrid, f: VectorField2, bc_field: VectorField2 | None 
                  tol: float = 1e-9) -> DiscreteSolution:
     """Sample an exact forcing field (and optional boundary field) and solve."""
     xf_i = grid.xf[1:-1]
-    x2_u = np.multiply.outer(grid.profile.delta(xf_i), grid.tc) + \
-        ((grid.profile.h1(xf_i) - grid.profile.h2(xf_i)) / 2)[:, None]
-    f1 = f.u1.eval(xf_i, x2_u, tol)
-    x2_v = np.multiply.outer(grid.profile.delta(grid.xc), grid.tf[1:-1]) + \
-        ((grid.profile.h1(grid.xc) - grid.profile.h2(grid.xc)) / 2)[:, None]
-    f2 = f.u2.eval(grid.xc, x2_v, tol)
+    f1 = f.u1.eval(xf_i, grid.x2_of(xf_i[:, None], grid.tc[None, :]), tol)
+    f2 = f.u2.eval(grid.xc, grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]), tol)
     bc = None
     if bc_field is not None:
         def bc(x, x2):
-            return (float(bc_field.u1.eval(np.asarray(x), x2, tol)),
-                    float(bc_field.u2.eval(np.asarray(x), x2, tol)))
+            return eval_fields(bc_field, x, x2, tol)
     return solve_w(grid, f1, f2, bc)
 
 
@@ -526,8 +491,7 @@ def export_csv(sol: DiscreteSolution, path: str):
     """Point cloud (x1, x2, w1, w2, q) at cell centers."""
     g = sol.grid
     uc, vc = sol.cell_velocity()
-    x2 = np.multiply.outer(g.profile.delta(g.xc), g.tc) + \
-        ((g.profile.h1(g.xc) - g.profile.h2(g.xc)) / 2)[:, None]
+    x2 = g.x2_of(g.xc[:, None], g.tc[None, :])
     x1 = np.broadcast_to(g.xc[:, None], x2.shape)
     rows = np.column_stack([x1.ravel(), x2.ravel(), uc.ravel(), vc.ravel(),
                             sol.p.ravel()])

@@ -131,28 +131,8 @@ class PolyField:
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, x1, x2, tol: float = ca.QUAD_TOL):
-        """Evaluate at ``x1`` and broadcastable ``x2``.
-
-        ``x2`` with one more trailing axis than ``x1`` is interpreted as
-        per-fiber samples: coefficients are evaluated once per x1 entry.
-        """
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        expand = x2.ndim > x1.ndim
-        x1b = x1[..., None] if expand else x1
-        shape = np.broadcast_shapes(np.shape(x1b), x2.shape)
-        if not self.coeffs:
-            return np.zeros(shape)
-        cols = [
-            np.broadcast_to(np.asarray(v, dtype=float), x1.shape)
-            for v in ca.eval_many(self.coeffs, x1, tol)
-        ]
-        if expand:
-            cols = [c[..., None] for c in cols]
-        out = np.zeros(shape)
-        for c in reversed(cols):
-            out = out * x2 + c
-        return out
+        """Evaluate at ``x1`` and broadcastable ``x2`` (see ``eval_fields``)."""
+        return eval_fields(self, x1, x2, tol)[0]
 
 
 def x2_field(profile: NeckProfile) -> PolyField:
@@ -232,7 +212,7 @@ class VectorField2:
         )
 
     def eval(self, x1, x2, tol: float = ca.QUAD_TOL):
-        return self.u1.eval(x1, x2, tol), self.u2.eval(x1, x2, tol)
+        return tuple(eval_fields(self, x1, x2, tol))
 
 
 @dataclass(frozen=True)
@@ -309,7 +289,11 @@ def _flatten(field_or_fields) -> list[PolyField]:
 
 
 def eval_fields(fields, x1, x2, tol: float = ca.QUAD_TOL) -> list[np.ndarray]:
-    """Evaluate several fields over one grid with a single shared DAG pass."""
+    """Evaluate several fields over one grid with a single shared DAG pass.
+
+    ``x2`` with one more trailing axis than ``x1`` is interpreted as
+    per-fiber samples: coefficients are evaluated once per x1 entry.
+    """
     fields = _flatten(fields)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)

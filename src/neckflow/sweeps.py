@@ -9,7 +9,6 @@ stability comparisons.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -197,48 +196,28 @@ def parse_report(text: str) -> RateReport:
     return rep
 
 
-def _worker_count() -> int:
-    env = os.environ.get("NECK_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _structural_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     rows = []
     levels = min(config.m_max + 1, 4)
     eps_struct = [e for e in config.eps if e >= 1e-3] or [config.eps[0]]
-
-    def one_cell(args):
-        alpha, eps = args
-        h = cache.get(config.profile, eps, alpha, levels)
-        out = []
-        for l in range(1, levels + 1):
-            info = verify_level(h, l, n1=101, n2=17, n_trace=301)
-            win = f"eps={eps:g},l={l}"
-            out.append(RateRow("structural/divergence", "exactness", config.profile,
-                               alpha, l - 1, None, win, 0.0, info["div_sup"],
-                               1e-8, info["div_sup"] < 1e-8))
-            out.append(RateRow("structural/trace", "exactness", config.profile,
-                               alpha, l - 1, None, win, 0.0, info["trace_sup"],
-                               1e-10, info["trace_sup"] < 1e-10))
-            d1, d2 = info["degrees"]
-            e1, e2 = info["expected_degrees"]
-            out.append(RateRow("structural/degrees", "exactness", config.profile,
-                               alpha, l - 1, None, win, float(e1 * 100 + e2),
-                               float(d1 * 100 + d2), 0.0,
-                               d1 <= e1 and d2 <= e2))
-        return out
-
-    cells = [(a, e) for a in sorted(config.alphas) for e in eps_struct]
-    n_workers = _worker_count()
-    if n_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(n_workers) as pool:
-            for out in pool.map(one_cell, cells):
-                rows.extend(out)
-    else:
-        for cell in cells:
-            rows.extend(one_cell(cell))
+    for alpha in sorted(config.alphas):
+        for eps in eps_struct:
+            h = cache.get(config.profile, eps, alpha, levels)
+            for l in range(1, levels + 1):
+                info = verify_level(h, l, n1=101, n2=17, n_trace=301)
+                win = f"eps={eps:g},l={l}"
+                rows.append(RateRow("structural/divergence", "exactness", config.profile,
+                                    alpha, l - 1, None, win, 0.0, info["div_sup"],
+                                    1e-8, info["div_sup"] < 1e-8))
+                rows.append(RateRow("structural/trace", "exactness", config.profile,
+                                    alpha, l - 1, None, win, 0.0, info["trace_sup"],
+                                    1e-10, info["trace_sup"] < 1e-10))
+                d1, d2 = info["degrees"]
+                e1, e2 = info["expected_degrees"]
+                rows.append(RateRow("structural/degrees", "exactness", config.profile,
+                                    alpha, l - 1, None, win, float(e1 * 100 + e2),
+                                    float(d1 * 100 + d2), 0.0,
+                                    d1 <= e1 and d2 <= e2))
     return rows
 
 
@@ -295,9 +274,7 @@ def _fd_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     for n in (32, 64, 128):
         g = fd.NeckGrid(prof, r=1.2 * prof.R, n1=n, n2=max(32, n))
         sol = fd.solve_fields(g, f, bc_field=w)
-        x2u = np.multiply.outer(prof.delta(g.xf), g.tc) + \
-            ((prof.h1(g.xf) - prof.h2(g.xf)) / 2)[:, None]
-        ue = w.u1.eval(g.xf, x2u)
+        ue = w.u1.eval(g.xf, g.x2_of(g.xf[:, None], g.tc[None, :]))
         errs.append(float(np.max(np.abs(sol.u - ue))))
         hs.append(2.0 * 1.2 * prof.R / n)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -128,6 +131,20 @@ def test_sexp_dump():
     s = ca.to_sexp(g)
     assert "(d0 h1)" in s and "^" in s
     assert ca.to_sexp(ca.antideriv(0.5, g)).startswith("(int 0.5")
+
+
+def test_repr_of_deep_node_is_bounded(src_env):
+    # the fully expanded tree of this coefficient has ~1e10 nodes; repr must
+    # stop printing at its length limit instead of expanding it first
+    code = (
+        "from neckflow import build_hierarchy, named_profile\n"
+        "h = build_hierarchy(named_profile('asym-quadratic', eps=1e-3), 2, 2)\n"
+        "print(repr(h.residual(2).u1.coeffs[0]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=30, env=src_env, check=True)
+    text = out.stdout.strip()
+    assert len(text) == 80 and text.startswith("(+ ") and text.endswith("...")
 
 
 def test_hash_consing_shares_nodes():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neckflow import coeffs as ca
 from neckflow.fd import (
     DiscreteSolution,
     NeckGrid,
@@ -13,6 +14,7 @@ from neckflow.fd import (
     sup_grad,
     sup_high_deriv,
 )
+from neckflow.fields import PolyField, VectorField2
 from neckflow.geometry import named_profile
 
 
@@ -58,6 +60,35 @@ def test_nonfinite_forcing_rejected(mild_profile):
     f1[0, 0] = np.nan
     with pytest.raises(ValueError):
         solve_w(g, f1, np.zeros((g.n1, g.n2 - 1)))
+
+
+def test_boundary_data_on_asymmetric_walls():
+    # the bump flow has zero boundary data; these exact Stokes flows (q = 0,
+    # f = 0) do not, so a permuted or mis-weighted boundary row shows here
+    p = named_profile("asym-quadratic", eps=0.05)
+    minus_x1 = ca.lin([(ca.X1, -1.0)])
+    one, none = PolyField(p, [1.0]), PolyField(p, [])
+    rotation = VectorField2(PolyField(p, [0.0, 1.0]), PolyField(p, [minus_x1]))
+    # w2 differs between the walls only for the strain; it pushes fluid
+    # through the walls and converges at first order only (measured 1.4, 1.0)
+    strain = VectorField2(PolyField(p, [ca.X1]), PolyField(p, [0.0, -1.0]))
+
+    def error(g, data):
+        sol = solve_w(g, np.zeros((g.n1 - 1, g.n2)), np.zeros((g.n1, g.n2 - 1)),
+                      bc=data.eval)
+        ue, ve = _exact_at_nodes(g, data)
+        return max(np.abs(sol.u - ue).max(), np.abs(sol.v - ve).max())
+
+    errs = {"rotation": [], "strain": []}
+    for n in (32, 64, 128):
+        g = NeckGrid(p, r=0.6, n1=n, n2=n)
+        assert error(g, VectorField2(one, none)) <= 1e-12
+        assert error(g, VectorField2(none, one)) <= 1e-12
+        errs["rotation"].append(error(g, rotation))
+        errs["strain"].append(error(g, strain))
+    orders = {k: np.log2(np.array(e[:-1]) / np.array(e[1:])) for k, e in errs.items()}
+    assert np.all((orders["rotation"] >= 1.8) & (orders["rotation"] <= 2.2)), errs
+    assert np.all(orders["strain"] >= 0.9), errs
 
 
 def test_manufactured_convergence_two_doublings(mild_profile, manufactured):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ def test_run_small_config_all_pass():
     kinds = {r.check for r in rep.rows}
     assert {"structural/divergence", "structural/trace", "structural/degrees",
             "decay/residual", "rate/blowup"} <= kinds
+    keys = [r.key() for r in rep.rows]
+    assert keys == sorted(keys)  # families merged deterministically by sorted key
 
 
 def test_run_reference_config():
@@ -79,14 +83,18 @@ def test_emit_csv_shapes(tmp_path):
         emit(rep, "xml")
 
 
-def test_worker_pool_env(monkeypatch):
-    monkeypatch.setenv("NECK_THREADS", "2")
-    rep = run(RunConfig(profile="sym-quadratic", alphas=(1,), m_max=1,
-                        eps=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4), decay=False,
-                        blowup=False))
-    assert rep.all_passed
-    keys = [r.key() for r in rep.rows]
-    assert keys == sorted(keys)  # merged deterministically by sorted key
+def test_reports_do_not_drift_within_one_process(src_env):
+    # the second run finds profile-free nodes (x1 and its powers) already
+    # interned; the report must not depend on how old the process is
+    code = (
+        "from neckflow.sweeps import RunConfig, emit, run\n"
+        "cfg = RunConfig(profile='sym-quadratic', alphas=(3,), m_max=1)\n"
+        "a, b = emit(run(cfg), 'csv'), emit(run(cfg), 'csv')\n"
+        "print(sum(x != y for x, y in zip(a.splitlines(), b.splitlines())))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300, env=src_env, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_fd_rows_family():
@@ -127,6 +135,18 @@ def test_cli_corrector_verify(tmp_path):
                  "--alpha", "2", "--m", "1", "--eps", "1e-2",
                  "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_cli_corrector_verify_error_row(monkeypatch, tmp_path):
+    import neckflow.cli as cli_mod
+    broken = RateReport("x", rows=[RateRow("error/structural_rows", "ValueError",
+                                           "p", None, None, None, "boom", None,
+                                           None, None, False)])
+    monkeypatch.setattr(cli_mod.sweeps, "run", lambda _cfg: broken)
+    code = main(["corrector", "verify", "--profile", "sym-quadratic", "--alpha", "1",
+                 "--m", "1", "--eps", "1e-2", "--out", str(tmp_path)])
+    assert code == 1
+    assert list(tmp_path.glob("rates-*.csv"))
 
 
 def test_cli_stokes_solve(tmp_path):
