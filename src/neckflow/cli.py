@@ -117,12 +117,21 @@ def cmd_stokes_solve(args) -> int:
     cfg = _config_from_args(args, sweep=False)
     eps = cfg.eps[0]
     prof = cfg.load_profile(eps)
-    h = (build_symmetric_green(prof, args.level)
-         if prof.symmetric else build_hierarchy(prof, 1, args.level))
-    grid = fd.NeckGrid(prof, r=1.5 * prof.R, n1=args.n1, n2=args.n2)
+    try:  # bad grid sizes and levels
+        grid = fd.NeckGrid(prof, r=1.5 * prof.R, n1=args.n1, n2=args.n2)
+        h = (build_symmetric_green(prof, args.level)
+             if prof.symmetric else build_hierarchy(prof, 1, args.level))
+    except ValueError as exc:
+        raise ConfigError(f"stokes solve: {exc}") from None
     sol = fd.solve_fields(grid, h.residual(args.level))
-    print(f"solved {args.n1}x{args.n2}: residual={sol.residual_rel:.2e} "
-          f"div={sol.div_max:.2e} sup|grad w|={fd.sup_grad(sol, prof.R):.4f} "
+    try:
+        sup = fd.sup_grad(sol, prof.R)
+    except ValueError as exc:  # n1 too small for the |x1| <= R window
+        raise ConfigError(f"stokes solve: {exc}") from None
+    lu, (A, *_) = grid.solver()
+    print(f"solved {args.n1}x{args.n2}: unknowns={A.shape[0]} "
+          f"lu_fill={lu.L.nnz + lu.U.nnz} residual={sol.residual_rel:.2e} "
+          f"div={sol.div_max:.2e} sup|grad w|={sup:.4f} "
           f"energy={fd.global_energy(sol):.5e}")
     if args.csv:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -15,6 +15,15 @@ mirror this.  The discrete pressure gradient is the negative volume-weighted
 adjoint of the discrete divergence, which pins the saddle structure down to
 one gauge cell, fixed by a single pressure pin.  One sparse LU per grid
 serves any number of right-hand sides.
+
+The LU eliminates the unknowns in cell blocks (a cell's west u face, its
+south v face, then its pressure) with the cells in nested-dissection order
+(A. George, SIAM J. Numer. Anal. 10, 1973), which about halves the fill of a
+fill-reducing column order with partial pivoting.  The pressure block is
+zero, but each pressure is reached after its own faces have filled in its
+pivot, and no eliminated region is left with a free pressure constant, so
+the factorization keeps the diagonal pivots of this order and does no
+numeric pivoting.
 """
 
 from __future__ import annotations
@@ -60,6 +69,45 @@ def _dia(arr) -> sp.dia_matrix:
     return sp.diags(np.asarray(arr).ravel())
 
 
+_LEAF_CELLS = 16
+
+
+def _cell_ranks(n1: int, n2: int) -> np.ndarray:
+    """Elimination rank of each cell of the n1 x n2 cell rectangle.
+
+    Nested dissection: a rectangle is cut across its longer side by one cell
+    line, the separator, ranked after both halves; rectangles of at most
+    _LEAF_CELLS cells are ranked row by row.  Every stencil reaches one cell
+    in each direction, so the halves never couple directly.  The corner cell
+    (0, 0) goes last: it is the one cell whose west and south faces are both
+    boundary faces, so any eliminated region holding it would couple to no
+    pressure outside, leaving its pressure constant free and a zero pivot.
+    """
+    ids = np.arange(n1 * n2).reshape(n1, n2)
+    order = []
+
+    def visit(block):
+        if block.size <= _LEAF_CELLS:
+            order.append(block.ravel())
+        elif block.shape[0] >= block.shape[1]:
+            m = block.shape[0] // 2
+            visit(block[:m])
+            visit(block[m + 1:])
+            order.append(block[m])
+        else:
+            m = block.shape[1] // 2
+            visit(block[:, :m])
+            visit(block[:, m + 1:])
+            order.append(block[:, m])
+
+    visit(ids)
+    cells = np.concatenate(order)
+    rank = np.empty(n1 * n2, dtype=np.intp)
+    rank[cells[cells != 0]] = np.arange(n1 * n2 - 1)
+    rank[0] = n1 * n2 - 1
+    return rank.reshape(n1, n2)
+
+
 @dataclass
 class NeckGrid:
     """Mapped MAC grid with metric coefficients from the exact profile."""
@@ -70,6 +118,8 @@ class NeckGrid:
     n2: int = 64
 
     def __post_init__(self):
+        if self.n1 < 1:
+            raise ValueError("n1 must be at least 1")
         if self.n2 < 32:
             raise ValueError("n2 must be at least 32 to resolve the gap")
         if self.r > 2 * self.profile.R:
@@ -104,6 +154,22 @@ class NeckGrid:
         d = self._delta(x)[:, None]
         a = self.a_of(x, t)
         return np.broadcast_to(d, a.shape), d * a, d * a * a + 1.0 / d
+
+    def unknown_order(self) -> np.ndarray:
+        """Elimination order of the unknowns (u_pad, v_pad, p, raveled).
+
+        Each unknown joins one cell block: the cell's west u face, its south
+        v face, then its pressure; ghosts and last faces join the nearest
+        edge cell.  The blocks follow _cell_ranks.
+        """
+        n1, n2 = self.n1, self.n2
+        rank = _cell_ranks(n1, n2)
+        i, j = np.indices((n1 + 1, n2 + 2))
+        key_u = 3 * rank[np.minimum(i, n1 - 1), np.clip(j - 1, 0, n2 - 1)]
+        i, j = np.indices((n1 + 2, n2 + 1))
+        key_v = 3 * rank[np.clip(i - 1, 0, n1 - 1), np.minimum(j, n2 - 1)] + 1
+        key = np.concatenate([key_u.ravel(), key_v.ravel(), 3 * rank.ravel() + 2])
+        return np.argsort(key, kind="stable")
 
     # -- operator assembly ------------------------------------------------
 
@@ -249,12 +315,18 @@ class NeckGrid:
         vals_a.append(np.array([1.0]))
         self._pin = pin
 
+        # every pressure follows its own cell's velocity faces, so its pivot
+        # has filled in when it is reached: diagonal pivots keep the order
+        order = self.unknown_order()
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
         A = sp.csc_matrix(
-            (np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
-            shape=(n_u + n_v + n_p, n_u + n_v + n_p),
+            (np.concatenate(vals_a),
+             (pos[np.concatenate(rows_a)], pos[np.concatenate(cols_a)])),
+            shape=(order.size, order.size),
         )
-        self._parts = (A, int_u, int_v, D, vol_c)
-        self._lu = spla.splu(A)
+        self._parts = (A, order, int_u, int_v, D, vol_c)
+        self._lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def solver(self):
         if self._lu is None:
@@ -294,7 +366,7 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     called once, with 1-D arrays holding every boundary and wall-flux point,
     and returns the two arrays of data values there.
     """
-    lu, (A, int_u, int_v, D, vol_c) = grid.solver()
+    lu, (A, order, int_u, int_v, D, vol_c) = grid.solver()
     n1, n2 = grid.n1, grid.n2
     n_u = (n1 + 1) * (n2 + 2)
     n_v = (n1 + 2) * (n2 + 1)
@@ -320,11 +392,13 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
         w1, w2 = bc(x, grid.x2_of(x, t))
         b[rows] = weight * np.where(comp == 0, w1, w2)
 
-    sol = lu.solve(b)
-    sol += lu.solve(b - A @ sol)  # one refinement pass tightens the residual
-    res = A @ sol - b
+    bo = b[order]
+    so = lu.solve(bo)
+    so += lu.solve(bo - A @ so)  # one refinement pass tightens the residual
     scale = float(np.linalg.norm(b)) or 1.0
-    residual_rel = float(np.linalg.norm(res)) / scale
+    residual_rel = float(np.linalg.norm(A @ so - bo)) / scale
+    sol = np.empty_like(so)
+    sol[order] = so
 
     u_pad = sol[:n_u].reshape(n1 + 1, n2 + 2)
     v_pad = sol[n_u:n_u + n_v].reshape(n1 + 2, n2 + 1)
@@ -406,6 +480,8 @@ def sup_grad(sol: DiscreteSolution, r: float) -> float:
     comps = _cell_grad(sol)
     mask = np.abs(g.xc) <= r
     mask[:2] = mask[-2:] = False
+    if not np.any(mask):
+        raise ValueError(f"no cell within |x1| <= {r:g} beyond the side margin")
     best = max(float(np.max(np.abs(c[mask]))) for c in comps)
 
     # centered shear at interior corner rows (smooth solution error cancels),

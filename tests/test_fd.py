@@ -44,6 +44,42 @@ def test_grid_validation(mild_profile):
         NeckGrid(mild_profile, r=0.6, n1=64, n2=16)  # gap under-resolved
     with pytest.raises(ValueError):
         NeckGrid(mild_profile, r=1.5, n1=64, n2=32)  # beyond the chart
+    with pytest.raises(ValueError):
+        NeckGrid(mild_profile, r=0.6, n1=0, n2=32)  # no cell across the gap
+
+
+@pytest.mark.parametrize("n1, n2", [(33, 32), (257, 64)])
+def test_unknown_order_puts_each_pressure_after_its_faces(mild_profile, n1, n2):
+    # the pressure block of the saddle system is zero; a pressure eliminated
+    # after its cell's west u and south v faces has a filled-in pivot, which
+    # is why the factorization may keep every diagonal pivot
+    order = NeckGrid(mild_profile, r=0.6, n1=n1, n2=n2).unknown_order()
+    n_u, n_v, n_p = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1), n1 * n2
+    assert np.array_equal(np.sort(order), np.arange(n_u + n_v + n_p))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    ci, cj = np.indices((n1, n2))
+    p_pos = pos[n_u + n_v + ci * n2 + cj]
+    assert np.all(p_pos > pos[ci * (n2 + 2) + cj + 1])                  # west u
+    assert np.all(p_pos > pos[n_u + (ci + 1) * (n2 + 1) + cj])          # south v
+
+
+def test_lu_fill_and_diagonal_pivots(mild_profile):
+    g = NeckGrid(mild_profile, r=0.6, n1=64, n2=64)
+    lu, _ = g.solver()
+    assert lu.L.nnz + lu.U.nnz <= 2_000_000
+    grids = [g] + [NeckGrid(named_profile(name, eps=eps), r=0.6, n1=n1, n2=n2)
+                   for name, eps, n1, n2 in [("asym-quadratic", 1e-4, 64, 64),
+                                             ("asym-quadratic", 1e-4, 33, 32),
+                                             ("sym-quadratic", 3e-3, 4, 32)]]
+    for grid in grids:
+        n1, n2 = grid.n1, grid.n2
+        case = (grid.profile.name, grid.profile.eps, n1, n2)
+        sol = solve_w(grid, np.ones((n1 - 1, n2)), np.ones((n1, n2 - 1)))
+        assert sol.residual_rel < 1e-10, case
+        assert sol.div_max < 1e-10, case
+        lu, _ = grid.solver()
+        assert np.array_equal(lu.perm_r, lu.perm_c), case  # no row swaps
 
 
 def test_zero_forcing_gives_zero(mild_profile):

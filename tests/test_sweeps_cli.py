@@ -149,12 +149,23 @@ def test_cli_corrector_verify_error_row(monkeypatch, tmp_path):
     assert list(tmp_path.glob("rates-*.csv"))
 
 
-def test_cli_stokes_solve(tmp_path):
+def test_cli_stokes_solve(tmp_path, capsys):
     code = main(["stokes", "solve", "--profile", "sym-quadratic",
                  "--eps", "1e-2", "--level", "2", "--n1", "65", "--n2", "32",
                  "--csv", "cloud.csv", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "cloud.csv").exists()
+    out = capsys.readouterr().out
+    assert f"unknowns={66 * 34 + 67 * 33 + 65 * 32} lu_fill=" in out
+
+
+@pytest.mark.parametrize("bad", [["--n1", "0"], ["--n1", "2"], ["--n1", "-5"],
+                                 ["--n2", "16"], ["--level", "0"], ["--level", "9"]])
+def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, bad):
+    code = main(["stokes", "solve", "--profile", "sym-quadratic", "--eps", "1e-2",
+                 "--n1", "33", "--n2", "32", "--out", str(tmp_path)] + bad)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: stokes solve: ")
 
 
 def test_custom_profile_file_sweep(tmp_path):
