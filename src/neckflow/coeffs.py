@@ -10,10 +10,23 @@ every integral node.
 Nodes are immutable and hash-consed, so structurally equal expressions share
 one node.  Linear combinations collect identical subtrees, which is what makes
 the large algebraic cancellations of the constructions collapse exactly.
+
+Evaluation is one iterative walk (``_walk``) over a list of roots: the nodes
+not yet evaluated are listed children first, in the order a recursive walk
+would finish them (``_post_order``), and then computed in that order into one
+memo, so a DAG of any depth needs no deep Python recursion.  A sum is
+``c0 + c*v`` term by term and a product ``c * v1**e1 * v2**e2 ...`` factor by
+factor, both in stored order, with only exact identities skipped (no ``*1.0``
+and no ``**1``).  Each distinct power ``v**e`` (e != 1) is computed once per
+walk and kept in a power table keyed by (node, exponent).  The results are
+bit for bit those of the node-by-node recursion they replace.  An integral is
+a leaf of the walk: its panel table evaluates the integrand in walks of its
+own.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 
@@ -43,11 +56,13 @@ __all__ = [
 QUAD_TOL = 1e-10
 _MAX_PANELS = 4096
 
+# evaluation is iterative, but diff and sexp still recurse over the DAG depth
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 _LOCK = threading.RLock()
 _GLOBAL_INTERN: dict = {}
 _NEXT_ID = [1]
+_FREE_RANK = 1 << 62
 
 
 class CapabilityError(RuntimeError):
@@ -64,7 +79,7 @@ def _table_for(profile: NeckProfile | None) -> dict:
     return profile._intern
 
 
-def _merge_profile(*nodes) -> NeckProfile | None:
+def _merge_profile(nodes) -> NeckProfile | None:
     prof = None
     for n in nodes:
         p = n.profile
@@ -77,10 +92,18 @@ def _merge_profile(*nodes) -> NeckProfile | None:
     return prof
 
 
+def _inline(node, room) -> str:
+    return node._sexp(room)
+
+
+def _by_id(node, room) -> str:
+    return f"#{node._id}"
+
+
 class Coeff:
     """Base node.  Use the module constructors, not subclass __init__ directly."""
 
-    __slots__ = ("_id", "profile", "_diff", "__weakref__")
+    __slots__ = ("_id", "_rank", "profile", "_diff", "__weakref__")
 
     def _register(self, profile):
         self.profile = profile
@@ -88,6 +111,11 @@ class Coeff:
         with _LOCK:
             self._id = _NEXT_ID[0]
             _NEXT_ID[0] += 1
+        # the order of terms and factors: profile-free nodes (x1, its powers)
+        # live in the global table and may predate every node of the current
+        # profile; ordering them first keeps float sums in one order however
+        # old the process is (a profile node's rank is its id object itself)
+        self._rank = self._id if profile is not None else self._id - _FREE_RANK
 
     # -- arithmetic sugar -------------------------------------------------
 
@@ -129,28 +157,17 @@ class Coeff:
         return d
 
     def eval(self, x1, tol: float = QUAD_TOL):
-        arr = np.asarray(x1, dtype=float)
-        out = self._eval({}, arr, tol)
-        out = np.broadcast_to(np.asarray(out, dtype=float), arr.shape)
-        if arr.ndim == 0:
-            return float(out)
-        return np.array(out)
-
-    def _eval(self, memo, x, tol):
-        v = memo.get(self._id)
-        if v is None:
-            v = self._eval_impl(memo, x, tol)
-            memo[self._id] = v
-        return v
+        return eval_many([self], x1, tol)[0]
 
     def sexp(self) -> str:
         return self._sexp(sys.maxsize)
 
-    def _sexp(self, room) -> str:
+    def _sexp(self, room, show=_inline) -> str:
         """sexp() cut short once past ``room`` characters: the full text, or
         one whose first room+1 characters are those of the full text.  A
         node prints no further child once its text is past ``room``, so the
-        cost follows the length printed."""
+        cost follows the length printed.  ``show(child, room)`` prints a
+        child; by default the child's own sexp."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -172,10 +189,10 @@ class _Const(Coeff):
     def _diff_impl(self):
         return const(0.0)
 
-    def _eval_impl(self, memo, x, tol):
+    def _eval_impl(self, x, tol):
         return self.value
 
-    def _sexp(self, room):
+    def _sexp(self, room, show=_inline):
         return repr(self.value)
 
 
@@ -185,10 +202,10 @@ class _X1(Coeff):
     def _diff_impl(self):
         return const(1.0)
 
-    def _eval_impl(self, memo, x, tol):
+    def _eval_impl(self, x, tol):
         return x
 
-    def _sexp(self, room):
+    def _sexp(self, room, show=_inline):
         return "x1"
 
 
@@ -198,7 +215,7 @@ class _ProfileDeriv(Coeff):
     def _diff_impl(self):
         return profile_deriv(self.profile, self.wall, self.order + 1)
 
-    def _eval_impl(self, memo, x, tol):
+    def _eval_impl(self, x, tol):
         if self.order > self.profile.M:
             raise CapabilityError(
                 f"wall derivative order {self.order} exceeds the profile cap M={self.profile.M}"
@@ -209,7 +226,7 @@ class _ProfileDeriv(Coeff):
             self._fn = fn
         return fn(x)
 
-    def _sexp(self, room):
+    def _sexp(self, room, show=_inline):
         return f"(d{self.order} h{self.wall})"
 
 
@@ -221,23 +238,17 @@ class _Sum(Coeff):
     def _diff_impl(self):
         return lin([(t.diff(), c) for t, c in self.terms])
 
-    def _eval_impl(self, memo, x, tol):
-        out = np.full(x.shape, self.c0)
-        for t, c in self.terms:
-            out = out + c * t._eval(memo, x, tol)
-        return out
-
-    def _sexp(self, room):
+    def _sexp(self, room, show=_inline):
         parts = [f"(+ {self.c0!r}" if self.c0 else "(+"]
         used = len(parts[0])
         for t, c in self.terms:
             if used > room:
                 break
             if c == 1.0:
-                s = t._sexp(room - used - 1)
+                s = show(t, room - used - 1)
             else:
                 pre = f"(* {c!r} "
-                s = f"{pre}{t._sexp(room - used - 1 - len(pre))})"
+                s = f"{pre}{show(t, room - used - 1 - len(pre))})"
             parts.append(s)
             used += 1 + len(s)
         return " ".join(parts) + ")"
@@ -257,19 +268,13 @@ class _Prod(Coeff):
             terms.append((mul_pow(rest, self.c), float(e)))
         return lin(terms)
 
-    def _eval_impl(self, memo, x, tol):
-        out = np.full(x.shape, self.c)
-        for t, e in self.factors:
-            out = out * t._eval(memo, x, tol) ** e
-        return out
-
-    def _sexp(self, room):
+    def _sexp(self, room, show=_inline):
         parts = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
         used = len(parts[0])
         for t, e in self.factors:
             if used > room:
                 break
-            s = t._sexp(room - used - 1) if e == 1 else f"(^ {t._sexp(room - used - 4)} {e})"
+            s = show(t, room - used - 1) if e == 1 else f"(^ {show(t, room - used - 4)} {e})"
             parts.append(s)
             used += 1 + len(s)
         return " ".join(parts) + ")"
@@ -283,27 +288,29 @@ class _Antideriv(Coeff):
     def _diff_impl(self):
         return self.integrand
 
-    def _eval_impl(self, memo, x, tol):
+    def _eval_impl(self, x, tol):
         table = self._table
         if table is None or table.tol > max(tol, _PanelTable.TOL_FLOOR):
             table = _PanelTable(self, tol)
             self._table = table
         return table.value_at(x)
 
-    def _sexp(self, room):
+    def _sexp(self, room, show=_inline):
         head = f"(int {self.lower!r} "
-        return f"{head}{self.integrand._sexp(room - len(head))})"
+        return f"{head}{show(self.integrand, room - len(head))})"
 
 
 # -- smart constructors ----------------------------------------------------
 
 
-def _intern(profile, key, builder):
+def _intern(profile, key, cls, **fields):
     table = _table_for(profile)
     with _LOCK:
         node = table.get(key)
         if node is None:
-            node = builder()
+            node = cls.__new__(cls)
+            for name, value in fields.items():
+                setattr(node, name, value)
             node._register(profile)
             table[key] = node
         return node
@@ -313,20 +320,10 @@ def const(v: float) -> Coeff:
     v = float(v)
     if v == 0.0:
         v = 0.0  # normalize -0.0
-    def build():
-        n = _Const.__new__(_Const)
-        n.value = v
-        return n
-    return _intern(None, ("c", v), build)
+    return _intern(None, ("c", v), _Const, value=v)
 
 
-def _x1_singleton() -> Coeff:
-    def build():
-        return _X1.__new__(_X1)
-    return _intern(None, ("x",), build)
-
-
-X1 = _x1_singleton()
+X1 = _intern(None, ("x",), _X1)
 
 
 def profile_deriv(profile: NeckProfile, wall: int, order: int) -> Coeff:
@@ -334,128 +331,100 @@ def profile_deriv(profile: NeckProfile, wall: int, order: int) -> Coeff:
         wall = 1  # identical walls share nodes so h1 - h2 cancels structurally
     if order <= profile.M and order > profile.h(wall).degree:
         return const(0.0)
-    def build():
-        n = _ProfileDeriv.__new__(_ProfileDeriv)
-        n.wall = wall
-        n.order = order
-        n._fn = None
-        return n
-    return _intern(profile, ("pd", wall, order), build)
+    return _intern(profile, ("pd", wall, order), _ProfileDeriv,
+                   wall=wall, order=order, _fn=None)
 
 
 def lin(terms, c0: float = 0.0) -> Coeff:
-    """Linear combination sum(c * node) + c0 with collection of equal nodes."""
+    """Linear combination sum(c * node) + c0 with collection of equal nodes.
+
+    Sums are flattened depth first, each term in stored order."""
     acc: dict[int, list] = {}
     c0 = float(c0)
-
-    def push(node, co):
-        nonlocal c0
-        if co == 0.0:
-            return
-        if isinstance(node, _Const):
-            c0 += co * node.value
-            return
-        if isinstance(node, _Sum):
-            c0 += co * node.c0
-            for t, c in node.terms:
-                push(t, co * c)
-            return
-        if isinstance(node, _Prod) and node.c != 1.0:
-            co = co * node.c
-            node = mul_pow(list(node.factors), 1.0)
-            if not isinstance(node, (_Prod, _Const)):
-                push(node, co)
-                return
-            if isinstance(node, _Const):
-                c0 += co * node.value
-                return
-        slot = acc.get(node._id)
-        if slot is None:
-            acc[node._id] = [node, co]
-        else:
-            slot[1] += co
-
+    # term by term, as pushes may intern nodes (mul_pow below): node ids then
+    # follow the same order however ``terms`` is produced
     for node, co in terms:
-        push(node, float(co))
+        todo = [(node, float(co))]
+        while todo:
+            node, co = todo.pop()
+            if co == 0.0:
+                continue
+            cls = node.__class__
+            if cls is _Const:
+                c0 += co * node.value
+                continue
+            if cls is _Sum:
+                c0 += co * node.c0
+                todo.extend([(t, co * c) for t, c in reversed(node.terms)])
+                continue
+            if cls is _Prod and node.c != 1.0:
+                co = co * node.c
+                node = mul_pow(list(node.factors), 1.0)
+                if node.__class__ is _Const:
+                    c0 += co * node.value
+                    continue
+                if node.__class__ is not _Prod:
+                    todo.append((node, co))
+                    continue
+            slot = acc.get(node._rank)
+            if slot is None:
+                acc[node._rank] = [node, co]
+            else:
+                slot[1] += co
 
-    kept = [(n, c) for n, c in acc.values() if c != 0.0]
+    kept = [(n, c) for n, c in map(acc.__getitem__, sorted(acc)) if c != 0.0]
     if not kept:
         return const(c0)
-    kept.sort(key=_term_order)
     if c0 == 0.0 and len(kept) == 1:
         n, c = kept[0]
         if c == 1.0:
             return n
         return mul_pow([(n, 1)], c)
-    profile = _merge_profile(*(n for n, _ in kept))
-    key = ("s", c0, tuple((n._id, c) for n, c in kept))
-
-    def build():
-        node = _Sum.__new__(_Sum)
-        node.c0 = c0
-        node.terms = tuple((n, c) for n, c in kept)
-        return node
-
-    return _intern(profile, key, build)
-
-
-def _term_order(pair):
-    # profile-free nodes (x1, its powers) live in the global table and may
-    # predate every node of the current profile; ordering them first keeps
-    # float sums in one order however old the process is
-    node = pair[0]
-    return node.profile is not None, node._id
+    key = ("s", c0, tuple([(n._id, c) for n, c in kept]))
+    return _intern(_merge_profile([n for n, _ in kept]), key, _Sum,
+                   c0=c0, terms=tuple(kept))
 
 
 def mul_pow(factors, c: float = 1.0) -> Coeff:
-    """Power product c * prod(base**exp) with exponent collection."""
+    """Power product c * prod(base**exp) with exponent collection.
+
+    Products are flattened depth first, each factor in stored order."""
     acc: dict[int, list] = {}
     c = float(c)
-
-    def push(node, e):
-        nonlocal c
+    todo = [(node, int(e)) for node, e in factors]
+    todo.reverse()
+    while todo:
+        node, e = todo.pop()
         if e == 0:
-            return
-        if isinstance(node, _Const):
+            continue
+        cls = node.__class__
+        if cls is _Const:
             c *= node.value**e
-            return
-        if isinstance(node, _Prod):
+        elif cls is _Prod:
             c *= node.c**e
-            for t, x in node.factors:
-                push(t, x * e)
-            return
-        slot = acc.get(node._id)
-        if slot is None:
-            acc[node._id] = [node, e]
+            todo.extend([(t, x * e) for t, x in reversed(node.factors)])
         else:
-            slot[1] += e
-
-    for node, e in factors:
-        push(node, int(e))
+            slot = acc.get(node._rank)
+            if slot is None:
+                acc[node._rank] = [node, e]
+            else:
+                slot[1] += e
 
     if c == 0.0:
         return const(0.0)
-    kept = [(n, e) for n, e in acc.values() if e != 0]
-    if not kept:
-        return const(c)
-    for n, e in kept:
+    for n, e in acc.values():
         if e < 0 and not _is_positive(n):
             raise ValueError(
                 f"denominator is not provably positive on the chart: {n!r}"
             )
-    kept.sort(key=_term_order)
+    kept = [(n, e) for n, e in map(acc.__getitem__, sorted(acc)) if e != 0]
+    if not kept:
+        return const(c)
     if c == 1.0 and len(kept) == 1 and kept[0][1] == 1:
         return kept[0][0]
-    profile = _merge_profile(*(n for n, _ in kept))
-    key = ("p", c, tuple((n._id, e) for n, e in kept))
-
-    def build():
-        node = _Prod.__new__(_Prod)
-        node.c = c
-        node.factors = tuple((n, e) for n, e in kept)
-        return node
-
-    return _intern(profile, key, build)
+    key = ("p", c, tuple([(n._id, e) for n, e in kept]))
+    return _intern(_merge_profile([n for n, _ in kept]), key, _Prod,
+                   c=c, factors=tuple(kept))
 
 
 def quotient(num, den) -> Coeff:
@@ -469,15 +438,8 @@ def antideriv(lower: float, integrand) -> Coeff:
     if isinstance(integrand, _Const):
         # exact: int_a^x c dy = c*(x - a)
         return lin([(X1, integrand.value)], -integrand.value * lower)
-
-    def build():
-        node = _Antideriv.__new__(_Antideriv)
-        node.lower = lower
-        node.integrand = integrand
-        node._table = None
-        return node
-
-    return _intern(integrand.profile, ("a", lower, integrand._id), build)
+    return _intern(integrand.profile, ("a", lower, integrand._id), _Antideriv,
+                   lower=lower, integrand=integrand, _table=None)
 
 
 def _is_positive(node) -> bool:
@@ -517,25 +479,109 @@ def q4_coeff(profile: NeckProfile) -> Coeff:
     return mul_pow([(a, 1), (b, 1)], 0.25)
 
 
+# -- the evaluation walk -------------------------------------------------------
+
+_DONE = object()
+
+
+def _post_order(roots, seen: set, integrands: bool = False) -> list:
+    """The nodes reachable from ``roots`` and not in ``seen``, each once,
+    children before parents: the order in which a recursive walk visiting
+    children in stored order would finish them.  Adds them to ``seen``.  An
+    integral's integrand counts as its child only with ``integrands``."""
+    order = []
+    # (node, weight) pairs as stored in terms and factors; (node, _DONE)
+    # once the node's children are all listed
+    stack = [(r, None) for r in reversed(roots)]
+    while stack:
+        node, tag = stack.pop()
+        if tag is _DONE:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        cls = node.__class__
+        if cls is _Prod:
+            edges = node.factors
+        elif cls is _Sum:
+            edges = node.terms
+        elif cls is _Antideriv and integrands:
+            edges = ((node.integrand, None),)
+        else:
+            order.append(node)
+            continue
+        stack.append((node, _DONE))
+        stack.extend(reversed(edges))
+    return order
+
+
+def _walk(roots, x: np.ndarray, tol) -> list:
+    """Values of ``roots`` at ``x`` from one post-order walk with one memo."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    roots = list(roots)
+    # a sum or product keeps the type the np.full-seeded recursion gave it
+    # (an x-shaped array, or a float64 scalar for 0-d x), even where every
+    # child is a float: numpy's ** on arrays (reciprocal, square, vectorised
+    # pow) differs in the last bit from pow on scalars for some arguments
+    if x.ndim:
+        kind, shape = np.ndarray, x.shape
+    else:
+        kind, shape = np.float64, None
+    memo: dict = {}
+    powers: dict = {}
+    for node in _post_order(roots, set()):
+        cls = node.__class__
+        if cls is _Prod:
+            out = None if node.c == 1.0 else node.c
+            for t, e in node.factors:
+                v = memo[t]
+                if e != 1:
+                    key = (t, e)
+                    p = powers.get(key)
+                    if p is None:
+                        p = powers[key] = v**e
+                    v = p
+                out = v if out is None else out * v
+        elif cls is _Sum:
+            out = node.c0  # added even when 0.0, which turns -0.0 into +0.0
+            for t, c in node.terms:
+                v = memo[t]
+                out = out + (v if c == 1.0 else c * v)
+        else:
+            memo[node] = node._eval_impl(x, tol)
+            continue
+        if out.__class__ is not kind:
+            out = np.full(shape, out) if shape else np.float64(out)
+        memo[node] = out
+    return [memo[r] for r in roots]
+
+
 # -- public operation wrappers ----------------------------------------------
 
 
 def coeff_eval(c: Coeff, x1, tol: float = QUAD_TOL):
     """Evaluate at x1 (scalar or array) with quadrature error <= tol per node."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return c.eval(x1, tol)
 
 
 def eval_many(nodes, x1, tol: float = QUAD_TOL) -> list:
-    """Evaluate several nodes over one x1 array with a shared subtree memo."""
+    """Evaluate several nodes over one x1 array in one walk with one memo."""
     arr = np.asarray(x1, dtype=float)
-    memo: dict = {}
     out = []
-    for n in nodes:
-        v = np.broadcast_to(np.asarray(n._eval(memo, arr, tol), dtype=float), arr.shape)
+    for v in _walk(nodes, arr, tol):
+        v = np.broadcast_to(np.asarray(v, dtype=float), arr.shape)
         out.append(np.array(v) if arr.ndim else float(v))
     return out
+
+
+def dump_rows(roots, seen: set) -> list[str]:
+    """One line ``#id text`` per node reachable from ``roots`` (integrands
+    included) and not in ``seen``, children first and printed by id, so the
+    output grows with the DAG, not with its expanded tree."""
+    return [f"#{n._id} {n._sexp(sys.maxsize, _by_id)}"
+            for n in _post_order(roots, seen, integrands=True)]
 
 
 def coeff_diff(c: Coeff) -> Coeff:

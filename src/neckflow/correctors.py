@@ -117,16 +117,20 @@ class CorrectorHierarchy:
         return self
 
     def dump_sexp(self) -> str:
+        """Shared-node dump: each level's new nodes as ``#id`` lines, children
+        first and referenced by id, then the level's rows naming their ids."""
         lines = [f"(hierarchy alpha={self.alpha} green={int(self.green)} profile={self.profile.name})"]
+        seen: set = set()
         for lev in self.levels:
+            rows = [(f"{tag} {j}", c)
+                    for tag, f in (("v1", lev.v.u1), ("v2", lev.v.u2),
+                                   ("f1", lev.residual.u1), ("f2", lev.residual.u2))
+                    for j, c in enumerate(f.coeffs)]
+            rows.append(("p-pure", lev.pressure.pure))
+            rows += [(f"p-poly {j}", c) for j, c in enumerate(lev.pressure.poly.coeffs)]
+            lines += ca.dump_rows([c for _, c in rows], seen)
             lines.append(f"(level {lev.level}")
-            for tag, f in (("v1", lev.v.u1), ("v2", lev.v.u2),
-                           ("f1", lev.residual.u1), ("f2", lev.residual.u2)):
-                for j, c in enumerate(f.coeffs):
-                    lines.append(f"  ({tag} {j} {c.sexp()})")
-            lines.append(f"  (p-pure {lev.pressure.pure.sexp()})")
-            for j, c in enumerate(lev.pressure.poly.coeffs):
-                lines.append(f"  (p-poly {j} {c.sexp()})")
+            lines += [f"  ({tag} #{c._id})" for tag, c in rows]
             lines.append(")")
         return "\n".join(lines)
 
@@ -563,7 +567,7 @@ def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
         top_err = [trace(lev.v.u1, "top"), trace(lev.v.u2, "top")]
     bot_err = [trace(lev.v.u1, "bottom"), trace(lev.v.u2, "bottom")]
     out["trace_sup"] = max(
-        float(np.max(np.abs(ca.coeff_eval(c, xs)))) for c in top_err + bot_err
+        float(np.max(np.abs(v))) for v in ca.eval_many(top_err + bot_err, xs)
     )
 
     out["degrees"] = (lev.residual.u1.degree, lev.residual.u2.degree)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from neckflow import coeffs as ca
+from neckflow.fields import PolyField, cheb_nodes, eval_fields, trace
 from neckflow.geometry import NeckProfile, ProfileFn, named_profile
 
 
@@ -121,8 +122,96 @@ def test_quadrature_failure_is_diagnosed(monkeypatch):
 
 
 def test_bad_tolerance_rejected():
-    with pytest.raises(ValueError):
-        ca.coeff_eval(ca.const(1.0), 0.0, tol=0.0)
+    # refused at the walk's entry, before any quadrature: eval_many took 0.0
+    # and -1.0, and nan ran 4096 panels into a QuadratureError
+    p = asym()
+    g = ca.antideriv(0.0, ca.quotient(ca.profile_deriv(p, 1, 0), ca.delta_coeff(p)))
+    xs = np.linspace(-0.5, 0.5, 5)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            ca.coeff_eval(ca.const(1.0), 0.0, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            ca.coeff_eval(g, 0.3, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            ca.eval_many([g], xs, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            eval_fields(PolyField(p, [g, ca.X1]), xs, 0.0 * xs, tol)
+
+
+def _reference_eval(node, x, tol, memo):
+    """The node-by-node recursion the evaluation walk replaced."""
+    v = memo.get(node._id)
+    if v is None:
+        if isinstance(node, ca._Sum):
+            v = np.full(x.shape, node.c0)
+            for t, c in node.terms:
+                v = v + c * _reference_eval(t, x, tol, memo)
+        elif isinstance(node, ca._Prod):
+            v = np.full(x.shape, node.c)
+            for t, e in node.factors:
+                v = v * _reference_eval(t, x, tol, memo) ** e
+        else:
+            v = node._eval_impl(x, tol)
+        memo[node._id] = v
+    return np.array(np.broadcast_to(np.asarray(v, dtype=float), x.shape))
+
+
+def test_walk_matches_recursive_reference_bitwise(cache):
+    h = cache.get("asym-quadratic", 1e-3, 2, 2)
+    r = h.profile.R
+    nodes = []
+    for l in (1, 2):
+        lev = h.level(l)
+        for f in (lev.residual.u1, lev.residual.u2, lev.v.u1, lev.v.u2):
+            nodes += f.coeffs
+        nodes += [trace(f, side) for f in (lev.v.u1, lev.v.u2) for side in ("top", "bottom")]
+    # exact zeros of x1 (signed-zero products) and 0-d and one-point grids
+    # (scalar leaf values) included
+    grids = (cheb_nodes(41, -r, r), np.linspace(-r, r, 1000),
+             np.array([-0.5 * r, 0.0, 0.5 * r]), np.array([0.3 * r]), np.asarray(0.0))
+    for xs in grids:
+        memo: dict = {}
+        want = [_reference_eval(n, xs, ca.QUAD_TOL, memo) for n in nodes]
+        got = [np.asarray(v) for v in ca.eval_many(nodes, xs)]
+        one = [np.asarray(n.eval(xs)) for n in nodes]
+        for w, g, o in zip(want, got, one):
+            assert np.array_equal(w, g) and np.array_equal(w, o)
+            assert w.tobytes() == g.tobytes() == o.tobytes()  # signed zeros too
+
+
+def test_walk_keeps_the_value_types_of_the_recursion():
+    # numpy's ** takes fast paths for arrays (reciprocal, square) that pow on
+    # scalars does not; integrals return floats on a one-point grid, so a sum
+    # of them must still become an array there, as in the recursion
+    p = asym()
+    s = ca.antideriv(0.0, ca.delta_coeff(p)) + ca.antideriv(0.0, ca.delta_coeff(p) * ca.X1)
+    for xs, kind in ((np.array([0.3]), np.ndarray), (np.asarray(0.3), np.float64)):
+        vals = ca._walk([s, s**2], xs, ca.QUAD_TOL)
+        assert [type(v) for v in vals] == [kind, kind]
+        want = _reference_eval(s**2, xs, ca.QUAD_TOL, {})
+        assert np.asarray(vals[1]).tobytes() == want.tobytes()
+
+
+def test_evaluation_needs_no_deep_recursion(src_env):
+    # a 6000-deep chain: the recursive walk this replaced overflowed the
+    # interpreter's default recursion limit
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from neckflow import coeffs as ca\n"
+        "sys.setrecursionlimit(1000)\n"
+        "x = ca.X1\n"
+        "for _ in range(3000):\n"
+        "    x = 0.5 * x * ca.X1 + 0.25\n"
+        "xs = np.linspace(-1.0, 1.0, 5)\n"
+        "a = ca.coeff_eval(x, xs)\n"
+        "b = ca.eval_many([x, x * x], xs)[0]\n"
+        "print(a.tolist() == b.tolist(), float(a[2]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env=src_env)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["True", "0.25"]
 
 
 def test_sexp_dump():

@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -234,3 +237,36 @@ def test_sexp_dump_contains_structure(cache):
     h = cache.get("sym-quadratic", 1e-2, 1, 2)
     s = h.dump_sexp()
     assert "(level 1" in s and "(level 2" in s and "(p-pure" in s
+
+
+def test_dump_lists_each_node_once():
+    # the expanded tree of this hierarchy has far more than 1e10 nodes; the
+    # dump prints the DAG: one line per reachable node plus its row lines
+    h = build_hierarchy(named_profile("asym-quadratic", eps=1e-3), 1, 3)
+    roots, rows = [], 1
+    for lev in h.levels:
+        coeffs = [c for f in (lev.v.u1, lev.v.u2, lev.residual.u1, lev.residual.u2,
+                              lev.pressure.poly) for c in f.coeffs]
+        roots += coeffs + [lev.pressure.pure]
+        rows += len(coeffs) + 3  # "(level", the coefficient rows, p-pure, ")"
+    reachable, stack = set(), list(roots)
+    while stack:
+        n = stack.pop()
+        if n not in reachable:
+            reachable.add(n)
+            stack += [t for t, _ in getattr(n, "terms", getattr(n, "factors", ()))]
+            stack += [n.integrand] if hasattr(n, "integrand") else []
+    t0 = time.perf_counter()
+    lines = h.dump_sexp().split("\n")
+    assert time.perf_counter() - t0 < 10.0
+    assert len(lines) <= len(reachable) + rows
+    assert lines.count("(level 3") == 1 and sum(l.startswith("  (p-pure #") for l in lines) == 3
+    defined = set()
+    for line in lines:  # every id is defined once, before any line naming it
+        ids = re.findall(r"#(\d+)", line)
+        if line.startswith("#"):
+            assert ids[0] not in defined and set(ids[1:]) <= defined
+            defined.add(ids[0])
+        else:
+            assert set(ids) <= defined
+    assert len(defined) == len(reachable)
