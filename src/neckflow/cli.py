@@ -46,8 +46,12 @@ def _add_common(sp):
 
 def _config_from_args(args, sweep: bool = True) -> RunConfig:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = RunConfig.from_json(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise ConfigError(f"--config {args.config}: {exc}") from None
+        cfg = RunConfig.from_json(doc)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
     else:
@@ -155,8 +159,12 @@ def cmd_sweep_rates(args) -> int:
 
 
 def cmd_report_emit(args) -> int:
-    with open(args.input) as fh:
-        report = sweeps.parse_report(fh.read())
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # unreadable, or not text
+        raise ConfigError(f"--input {args.input}: {exc}") from None
+    report = sweeps.parse_report(text)
     text = sweeps.emit(report, args.to)
     if args.output:
         with open(args.output, "w") as fh:

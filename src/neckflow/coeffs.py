@@ -10,6 +10,22 @@ every integral node.
 Nodes are immutable and hash-consed, so structurally equal expressions share
 one node.  Linear combinations collect identical subtrees, which is what makes
 the large algebraic cancellations of the constructions collapse exactly.
+Construction is single-threaded: interning and id allocation take no lock.
+
+Storage: a sum ``c0 + sum(w * n)`` keeps its children and their weights in
+two parallel tuples, ``nodes`` and ``weights``; a product ``c * prod(n**e)``
+keeps ``nodes`` and ``exps``.  Both are sorted by node rank, with no
+constant, no nested product and no zero exponent among a product's factors.
+The tuples of floats and ints hold no object the cyclic GC has to track, so
+it tracks one tuple per node, the one of its children.
+
+Differentiation is one iterative walk (``Coeff.diff``) that drives a stack of
+``_diff_steps`` generators: each yields a child whose derivative it needs and
+is sent that derivative back, in the order a recursion would ask for them, so
+nodes are interned in the same order and get the same ids.  A product's
+derivative is built from its stored factors: term i lowers factor i's
+exponent by one and merges in that factor's derivative, without re-flattening
+or re-sorting the rest.
 
 Evaluation is one iterative walk (``_walk``) over a list of roots: the nodes
 not yet evaluated are listed children first, in the order a recursive walk
@@ -28,7 +44,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 
 import numpy as np
 
@@ -56,10 +71,9 @@ __all__ = [
 QUAD_TOL = 1e-10
 _MAX_PANELS = 4096
 
-# evaluation is iterative, but diff and sexp still recurse over the DAG depth
+# evaluation and diff are iterative, but sexp still recurses over the DAG depth
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
-_LOCK = threading.RLock()
 _GLOBAL_INTERN: dict = {}
 _NEXT_ID = [1]
 _FREE_RANK = 1 << 62
@@ -108,9 +122,8 @@ class Coeff:
     def _register(self, profile):
         self.profile = profile
         self._diff = None
-        with _LOCK:
-            self._id = _NEXT_ID[0]
-            _NEXT_ID[0] += 1
+        self._id = _NEXT_ID[0]
+        _NEXT_ID[0] += 1
         # the order of terms and factors: profile-free nodes (x1, its powers)
         # live in the global table and may predate every node of the current
         # profile; ordering them first keeps float sums in one order however
@@ -151,10 +164,31 @@ class Coeff:
 
     def diff(self) -> "Coeff":
         d = self._diff
-        if d is None:
-            d = self._diff_impl()
-            self._diff = d
-        return d
+        if d is not None:
+            return d
+        # each frame is a node's _diff_steps generator, sent the derivative
+        # of the child it last yielded; a frame's return value is its node's
+        # derivative, sent on to the frame below
+        stack = [(self, self._diff_steps())]
+        sent = None
+        while stack:
+            node, steps = stack[-1]
+            try:
+                child = steps.send(sent)
+            except StopIteration as done:
+                node._diff = sent = done.value
+                stack.pop()
+                continue
+            sent = child._diff
+            if sent is None:
+                stack.append((child, child._diff_steps()))
+        return self._diff
+
+    def _diff_steps(self):
+        """Generator of the derivative: yields each child whose derivative it
+        needs, is sent that derivative, and returns the node's derivative."""
+        return self._diff_impl()
+        yield  # never reached: makes this a generator that needs no child
 
     def eval(self, x1, tol: float = QUAD_TOL):
         return eval_many([self], x1, tol)[0]
@@ -233,15 +267,18 @@ class _ProfileDeriv(Coeff):
 class _Sum(Coeff):
     """c0 + sum of coeff * term, terms keyed by node identity."""
 
-    __slots__ = ("c0", "terms")
+    __slots__ = ("c0", "nodes", "weights")
 
-    def _diff_impl(self):
-        return lin([(t.diff(), c) for t, c in self.terms])
+    def _diff_steps(self):
+        ds = []
+        for t in self.nodes:
+            ds.append((yield t))
+        return lin(zip(ds, self.weights))
 
     def _sexp(self, room, show=_inline):
         parts = [f"(+ {self.c0!r}" if self.c0 else "(+"]
         used = len(parts[0])
-        for t, c in self.terms:
+        for t, c in zip(self.nodes, self.weights):
             if used > room:
                 break
             if c == 1.0:
@@ -257,21 +294,41 @@ class _Sum(Coeff):
 class _Prod(Coeff):
     """c * product of base**exp; negative exponents need positive bases."""
 
-    __slots__ = ("c", "factors")
+    __slots__ = ("c", "nodes", "exps")
 
-    def _diff_impl(self):
+    def _diff_steps(self):
+        # product rule from the stored factors: term i is this product with
+        # factor i's exponent lowered by one, times that factor's derivative
+        c, nodes, exps = self.c, self.nodes, self.exps
+        base = {n._rank: (n, e) for n, e in zip(nodes, exps)}
         terms = []
-        for i, (t, e) in enumerate(self.factors):
-            rest = [(b, x) for j, (b, x) in enumerate(self.factors) if j != i]
-            rest.append((t, e - 1))
-            rest.append((t.diff(), 1))
-            terms.append((mul_pow(rest, self.c), float(e)))
+        for t, e in zip(nodes, exps):
+            d = yield t
+            acc = base.copy()
+            acc[t._rank] = (t, e - 1)
+            cls = d.__class__
+            if cls is _Const:
+                k = c * d.value
+            elif cls is _Prod:
+                k = c * d.c
+                for n, x in zip(d.nodes, d.exps):
+                    slot = acc.get(n._rank)
+                    acc[n._rank] = (n, x if slot is None else slot[1] + x)
+            else:
+                k = c
+                slot = acc.get(d._rank)
+                acc[d._rank] = (d, 1 if slot is None else slot[1] + 1)
+            # no positivity check: a negative exponent here is one of this
+            # product's or of d's, each checked when that product was built,
+            # and a node once proven positive stays positive (_positive_ids
+            # only grows)
+            terms.append((_make_prod(k, acc), float(e)))
         return lin(terms)
 
     def _sexp(self, room, show=_inline):
         parts = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
         used = len(parts[0])
-        for t, e in self.factors:
+        for t, e in zip(self.nodes, self.exps):
             if used > room:
                 break
             s = show(t, room - used - 1) if e == 1 else f"(^ {show(t, room - used - 4)} {e})"
@@ -305,15 +362,14 @@ class _Antideriv(Coeff):
 
 def _intern(profile, key, cls, **fields):
     table = _table_for(profile)
-    with _LOCK:
-        node = table.get(key)
-        if node is None:
-            node = cls.__new__(cls)
-            for name, value in fields.items():
-                setattr(node, name, value)
-            node._register(profile)
-            table[key] = node
-        return node
+    node = table.get(key)
+    if node is None:
+        node = cls.__new__(cls)
+        for name, value in fields.items():
+            setattr(node, name, value)
+        node._register(profile)
+        table[key] = node
+    return node
 
 
 def const(v: float) -> Coeff:
@@ -341,8 +397,8 @@ def lin(terms, c0: float = 0.0) -> Coeff:
     Sums are flattened depth first, each term in stored order."""
     acc: dict[int, list] = {}
     c0 = float(c0)
-    # term by term, as pushes may intern nodes (mul_pow below): node ids then
-    # follow the same order however ``terms`` is produced
+    # term by term, as pushes may intern nodes (_unit_prod below): node ids
+    # then follow the same order however ``terms`` is produced
     for node, co in terms:
         todo = [(node, float(co))]
         while todo:
@@ -355,14 +411,12 @@ def lin(terms, c0: float = 0.0) -> Coeff:
                 continue
             if cls is _Sum:
                 c0 += co * node.c0
-                todo.extend([(t, co * c) for t, c in reversed(node.terms)])
+                todo.extend([(t, co * c) for t, c in
+                             zip(reversed(node.nodes), reversed(node.weights))])
                 continue
             if cls is _Prod and node.c != 1.0:
                 co = co * node.c
-                node = mul_pow(list(node.factors), 1.0)
-                if node.__class__ is _Const:
-                    c0 += co * node.value
-                    continue
+                node = _unit_prod(node)
                 if node.__class__ is not _Prod:
                     todo.append((node, co))
                     continue
@@ -380,9 +434,10 @@ def lin(terms, c0: float = 0.0) -> Coeff:
         if c == 1.0:
             return n
         return mul_pow([(n, 1)], c)
+    nodes, weights = zip(*kept)
     key = ("s", c0, tuple([(n._id, c) for n, c in kept]))
-    return _intern(_merge_profile([n for n, _ in kept]), key, _Sum,
-                   c0=c0, terms=tuple(kept))
+    return _intern(_merge_profile(nodes), key, _Sum,
+                   c0=c0, nodes=nodes, weights=weights)
 
 
 def mul_pow(factors, c: float = 1.0) -> Coeff:
@@ -402,7 +457,8 @@ def mul_pow(factors, c: float = 1.0) -> Coeff:
             c *= node.value**e
         elif cls is _Prod:
             c *= node.c**e
-            todo.extend([(t, x * e) for t, x in reversed(node.factors)])
+            todo.extend([(t, x * e) for t, x in
+                         zip(reversed(node.nodes), reversed(node.exps))])
         else:
             slot = acc.get(node._rank)
             if slot is None:
@@ -417,14 +473,32 @@ def mul_pow(factors, c: float = 1.0) -> Coeff:
             raise ValueError(
                 f"denominator is not provably positive on the chart: {n!r}"
             )
+    return _make_prod(c, acc)
+
+
+def _make_prod(c: float, acc: dict) -> Coeff:
+    """The product c * prod(n**e) over ``acc``, a map rank -> (node, e) of
+    canonical factors (no constant, no product) whose negative exponents are
+    already known to sit on positive nodes."""
+    if c == 0.0:
+        return const(0.0)
     kept = [(n, e) for n, e in map(acc.__getitem__, sorted(acc)) if e != 0]
     if not kept:
         return const(c)
     if c == 1.0 and len(kept) == 1 and kept[0][1] == 1:
         return kept[0][0]
+    nodes, exps = zip(*kept)
     key = ("p", c, tuple([(n._id, e) for n, e in kept]))
-    return _intern(_merge_profile([n for n, _ in kept]), key, _Prod,
-                   c=c, factors=tuple(kept))
+    return _intern(_merge_profile(nodes), key, _Prod, c=c, nodes=nodes, exps=exps)
+
+
+def _unit_prod(p: _Prod) -> Coeff:
+    """``p`` with its constant set to 1, from its stored canonical factors."""
+    nodes, exps = p.nodes, p.exps
+    if len(nodes) == 1 and exps[0] == 1:
+        return nodes[0]
+    key = ("p", 1.0, tuple(zip([n._id for n in nodes], exps)))
+    return _intern(p.profile, key, _Prod, c=1.0, nodes=nodes, exps=exps)
 
 
 def quotient(num, den) -> Coeff:
@@ -442,17 +516,43 @@ def antideriv(lower: float, integrand) -> Coeff:
                    lower=lower, integrand=integrand, _table=None)
 
 
-def _is_positive(node) -> bool:
-    if isinstance(node, _Const):
-        return node.value > 0.0
-    prof = node.profile
-    if prof is not None and node._id in prof._positive_ids:
-        return True
-    if isinstance(node, _Prod):
-        return node.c > 0.0 and all(_is_positive(t) for t, _ in node.factors)
-    if isinstance(node, _Sum):
-        return node.c0 >= 0.0 and all(c > 0.0 and _is_positive(t) for t, c in node.terms)
-    return False
+def _is_positive(root) -> bool:
+    """Structural positivity on the chart: a positive constant, a registered
+    node, or a sum or product whose constants, weights and children all are.
+    One walk with a memo, so each node is decided once however many paths
+    reach it."""
+    memo: dict = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        cls = node.__class__
+        prof = node.profile
+        kids = ()
+        if cls is _Const:
+            ok = node.value > 0.0
+        elif prof is not None and node._id in prof._positive_ids:
+            ok = True
+        elif cls is _Prod:
+            ok = node.c > 0.0
+            kids = node.nodes
+        elif cls is _Sum:
+            ok = node.c0 >= 0.0 and all(c > 0.0 for c in node.weights)
+            kids = node.nodes
+        else:
+            ok = False
+        if ok and kids:
+            # false as soon as one decided child is; else decide the rest first
+            ok = all(memo.get(t, True) for t in kids)
+            todo = [t for t in kids if t not in memo]
+            if ok and todo:
+                stack.extend(todo)
+                continue
+        memo[node] = ok
+        stack.pop()
+    return memo[root]
 
 
 def register_positive(node: Coeff):
@@ -490,29 +590,27 @@ def _post_order(roots, seen: set, integrands: bool = False) -> list:
     children in stored order would finish them.  Adds them to ``seen``.  An
     integral's integrand counts as its child only with ``integrands``."""
     order = []
-    # (node, weight) pairs as stored in terms and factors; (node, _DONE)
-    # once the node's children are all listed
-    stack = [(r, None) for r in reversed(roots)]
+    # a node sits below _DONE once its children are pushed above it
+    stack = list(reversed(roots))
     while stack:
-        node, tag = stack.pop()
-        if tag is _DONE:
-            order.append(node)
+        node = stack.pop()
+        if node is _DONE:
+            order.append(stack.pop())
             continue
         if node in seen:
             continue
         seen.add(node)
         cls = node.__class__
-        if cls is _Prod:
-            edges = node.factors
-        elif cls is _Sum:
-            edges = node.terms
+        if cls is _Prod or cls is _Sum:
+            kids = node.nodes
         elif cls is _Antideriv and integrands:
-            edges = ((node.integrand, None),)
+            kids = (node.integrand,)
         else:
             order.append(node)
             continue
-        stack.append((node, _DONE))
-        stack.extend(reversed(edges))
+        stack.append(node)
+        stack.append(_DONE)
+        stack.extend(reversed(kids))
     return order
 
 
@@ -535,7 +633,7 @@ def _walk(roots, x: np.ndarray, tol) -> list:
         cls = node.__class__
         if cls is _Prod:
             out = None if node.c == 1.0 else node.c
-            for t, e in node.factors:
+            for t, e in zip(node.nodes, node.exps):
                 v = memo[t]
                 if e != 1:
                     key = (t, e)
@@ -546,7 +644,7 @@ def _walk(roots, x: np.ndarray, tol) -> list:
                 out = v if out is None else out * v
         elif cls is _Sum:
             out = node.c0  # added even when 0.0, which turns -0.0 into +0.0
-            for t, c in node.terms:
+            for t, c in zip(node.nodes, node.weights):
                 v = memo[t]
                 out = out + (v if c == 1.0 else c * v)
         else:

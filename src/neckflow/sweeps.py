@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import verifier as vf
+from .verifier import ConfigError
 from .correctors import verify_level
 from .geometry import NAMED_PROFILES
 
@@ -39,10 +40,6 @@ M_CAP = 5
 
 CSV_COLUMNS = ["check", "anchor", "profile", "alpha", "m", "s", "window",
                "predicted", "measured", "tolerance", "pass"]
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
 
 
 @dataclass(frozen=True)
@@ -100,13 +97,15 @@ class RunConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a run config is a JSON object, got {type(doc).__name__}")
         kwargs = dict(doc)
-        for key in ("alphas", "eps", "grid", "formats"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         try:
+            for key in ("alphas", "eps", "grid", "formats"):
+                if key in kwargs:
+                    kwargs[key] = tuple(kwargs[key])
             return RunConfig(**kwargs)
-        except TypeError as exc:
+        except TypeError as exc:  # unknown field, or a list field that is not one
             raise ConfigError(str(exc)) from None
 
 
@@ -188,12 +187,14 @@ def emit(report: RateReport, fmt: str, path: str | None = None) -> str:
 
 
 def parse_report(text: str) -> RateReport:
-    doc = json.loads(text)
-    rep = RateReport(doc["config_digest"], doc["version"],
-                     [RateRow(**{**r, "passed": bool(r["passed"])})
-                      for r in doc["rows"]],
-                     doc.get("created_at", ""))
-    return rep
+    try:
+        doc = json.loads(text)
+        return RateReport(doc["config_digest"], doc["version"],
+                          [RateRow(**{**r, "passed": bool(r["passed"])})
+                           for r in doc["rows"]],
+                          doc.get("created_at", ""))
+    except (KeyError, TypeError, ValueError) as exc:  # not JSON, not an object
+        raise ConfigError(f"not a rate report: {exc!r}") from None
 
 
 def _structural_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:

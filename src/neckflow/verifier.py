@@ -17,6 +17,7 @@ from .fields import PolyField, ScalarPressure, deriv_fields, fiber_sup
 from .geometry import NeckProfile, named_profile
 
 __all__ = [
+    "ConfigError",
     "RateFit",
     "load_profile",
     "fit_decay_order",
@@ -36,6 +37,10 @@ R_EVAL = 0.5         # blow-up rates are sampled at (R_EVAL*sqrt(eps), 0)
 RESIDUAL_SLOPE_TOL = 0.25
 BLOWUP_SLOPE_TOL = 0.05
 ENVELOPE_SLOPE_TOL = 0.1
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration."""
 
 
 @dataclass(frozen=True)
@@ -163,10 +168,15 @@ def load_profile(spec: str, eps: float) -> NeckProfile:
     if spec in NAMED_PROFILES:
         return named_profile(spec, eps=eps)
     import json
-    with open(spec) as fh:
-        doc = json.load(fh)
-    doc["eps"] = eps
-    return profile_from_json(doc)
+    try:
+        with open(spec) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ConfigError(f"profile {spec}: {exc}") from None
+    try:
+        return profile_from_json({**doc, "eps": eps})
+    except (TypeError, ValueError) as exc:  # not an object, or bad fields
+        raise ConfigError(f"profile {spec}: {exc}") from None
 
 
 class HierarchyCache:

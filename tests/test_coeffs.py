@@ -144,11 +144,11 @@ def _reference_eval(node, x, tol, memo):
     if v is None:
         if isinstance(node, ca._Sum):
             v = np.full(x.shape, node.c0)
-            for t, c in node.terms:
+            for t, c in zip(node.nodes, node.weights):
                 v = v + c * _reference_eval(t, x, tol, memo)
         elif isinstance(node, ca._Prod):
             v = np.full(x.shape, node.c)
-            for t, e in node.factors:
+            for t, e in zip(node.nodes, node.exps):
                 v = v * _reference_eval(t, x, tol, memo) ** e
         else:
             v = node._eval_impl(x, tol)
@@ -193,8 +193,9 @@ def test_walk_keeps_the_value_types_of_the_recursion():
 
 
 def test_evaluation_needs_no_deep_recursion(src_env):
-    # a 6000-deep chain: the recursive walk this replaced overflowed the
-    # interpreter's default recursion limit
+    # a 6000-deep chain: the recursive evaluation and diff these replaced
+    # overflowed the interpreter's default recursion limit; the derivative
+    # x_n' = 0.5 (x_{n-1}' x1 + x_{n-1}) is 0.125 at 0
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -206,12 +207,13 @@ def test_evaluation_needs_no_deep_recursion(src_env):
         "xs = np.linspace(-1.0, 1.0, 5)\n"
         "a = ca.coeff_eval(x, xs)\n"
         "b = ca.eval_many([x, x * x], xs)[0]\n"
-        "print(a.tolist() == b.tolist(), float(a[2]))\n"
+        "d = ca.coeff_diff(x)\n"
+        "print(a.tolist() == b.tolist(), float(a[2]), ca.coeff_eval(d, 0.0))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60, env=src_env)
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.split() == ["True", "0.25"]
+    assert out.stdout.split() == ["True", "0.25", "0.125"]
 
 
 def test_sexp_dump():
@@ -241,3 +243,80 @@ def test_hash_consing_shares_nodes():
     a = ca.delta_coeff(p) * ca.X1
     b = ca.X1 * ca.delta_coeff(p)
     assert a is b
+
+
+def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
+    # the product rule builds term i from the stored factors; it must intern
+    # the very node the rebuild mul_pow(rest + [(t, e-1), (t', 1)], c) gives
+    h = cache.get("asym-quadratic", 1e-3, 2, 2)
+    roots = [c for l in (1, 2) for f in (h.residual(l).u1, h.residual(l).u2)
+             for c in f.coeffs]
+    prods = [n for n in ca._post_order(roots, set(), integrands=True)
+             if isinstance(n, ca._Prod)]
+    assert len(prods) > 1000
+    real_lin = ca.lin
+    for p in prods:
+        for t in p.nodes:
+            t.diff()
+        factors = list(zip(p.nodes, p.exps))
+        want = [(ca.mul_pow(factors[:i] + factors[i + 1:] + [(t, e - 1), (t.diff(), 1)],
+                            p.c), float(e)) for i, (t, e) in enumerate(factors)]
+        got = []
+        monkeypatch.setattr(ca, "lin", lambda terms, c0=0.0: got.append(terms)
+                            or real_lin(terms, c0))
+        steps, d = p._diff_steps(), None
+        try:
+            while True:
+                d = steps.send(d).diff()
+        except StopIteration as done:
+            result = done.value
+        monkeypatch.setattr(ca, "lin", real_lin)
+        assert len(got) == 1 and len(got[0]) == len(want)
+        assert all(g is w and gc == wc for (g, gc), (w, wc) in zip(got[0], want))
+        assert result is p.diff() is real_lin(want)
+
+
+def test_nodes_store_children_in_one_tracked_tuple(src_env):
+    # parallel tuples: a node's weights or exponents are a tuple of floats or
+    # ints, which the cyclic GC stops tracking; tuples of (node, weight)
+    # pairs left 7.05 tracked objects per node
+    code = (
+        "import gc\n"
+        "from neckflow import coeffs as ca\n"
+        "from neckflow.correctors import build_hierarchy\n"
+        "from neckflow.geometry import named_profile\n"
+        "p = named_profile('asym-quadratic', eps=1e-3)\n"
+        "gc.collect()\n"
+        "n0, i0 = len(gc.get_objects()), ca._NEXT_ID[0]\n"
+        "h = build_hierarchy(p, 2, 3)\n"
+        "gc.collect()\n"
+        "print(ca._NEXT_ID[0] - i0, len(gc.get_objects()) - n0)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=src_env, check=True)
+    nodes, tracked = map(int, out.stdout.split())
+    assert nodes > 10_000
+    assert tracked / nodes <= 2.5
+
+
+def test_positivity_check_is_linear_in_the_dag(src_env):
+    # s_{k+1} = 1 + s_k*delta + s_k*delta^2 reaches s_0 along 2^k paths; the
+    # recursive check visited every path (3.4 s at 20 levels, x2 per level)
+    code = (
+        "import time\n"
+        "from neckflow import coeffs as ca\n"
+        "from neckflow.geometry import named_profile\n"
+        "d = ca.delta_coeff(named_profile('asym-quadratic', eps=1e-3))\n"
+        "s = d\n"
+        "for _ in range(40):\n"
+        "    s = ca.lin([(ca.mul_pow([(s, 1), (d, 1)]), 1.0),\n"
+        "                (ca.mul_pow([(s, 1), (d, 2)]), 1.0)], 1.0)\n"
+        "t = time.perf_counter()\n"
+        "q = ca.mul_pow([(s, -1)])\n"
+        "print(time.perf_counter() - t, q.exps)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=30, env=src_env, check=True)
+    seconds, exps = out.stdout.split(maxsplit=1)
+    assert float(seconds) < 5.0 and exps.strip() == "(-1,)"
+

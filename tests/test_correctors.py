@@ -254,7 +254,7 @@ def test_dump_lists_each_node_once():
         n = stack.pop()
         if n not in reachable:
             reachable.add(n)
-            stack += [t for t, _ in getattr(n, "terms", getattr(n, "factors", ()))]
+            stack += getattr(n, "nodes", ())
             stack += [n.integrand] if hasattr(n, "integrand") else []
     t0 = time.perf_counter()
     lines = h.dump_sexp().split("\n")

@@ -188,3 +188,28 @@ def test_config_json_load(tmp_path):
     assert code == 0
     with pytest.raises(ConfigError):
         RunConfig.from_json({"bogus_field": 1})
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"], "{not json"),
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"], "[1, 2]"),
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"], None),
+    (["corrector", "build", "--profile", "{path}", "--out", "{out}"],
+     '{"h2": {"poly": [0, 0, 1]}}'),
+    (["corrector", "build", "--profile", "{path}", "--out", "{out}"], "[1, 2]"),
+    (["report", "emit", "--input", "{path}"], "[1, 2]"),
+    (["report", "emit", "--input", "{path}"], None),
+], ids=["config-not-json", "config-list", "config-dir", "profile-no-h1",
+        "profile-list", "report-list", "report-dir"])
+def test_malformed_json_inputs_are_config_errors(tmp_path, capsys, argv, text):
+    # each of these ended in a traceback (JSONDecodeError, TypeError,
+    # IsADirectoryError, ValueError) instead of exit code 2; a None text
+    # makes the input path a directory
+    path = tmp_path / "input.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    subs = {"{path}": str(path), "{out}": str(tmp_path / "out")}
+    assert main([subs.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
