@@ -71,9 +71,6 @@ __all__ = [
 QUAD_TOL = 1e-10
 _MAX_PANELS = 4096
 
-# evaluation and diff are iterative, but sexp still recurses over the DAG depth
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
 _GLOBAL_INTERN: dict = {}
 _NEXT_ID = [1]
 _FREE_RANK = 1 << 62
@@ -104,14 +101,6 @@ def _merge_profile(nodes) -> NeckProfile | None:
         elif prof is not p:
             raise ValueError("cannot mix coefficients from different profiles")
     return prof
-
-
-def _inline(node, room) -> str:
-    return node._sexp(room)
-
-
-def _by_id(node, room) -> str:
-    return f"#{node._id}"
 
 
 class Coeff:
@@ -196,13 +185,35 @@ class Coeff:
     def sexp(self) -> str:
         return self._sexp(sys.maxsize)
 
-    def _sexp(self, room, show=_inline) -> str:
+    def _sexp(self, room, by_id: bool = False) -> str:
         """sexp() cut short once past ``room`` characters: the full text, or
         one whose first room+1 characters are those of the full text.  A
         node prints no further child once its text is past ``room``, so the
-        cost follows the length printed.  ``show(child, room)`` prints a
-        child; by default the child's own sexp."""
-        raise NotImplementedError
+        cost follows the length printed.  With ``by_id`` each child prints
+        as ``#id``.  One iterative walk over a stack of ``_sexp_steps``
+        generators, so a DAG of any depth needs no deep recursion."""
+        stack = [self._sexp_steps(room)]
+        sent = None
+        while True:
+            try:
+                child, child_room = stack[-1].send(sent)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                sent = done.value
+                continue
+            if by_id:
+                sent = f"#{child._id}"
+            else:
+                stack.append(child._sexp_steps(child_room))
+                sent = None
+
+    def _sexp_steps(self, room):
+        """Generator of the text: yields (child, room) for each child it
+        prints, is sent that child's text, and returns the node's text."""
+        return self._text()
+        yield  # never reached: makes this a generator that prints no child
 
     def __repr__(self):
         s = self._sexp(80)
@@ -226,7 +237,7 @@ class _Const(Coeff):
     def _eval_impl(self, x, tol):
         return self.value
 
-    def _sexp(self, room, show=_inline):
+    def _text(self):
         return repr(self.value)
 
 
@@ -239,7 +250,7 @@ class _X1(Coeff):
     def _eval_impl(self, x, tol):
         return x
 
-    def _sexp(self, room, show=_inline):
+    def _text(self):
         return "x1"
 
 
@@ -260,7 +271,7 @@ class _ProfileDeriv(Coeff):
             self._fn = fn
         return fn(x)
 
-    def _sexp(self, room, show=_inline):
+    def _text(self):
         return f"(d{self.order} h{self.wall})"
 
 
@@ -275,17 +286,17 @@ class _Sum(Coeff):
             ds.append((yield t))
         return lin(zip(ds, self.weights))
 
-    def _sexp(self, room, show=_inline):
+    def _sexp_steps(self, room):
         parts = [f"(+ {self.c0!r}" if self.c0 else "(+"]
         used = len(parts[0])
         for t, c in zip(self.nodes, self.weights):
             if used > room:
                 break
             if c == 1.0:
-                s = show(t, room - used - 1)
+                s = yield t, room - used - 1
             else:
                 pre = f"(* {c!r} "
-                s = f"{pre}{show(t, room - used - 1 - len(pre))})"
+                s = f"{pre}{(yield t, room - used - 1 - len(pre))})"
             parts.append(s)
             used += 1 + len(s)
         return " ".join(parts) + ")"
@@ -325,13 +336,13 @@ class _Prod(Coeff):
             terms.append((_make_prod(k, acc), float(e)))
         return lin(terms)
 
-    def _sexp(self, room, show=_inline):
+    def _sexp_steps(self, room):
         parts = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
         used = len(parts[0])
         for t, e in zip(self.nodes, self.exps):
             if used > room:
                 break
-            s = show(t, room - used - 1) if e == 1 else f"(^ {show(t, room - used - 4)} {e})"
+            s = (yield t, room - used - 1) if e == 1 else f"(^ {(yield t, room - used - 4)} {e})"
             parts.append(s)
             used += 1 + len(s)
         return " ".join(parts) + ")"
@@ -352,9 +363,9 @@ class _Antideriv(Coeff):
             self._table = table
         return table.value_at(x)
 
-    def _sexp(self, room, show=_inline):
+    def _sexp_steps(self, room):
         head = f"(int {self.lower!r} "
-        return f"{head}{show(self.integrand, room - len(head))})"
+        return f"{head}{(yield self.integrand, room - len(head))})"
 
 
 # -- smart constructors ----------------------------------------------------
@@ -678,7 +689,7 @@ def dump_rows(roots, seen: set) -> list[str]:
     """One line ``#id text`` per node reachable from ``roots`` (integrands
     included) and not in ``seen``, children first and printed by id, so the
     output grows with the DAG, not with its expanded tree."""
-    return [f"#{n._id} {n._sexp(sys.maxsize, _by_id)}"
+    return [f"#{n._id} {n._sexp(sys.maxsize, by_id=True)}"
             for n in _post_order(roots, seen, integrands=True)]
 
 
@@ -694,10 +705,6 @@ def to_sexp(c: Coeff) -> str:
 def is_zero(c: Coeff) -> bool:
     """True only for the literal zero node (structural, not numeric)."""
     return isinstance(c, _Const) and c.value == 0.0
-
-
-def const_value(c: Coeff) -> float | None:
-    return c.value if isinstance(c, _Const) else None
 
 
 # -- adaptive Gauss-Kronrod panels -------------------------------------------

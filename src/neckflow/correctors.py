@@ -13,6 +13,17 @@ Each level stores its residual in the reduced form produced by the
 construction (degrees are structural); `verify_level` certifies numerically
 that the reduced form equals mu*Lap(v^l) - grad(p_l) + f^{l-1}.
 
+Past the first level, every level of the general construction is made by
+one closure step (`_close`), in four stages: a row F1 in x2 whose velocity
+F1 (k^2 - 1/4) cancels the leading residual; a row F2 that leaves the
+divergence a pure function R of x1; the closers F1t, F2t that remove R, so
+the divergence is exactly zero; and the pure pressure 2 mu int F1t/delta^2
+that cancels the leading term F1t adds.  Levels >= 2 of modes 1 and 3 use it
+on the first residual component (mode 3's level 2 on the strong part of its
+split first level), every level >= 2 of mode 2 on the first component less
+its pressure's x1-derivative, and mode 2's first level to correct its
+transport part.
+
 For identical walls a Green-kernel variant builds the same objects by
 resolving d^2/dx2^2 directly on each gap fiber; it gains half an order of
 decay per derivative over the general construction.
@@ -39,6 +50,7 @@ from .fields import (
     ksq_minus_quarter,
     sup_abs,
     trace,
+    wall_curve,
     x2_field,
 )
 from .geometry import NeckProfile
@@ -146,76 +158,54 @@ def _context(profile: NeckProfile):
     return d, dh, q4
 
 
-def _cancel_row(profile: NeckProfile, target: PolyField, top: int) -> list[Coeff]:
-    """Row F1^i, i=0..top, satisfying
-    mu * d2/dx2^2 [ (sum_i F1^i x2^i) (k^2 - 1/4) ] = -target."""
+def _close(profile: NeckProfile, target: PolyField, top: int):
+    """One closure step: (v, p_pure) with v = (F1 + F1t, F2 + F2t)(k^2 - 1/4).
+
+    F1^i, i=0..top, solves mu d2/dx2^2 [(sum_i F1^i x2^i)(k^2 - 1/4)] = -target;
+    F2^i, i=0..top+1, makes the divergence a pure function R of x1; the
+    closers F1t = 6 int_0^{x1} delta R / delta and F2t = -2 delta R k
+    - delta dk/dx1 F1t remove R; p_pure = 2 mu int_0^{x1} F1t / delta^2."""
     if target.degree > top:
         raise ConstructionError(
             f"cancellation target has degree {target.degree} > {top}")
     d, dh, q4 = _context(profile)
     mu = profile.mu
-    F = [ca.const(0.0)] * (top + 3)
+    zero = ca.const(0.0)
+    # both rows carry two structural zeros past their top entry
+    F1 = [zero] * (top + 3)
     for i in range(top, -1, -1):
-        s_i = target.coeff(i)
-        F[i] = ca.lin([
-            (ca.mul_pow([(d, 2), (s_i, 1)]), -1.0 / (mu * (i + 1) * (i + 2))),
-            (dh * F[i + 1], 1.0),
-            (q4 * F[i + 2], 1.0),
+        F1[i] = ca.lin([
+            (ca.mul_pow([(d, 2), (target.coeff(i), 1)]), -1.0 / (mu * (i + 1) * (i + 2))),
+            (dh * F1[i + 1], 1.0),
+            (q4 * F1[i + 2], 1.0),
         ])
-    return F[: top + 1]
 
-
-def _divfree_row(profile: NeckProfile, F1: list[Coeff]):
-    """Row F2^i, i=0..len(F1), making the polynomial block's divergence a pure
-    function of x1; returns (F2, R) with R that leftover 0-th order term."""
-    d, dh, q4 = _context(profile)
     inv_d2 = ca.mul_pow([(d, -2)])
-    top2 = len(F1)
-
-    def f1(i):
-        return F1[i] if 0 <= i < len(F1) else ca.const(0.0)
-
-    F2 = [ca.const(0.0)] * (top2 + 3)
-    for i in range(top2, -1, -1):
-        inner = ca.lin([(f1(i - 1), 1.0), (dh * f1(i), -1.0), (q4 * f1(i + 1), -1.0)])
+    F2 = [zero] * (top + 4)
+    for i in range(top + 1, -1, -1):
+        inner = ca.lin([(F1[i - 1] if i else zero, 1.0), (dh * F1[i], -1.0),
+                        (q4 * F1[i + 1], -1.0)])
         F2[i] = ca.lin([
             (dh * F2[i + 1], 1.0),
             (q4 * F2[i + 2], 1.0),
             (ca.mul_pow([(d, 2), (ca.coeff_diff(inner * inv_d2), 1)]), -1.0 / (i + 2)),
         ])
-    F2 = F2[: top2 + 1]
     R = ca.lin([
-        (ca.coeff_diff(ca.mul_pow([(q4, 1), (f1(0), 1), (d, -2)])), -1.0),
+        (ca.coeff_diff(ca.mul_pow([(q4, 1), (F1[0], 1), (d, -2)])), -1.0),
         (ca.mul_pow([(q4, 1), (F2[1], 1), (d, -2)]), -1.0),
         (ca.mul_pow([(dh, 1), (F2[0], 1), (d, -2)]), -1.0),
     ])
-    return F2, R
 
-
-def _tilde_pair(profile: NeckProfile, R: Coeff):
-    """Divergence closers: F1t(x1) = 6 int_0^{x1} delta*R / delta and the
-    matching degree-1 companion F2t = -2 delta R k - delta dk/dx1 F1t."""
-    d, _, _ = _context(profile)
     F1t = ca.quotient(ca.lin([(ca.antideriv(0.0, d * R), 6.0)]), d)
     k = keller_field(profile)
     dk = keller_x1_deriv(profile)
     F2t = k.scale(ca.mul_pow([(d, 1), (R, 1)], -2.0)) + dk.scale(ca.lin([(d * F1t, -1.0)]))
-    return F1t, F2t
 
-
-def _assemble_v(profile, F1, F1t, F2, F2t) -> VectorField2:
     kq = ksq_minus_quarter(profile)
-    comp1 = (PolyField(profile, F1) + PolyField(profile, [F1t])) * kq
-    comp2 = (PolyField(profile, F2) + F2t) * kq
-    return VectorField2(comp1, comp2)
-
-
-def _pure_pressure(profile: NeckProfile, F1t: Coeff) -> Coeff:
-    """2 mu int_0^{x1} F1t / delta^2, cancelling the leading term the closer adds."""
-    d, _, _ = _context(profile)
-    if ca.is_zero(F1t):
-        return ca.const(0.0)
-    return ca.lin([(ca.antideriv(0.0, ca.mul_pow([(F1t, 1), (d, -2)])), 2.0 * profile.mu)])
+    v = VectorField2((PolyField(profile, F1) + PolyField(profile, [F1t])) * kq,
+                     (PolyField(profile, F2) + F2t) * kq)
+    p_pure = ca.lin([(ca.antideriv(0.0, ca.mul_pow([(F1t, 1), (d, -2)])), 2.0 * mu)])
+    return v, p_pure
 
 
 def _check_degrees(alpha: int, l: int, residual: VectorField2):
@@ -278,13 +268,9 @@ def _first_level_mode2(profile: NeckProfile) -> CorrectorLevel:
     poly_t = v_t.u2.partial_x2().scale(mu)
 
     g1 = (v_t.u1.partial_x1() - v_t.u2.partial_x2()).partial_x1().scale(mu)
-    F11 = _cancel_row(profile, g1, 2)
-    F21, R = _divfree_row(profile, F11)
-    F1t, F2t = _tilde_pair(profile, R)
-    v_h = _assemble_v(profile, F11, F1t, F21, F2t)
-
+    v_h, pure_h = _close(profile, g1, 2)
     v = v_t + v_h
-    pressure = ScalarPressure(poly_t, pure_t + _pure_pressure(profile, F1t))
+    pressure = ScalarPressure(poly_t, pure_t + pure_h)
 
     s_part = v_t.u2.partial_x1(2).scale(mu) + v_h.u2.partial_x2(2).scale(mu)
     g_part = v_h.u2.partial_x1(2).scale(mu)
@@ -364,30 +350,19 @@ def build_first_level(profile: NeckProfile, alpha: int) -> CorrectorLevel:
 # -- induction steps ----------------------------------------------------------
 
 
-def _generic_step(profile: NeckProfile, prev: VectorField2, l: int):
+def _extend_generic(h: CorrectorHierarchy) -> CorrectorLevel:
     """One level of the default induction: cancel the full first component,
     close the divergence, then integrate away the second component's core."""
-    mu = profile.mu
-    F1 = _cancel_row(profile, prev.u1, 2 * l - 2)
-    F2, R = _divfree_row(profile, F1)
-    F1t, F2t = _tilde_pair(profile, R)
-    v = _assemble_v(profile, F1, F1t, F2, F2t)
-    p_pure = _pure_pressure(profile, F1t)
-
-    s_tilde = prev.u2 + v.u2.partial_x2(2).scale(mu)
-    p_poly = s_tilde.antideriv_x2()
-    pressure = ScalarPressure(p_poly, p_pure)
-
+    mu = h.profile.mu
+    l = h.depth + 1
+    prev = h.residual()
+    v, p_pure = _close(h.profile, prev.u1, 2 * l - 2)
+    p_poly = (prev.u2 + v.u2.partial_x2(2).scale(mu)).antideriv_x2()
     f1 = v.u1.partial_x1(2).scale(mu) - p_poly.partial_x1()
     f2 = v.u2.partial_x1(2).scale(mu)
-    return v, pressure, VectorField2(f1, f2)
-
-
-def _extend_mode1(h: CorrectorHierarchy) -> CorrectorLevel:
-    l = h.depth + 1
-    v, pressure, residual = _generic_step(h.profile, h.residual(), l)
-    _check_degrees(1, l, residual)
-    return CorrectorLevel(1, l, v, pressure, residual)
+    residual = VectorField2(f1, f2)
+    _check_degrees(h.alpha, l, residual)
+    return CorrectorLevel(h.alpha, l, v, ScalarPressure(p_poly, p_pure), residual)
 
 
 def _extend_mode2(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -398,44 +373,28 @@ def _extend_mode2(h: CorrectorHierarchy) -> CorrectorLevel:
     s_prev, g_prev = prev.split
 
     p_poly = s_prev.antideriv_x2()
-    a_sum = prev.residual.u1 - p_poly.partial_x1()
-    F1 = _cancel_row(profile, a_sum, 2 * l)
-    F2, R = _divfree_row(profile, F1)
-    F1t, F2t = _tilde_pair(profile, R)
-    v = _assemble_v(profile, F1, F1t, F2, F2t)
-    pressure = ScalarPressure(p_poly, _pure_pressure(profile, F1t))
-
+    v, p_pure = _close(profile, prev.residual.u1 - p_poly.partial_x1(), 2 * l)
     s_new = g_prev + v.u2.partial_x2(2).scale(mu)
     g_new = v.u2.partial_x1(2).scale(mu)
     f1 = v.u1.partial_x1(2).scale(mu)
     residual = VectorField2(f1, s_new + g_new)
     _check_degrees(2, l, residual)
-    return CorrectorLevel(2, l, v, pressure, residual, split=(s_new, g_new))
+    return CorrectorLevel(2, l, v, ScalarPressure(p_poly, p_pure), residual,
+                          split=(s_new, g_new))
 
 
 def _extend_mode3(h: CorrectorHierarchy) -> CorrectorLevel:
-    profile = h.profile
-    mu = profile.mu
-    l = h.depth + 1
-    if l == 2:
-        s1, g1, st1, gt1 = h.levels[0].split
-        F1 = _cancel_row(profile, s1, 2)
-        F2, R = _divfree_row(profile, F1)
-        F1t, F2t = _tilde_pair(profile, R)
-        v = _assemble_v(profile, F1, F1t, F2, F2t)
-        p_pure = _pure_pressure(profile, F1t)
-
-        s_bar = st1 + v.u2.partial_x2(2).scale(mu)
-        p_poly = s_bar.antideriv_x2()
-        pressure = ScalarPressure(p_poly, p_pure)
-
-        f1 = g1 + v.u1.partial_x1(2).scale(mu) - p_poly.partial_x1()
-        f2 = gt1 + v.u2.partial_x1(2).scale(mu)
-        residual = VectorField2(f1, f2)
-    else:
-        v, pressure, residual = _generic_step(profile, h.residual(), l)
-    _check_degrees(3, l, residual)
-    return CorrectorLevel(3, l, v, pressure, residual)
+    """Level 2 of mode 3: cancel the strong parts of the first level's split
+    residual and carry its mild parts g1, gt1 into the new residual."""
+    mu = h.profile.mu
+    s1, g1, st1, gt1 = h.levels[0].split
+    v, p_pure = _close(h.profile, s1, 2)
+    p_poly = (st1 + v.u2.partial_x2(2).scale(mu)).antideriv_x2()
+    f1 = g1 + v.u1.partial_x1(2).scale(mu) - p_poly.partial_x1()
+    f2 = gt1 + v.u2.partial_x1(2).scale(mu)
+    residual = VectorField2(f1, f2)
+    _check_degrees(3, 2, residual)
+    return CorrectorLevel(3, 2, v, ScalarPressure(p_poly, p_pure), residual)
 
 
 def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -481,12 +440,12 @@ def extend(h: CorrectorHierarchy) -> CorrectorLevel:
         raise ConstructionError(f"level cap {LEVEL_CAP} reached")
     if h.green:
         lev = _extend_green(h)
-    elif h.alpha == 1:
-        lev = _extend_mode1(h)
     elif h.alpha == 2:
         lev = _extend_mode2(h)
-    else:
+    elif h.alpha == 3 and h.depth == 1:
         lev = _extend_mode3(h)
+    else:
+        lev = _extend_generic(h)
     h.levels.append(lev)
     return lev
 
@@ -544,8 +503,7 @@ def psi_top_traces(profile: NeckProfile, alpha: int) -> tuple[Coeff, Coeff]:
         return ca.const(1.0), ca.const(0.0)
     if alpha == 2:
         return ca.const(0.0), ca.const(1.0)
-    top = ca.lin([(ca.profile_deriv(profile, 1, 0), 1.0)], profile.eps / 2.0)
-    return top, ca.lin([(ca.X1, -1.0)])
+    return wall_curve(profile, "top"), ca.lin([(ca.X1, -1.0)])
 
 
 def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,

@@ -22,6 +22,7 @@ __all__ = [
     "VectorField2",
     "ScalarPressure",
     "trace",
+    "wall_curve",
     "keller_field",
     "keller_plus_half",
     "ksq_minus_quarter",
@@ -104,15 +105,6 @@ class PolyField:
         for _ in range(k):
             out = PolyField(out.profile, [ca.coeff_diff(c) for c in out.coeffs])
         return out
-
-    def partial(self, axis: str, k: int = 1) -> "PolyField":
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        if axis == "x1":
-            return self.partial_x1(k)
-        if axis == "x2":
-            return self.partial_x2(k)
-        raise ValueError("axis must be 'x1' or 'x2'")
 
     def antideriv_x2(self) -> "PolyField":
         """x2-antiderivative with zero constant term."""
@@ -247,16 +239,18 @@ class ScalarPressure:
         return self.eval(x1, x2, tol) - self.eval(z1, 0.0, tol)
 
 
+def wall_curve(profile: NeckProfile, side: str) -> Coeff:
+    """The wall x2 = eps/2 + h1 (top) or x2 = -eps/2 - h2 (bottom) as a node."""
+    if side == "top":
+        return ca.lin([(ca.profile_deriv(profile, 1, 0), 1.0)], profile.eps / 2.0)
+    if side == "bottom":
+        return ca.lin([(ca.profile_deriv(profile, 2, 0), -1.0)], -profile.eps / 2.0)
+    raise ValueError("side must be 'top' or 'bottom'")
+
+
 def trace(field: PolyField, side: str) -> Coeff:
     """Boundary trace: substitute the top/bottom wall curve for x2."""
-    p = field.profile
-    if side == "top":
-        g = ca.lin([(ca.profile_deriv(p, 1, 0), 1.0)], p.eps / 2.0)
-    elif side == "bottom":
-        g = ca.lin([(ca.profile_deriv(p, 2, 0), -1.0)], -p.eps / 2.0)
-    else:
-        raise ValueError("side must be 'top' or 'bottom'")
-    return field.subs_x2(g)
+    return field.subs_x2(wall_curve(field.profile, side))
 
 
 # -- sampling -----------------------------------------------------------------

@@ -13,6 +13,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
@@ -42,6 +44,11 @@ CSV_COLUMNS = ["check", "anchor", "profile", "alpha", "m", "s", "window",
                "predicted", "measured", "tolerance", "pass"]
 
 
+def _is_a(v, kind) -> bool:
+    """``v`` is a number of ``kind`` (numbers.Integral, numbers.Real), not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     profile: str = "sym-quadratic"
@@ -59,16 +66,23 @@ class RunConfig:
     formats: tuple = ("csv", "json")
 
     def validate(self, sweep: bool = True):
-        """Check the config; ``sweep`` additionally demands the eps span the
-        rate fits need (5 values over two decades)."""
+        """Check the config's types and values; ``sweep`` additionally demands
+        the eps span the rate fits need (5 values over two decades)."""
+        if not isinstance(self.profile, str):
+            raise ConfigError("profile must be a name or a path")
         if self.profile not in NAMED_PROFILES and not os.path.exists(self.profile):
             raise ConfigError(f"unknown profile {self.profile!r}")
-        if not self.alphas or any(a not in (1, 2, 3) for a in self.alphas):
+        if not self.alphas or any(not _is_a(a, numbers.Integral) or a not in (1, 2, 3)
+                                  for a in self.alphas):
             raise ConfigError("alphas must be a nonempty subset of {1,2,3}")
+        if not _is_a(self.m_max, numbers.Integral):
+            raise ConfigError(f"m_max must be an integer, got {self.m_max!r}")
         if self.m_max > M_CAP:
             raise ConfigError(f"m_max={self.m_max} exceeds derivative cap {M_CAP}")
         if self.m_max < 0:
             raise ConfigError("m_max must be >= 0")
+        if not all(_is_a(e, numbers.Real) and 0.0 < e < math.inf for e in self.eps):
+            raise ConfigError("eps values must be positive finite numbers")
         eps = tuple(float(e) for e in self.eps)
         if not eps:
             raise ConfigError("eps list is empty")
@@ -78,8 +92,19 @@ class RunConfig:
             raise ConfigError(
                 f"insufficient eps span: need >= 5 values over >= 2 decades, "
                 f"got {len(eps)}")
-        if any(f not in ("csv", "json") for f in self.formats):
-            raise ConfigError("formats must be within {'csv','json'}")
+        # hashed into the digest, so kept as fields, but read by no check
+        for name in ("grid", "quad_tol"):
+            default = getattr(RunConfig, name)
+            if getattr(self, name) != default:
+                raise ConfigError(f"{name} has no effect; leave it at {default!r}")
+        bad = [f for f in ("structural", "decay", "blowup", "envelopes", "fd_checks")
+               if not isinstance(getattr(self, f), bool)]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be true or false")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a path")
+        if not self.formats or any(f not in ("csv", "json") for f in self.formats):
+            raise ConfigError("formats must be a nonempty subset of {'csv','json'}")
         prof = self.load_profile(eps[0])
         if self.m_max > prof.M - 1:
             raise ConfigError(f"m_max={self.m_max} exceeds derivative cap "

@@ -193,9 +193,10 @@ def test_walk_keeps_the_value_types_of_the_recursion():
 
 
 def test_evaluation_needs_no_deep_recursion(src_env):
-    # a 6000-deep chain: the recursive evaluation and diff these replaced
-    # overflowed the interpreter's default recursion limit; the derivative
-    # x_n' = 0.5 (x_{n-1}' x1 + x_{n-1}) is 0.125 at 0
+    # a 6000-deep chain: the recursive evaluation, diff and printer these
+    # replaced overflowed the interpreter's default recursion limit; the
+    # derivative x_n' = 0.5 (x_{n-1}' x1 + x_{n-1}) is 0.125 at 0, and the
+    # full print of the chain is 72,005 characters long
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -209,11 +210,14 @@ def test_evaluation_needs_no_deep_recursion(src_env):
         "b = ca.eval_many([x, x * x], xs)[0]\n"
         "d = ca.coeff_diff(x)\n"
         "print(a.tolist() == b.tolist(), float(a[2]), ca.coeff_eval(d, 0.0))\n"
+        "s = ca.to_sexp(x)\n"
+        "rows = ca.dump_rows([x], set())\n"
+        "print(len(s), s.startswith(repr(x)[:77]), len(rows))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60, env=src_env)
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.split() == ["True", "0.25", "0.125"]
+    assert out.stdout.split() == ["True", "0.25", "0.125", "72005", "True", "6001"]
 
 
 def test_sexp_dump():

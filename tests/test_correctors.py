@@ -8,6 +8,7 @@ from neckflow import coeffs as ca
 from neckflow.correctors import (
     ConstructionError,
     LEVEL_CAP,
+    _close,
     build_first_level,
     build_hierarchy,
     build_symmetric_green,
@@ -15,7 +16,7 @@ from neckflow.correctors import (
     green_kernel,
     verify_level,
 )
-from neckflow.fields import sup_abs, trace
+from neckflow.fields import PolyField, sup_abs, trace
 from neckflow.geometry import named_profile
 
 
@@ -225,6 +226,12 @@ def test_level_cap_enforced():
         extend(h)
     with pytest.raises(ValueError):
         build_hierarchy(p, 1, LEVEL_CAP + 1)
+
+
+def test_closure_rejects_a_target_above_its_top_degree():
+    p = named_profile("sym-quadratic", eps=0.05)
+    with pytest.raises(ConstructionError, match="degree 3 > 2"):
+        _close(p, PolyField(p, [0.0, 0.0, 0.0, 1.0]), 2)
 
 
 def test_level_five_degrees():

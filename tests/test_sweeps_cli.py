@@ -199,12 +199,21 @@ def test_config_json_load(tmp_path):
     (["corrector", "build", "--profile", "{path}", "--out", "{out}"], "[1, 2]"),
     (["report", "emit", "--input", "{path}"], "[1, 2]"),
     (["report", "emit", "--input", "{path}"], None),
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"], '{"eps": ["a", "b"]}'),
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"], '{"m_max": "2"}'),
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"], '{"grid": [1]}'),
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"],
+     '{"quad_tol": 1e-6, "alphas": [1], "m_max": 1}'),
+    (["sweep", "rates", "--config", "{path}", "--out", "{out}"],
+     '{"formats": [], "alphas": [1], "m_max": 1}'),
 ], ids=["config-not-json", "config-list", "config-dir", "profile-no-h1",
-        "profile-list", "report-list", "report-dir"])
+        "profile-list", "report-list", "report-dir", "config-eps-strings",
+        "config-m-max-string", "config-grid", "config-quad-tol", "config-no-formats"])
 def test_malformed_json_inputs_are_config_errors(tmp_path, capsys, argv, text):
     # each of these ended in a traceback (JSONDecodeError, TypeError,
-    # IsADirectoryError, ValueError) instead of exit code 2; a None text
-    # makes the input path a directory
+    # IsADirectoryError, ValueError) instead of exit code 2, or in a run that
+    # ignored grid and quad_tol, which no check reads, or wrote no report for
+    # an empty formats list; a None text makes the input path a directory
     path = tmp_path / "input.json"
     if text is None:
         path.mkdir()
