@@ -20,7 +20,7 @@ from .coeffs import (
     coeff_eval,
     to_sexp,
 )
-from .fields import PolyField, ScalarPressure, VectorField2, trace
+from .fields import PolyField, VectorField2, trace
 from .correctors import (
     ConstructionError,
     CorrectorHierarchy,

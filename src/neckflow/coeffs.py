@@ -37,12 +37,12 @@ and no ``**1``).  Each distinct power ``v**e`` (e != 1) is computed once per
 walk and kept in a power table keyed by (node, exponent).  The results are
 bit for bit those of the node-by-node recursion they replace.  An integral is
 a leaf of the walk: its panel table evaluates the integrand in walks of its
-own.
+own, ten times tighter than its own tolerance.  Public evaluation has one
+tolerance, ``QUAD_TOL``.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
@@ -179,8 +179,8 @@ class Coeff:
         return self._diff_impl()
         yield  # never reached: makes this a generator that needs no child
 
-    def eval(self, x1, tol: float = QUAD_TOL):
-        return eval_many([self], x1, tol)[0]
+    def eval(self, x1):
+        return eval_many([self], x1)[0]
 
     def sexp(self) -> str:
         return self._sexp(sys.maxsize)
@@ -626,9 +626,8 @@ def _post_order(roots, seen: set, integrands: bool = False) -> list:
 
 
 def _walk(roots, x: np.ndarray, tol) -> list:
-    """Values of ``roots`` at ``x`` from one post-order walk with one memo."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    """Values of ``roots`` at ``x`` from one post-order walk with one memo;
+    integrals are evaluated to quadrature tolerance ``tol``."""
     roots = list(roots)
     # a sum or product keeps the type the np.full-seeded recursion gave it
     # (an x-shaped array, or a float64 scalar for 0-d x), even where every
@@ -670,16 +669,16 @@ def _walk(roots, x: np.ndarray, tol) -> list:
 # -- public operation wrappers ----------------------------------------------
 
 
-def coeff_eval(c: Coeff, x1, tol: float = QUAD_TOL):
-    """Evaluate at x1 (scalar or array) with quadrature error <= tol per node."""
-    return c.eval(x1, tol)
+def coeff_eval(c: Coeff, x1):
+    """Evaluate at x1 (scalar or array) with quadrature error <= QUAD_TOL per node."""
+    return c.eval(x1)
 
 
-def eval_many(nodes, x1, tol: float = QUAD_TOL) -> list:
+def eval_many(nodes, x1) -> list:
     """Evaluate several nodes over one x1 array in one walk with one memo."""
     arr = np.asarray(x1, dtype=float)
     out = []
-    for v in _walk(nodes, arr, tol):
+    for v in _walk(nodes, arr, QUAD_TOL):
         v = np.broadcast_to(np.asarray(v, dtype=float), arr.shape)
         out.append(np.array(v) if arr.ndim else float(v))
     return out
@@ -768,8 +767,7 @@ class _PanelTable:
         hi = np.asarray(hi, dtype=float)
         half = 0.5 * (hi - lo)
         xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES[None, :]
-        ys = np.asarray(f.eval(xs.ravel(), self.inner_tol), dtype=float)
-        ys = ys.reshape(xs.shape)
+        ys = np.broadcast_to(_walk([f], xs, self.inner_tol)[0], xs.shape)
         ik = half * (ys @ _GK_WK)
         ig = half * (ys @ _GK_WG)
         err = (200.0 * np.abs(ik - ig)) ** 1.5

@@ -9,9 +9,12 @@ is a sequence of velocity/pressure pairs (v^l, p_l), l = 1..m+1, with
   * the cumulative residual f^l = mu*Lap(sum v) - grad(sum p) gaining one
     power of the gap width per level.
 
-Each level stores its residual in the reduced form produced by the
-construction (degrees are structural); `verify_level` certifies numerically
-that the reduced form equals mu*Lap(v^l) - grad(p_l) + f^{l-1}.
+Each pressure p_l is one `PolyField` in x2, like the velocity: the pure
+function of x1 that the construction integrates (the pure pressure) is its
+x2^0 coefficient.  Each level stores its residual in the reduced form
+produced by the construction (degrees are structural); `verify_level`
+certifies numerically that the reduced form equals
+mu*Lap(v^l) - grad(p_l) + f^{l-1}.
 
 Past the first level, every level of the general construction is made by
 one closure step (`_close`), in four stages: a row F1 in x2 whose velocity
@@ -39,7 +42,6 @@ from . import coeffs as ca
 from .coeffs import Coeff
 from .fields import (
     PolyField,
-    ScalarPressure,
     VectorField2,
     cheb_nodes,
     eval_fields,
@@ -87,7 +89,7 @@ class CorrectorLevel:
     alpha: int
     level: int
     v: VectorField2
-    pressure: ScalarPressure
+    pressure: PolyField
     residual: VectorField2  # cumulative: mu*Lap(sum v) - grad(sum p) through this level
     split: tuple = field(default=None, repr=False)  # mode-specific recursion state
 
@@ -110,18 +112,15 @@ class CorrectorHierarchy:
         return self.levels[(l or self.depth) - 1].residual
 
     def cumulative_v(self, upto: int | None = None) -> VectorField2:
-        upto = upto or self.depth
-        out = self.levels[0].v
-        for lev in self.levels[1:upto]:
-            out = out + lev.v
-        return out
+        return self._cumulative("v", upto)
 
-    def cumulative_pressure(self, upto: int | None = None) -> ScalarPressure:
-        upto = upto or self.depth
-        out = self.levels[0].pressure
-        for lev in self.levels[1:upto]:
-            out = out + lev.pressure
-        return out
+    def cumulative_pressure(self, upto: int | None = None) -> PolyField:
+        return self._cumulative("pressure", upto)
+
+    def _cumulative(self, part: str, upto: int | None):
+        """Levels 1..upto (all by default) of one part, summed in level order."""
+        first, *rest = [getattr(lev, part) for lev in self.levels[:upto or self.depth]]
+        return sum(rest, first)
 
     def extend_to(self, depth: int) -> "CorrectorHierarchy":
         while self.depth < depth:
@@ -136,10 +135,9 @@ class CorrectorHierarchy:
         for lev in self.levels:
             rows = [(f"{tag} {j}", c)
                     for tag, f in (("v1", lev.v.u1), ("v2", lev.v.u2),
-                                   ("f1", lev.residual.u1), ("f2", lev.residual.u2))
+                                   ("f1", lev.residual.u1), ("f2", lev.residual.u2),
+                                   ("p", lev.pressure))
                     for j, c in enumerate(f.coeffs)]
-            rows.append(("p-pure", lev.pressure.pure))
-            rows += [(f"p-poly {j}", c) for j, c in enumerate(lev.pressure.poly.coeffs)]
             lines += ca.dump_rows([c for _, c in rows], seen)
             lines.append(f"(level {lev.level}")
             lines += [f"  ({tag} #{c._id})" for tag, c in rows]
@@ -241,8 +239,7 @@ def _first_level_mode1(profile: NeckProfile) -> CorrectorLevel:
     # pure part: 6 mu int_{x1}^{R} (h1-h2)/delta^3 = -6 mu int_R^{x1} ...
     integrand = ca.mul_pow([(dh, 1), (d, -3)])
     pure = ca.lin([(ca.antideriv(profile.R, integrand), -6.0 * mu)])
-    poly = v.u2.partial_x2().scale(mu)
-    pressure = ScalarPressure(poly, pure)
+    pressure = v.u2.partial_x2().scale(mu) + PolyField(profile, [pure])
 
     f1 = (v.u1.partial_x1() - v.u2.partial_x2()).partial_x1().scale(mu)
     f2 = v.u2.partial_x1(2).scale(mu)
@@ -270,7 +267,7 @@ def _first_level_mode2(profile: NeckProfile) -> CorrectorLevel:
     g1 = (v_t.u1.partial_x1() - v_t.u2.partial_x2()).partial_x1().scale(mu)
     v_h, pure_h = _close(profile, g1, 2)
     v = v_t + v_h
-    pressure = ScalarPressure(poly_t, pure_t + pure_h)
+    pressure = poly_t + PolyField(profile, [pure_t + pure_h])
 
     s_part = v_t.u2.partial_x1(2).scale(mu) + v_h.u2.partial_x2(2).scale(mu)
     g_part = v_h.u2.partial_x1(2).scale(mu)
@@ -315,7 +312,7 @@ def _first_level_mode3(profile: NeckProfile) -> CorrectorLevel:
         (ca.mul_pow([(ca.X1, 1), (d, -2)]), 2.0 * mu),
         (ca.antideriv(profile.R, integrand), 2.0 * mu),
     ])
-    pressure = ScalarPressure(r_field, pure)
+    pressure = r_field + PolyField(profile, [pure])
 
     # Residual split by magnitude family: per-degree-j coefficients one power
     # of the gap worse than O(delta^-j) go into the part the next level
@@ -362,7 +359,7 @@ def _extend_generic(h: CorrectorHierarchy) -> CorrectorLevel:
     f2 = v.u2.partial_x1(2).scale(mu)
     residual = VectorField2(f1, f2)
     _check_degrees(h.alpha, l, residual)
-    return CorrectorLevel(h.alpha, l, v, ScalarPressure(p_poly, p_pure), residual)
+    return CorrectorLevel(h.alpha, l, v, p_poly + PolyField(h.profile, [p_pure]), residual)
 
 
 def _extend_mode2(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -379,7 +376,7 @@ def _extend_mode2(h: CorrectorHierarchy) -> CorrectorLevel:
     f1 = v.u1.partial_x1(2).scale(mu)
     residual = VectorField2(f1, s_new + g_new)
     _check_degrees(2, l, residual)
-    return CorrectorLevel(2, l, v, ScalarPressure(p_poly, p_pure), residual,
+    return CorrectorLevel(2, l, v, p_poly + PolyField(profile, [p_pure]), residual,
                           split=(s_new, g_new))
 
 
@@ -394,7 +391,7 @@ def _extend_mode3(h: CorrectorHierarchy) -> CorrectorLevel:
     f2 = gt1 + v.u2.partial_x1(2).scale(mu)
     residual = VectorField2(f1, f2)
     _check_degrees(3, 2, residual)
-    return CorrectorLevel(3, 2, v, ScalarPressure(p_poly, p_pure), residual)
+    return CorrectorLevel(3, 2, v, p_poly + PolyField(h.profile, [p_pure]), residual)
 
 
 def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -424,14 +421,12 @@ def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
     v2 = Dfld.scale(-1.0) + PolyField(profile, [d_lo])
     v = VectorField2(v1, v2)
 
-    p_poly = (f_prev.u2 + v2.partial_x2(2).scale(mu)).antideriv_x2()
-    pressure = ScalarPressure(p_poly, ca.const(0.0))
-
-    f1 = v1.partial_x1(2).scale(mu) - p_poly.partial_x1()
+    p = (f_prev.u2 + v2.partial_x2(2).scale(mu)).antideriv_x2()
+    f1 = v1.partial_x1(2).scale(mu) - p.partial_x1()
     f2 = v2.partial_x1(2).scale(mu)
     residual = VectorField2(f1, f2)
     _check_degrees(1, l, residual)
-    return CorrectorLevel(1, l, v, pressure, residual)
+    return CorrectorLevel(1, l, v, p, residual)
 
 
 def extend(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -474,11 +469,10 @@ def build_symmetric_green(profile: NeckProfile, levels: int) -> CorrectorHierarc
         ca.const(0.0),
         ca.mul_pow([(dd, 1), (d, -2)], 0.5),
     ])
-    p_poly = PolyField(profile, [ca.const(0.0), ca.mul_pow([(dd, 1), (d, -2)], mu)])
-    pressure = ScalarPressure(p_poly, ca.const(0.0))
-    f1 = v1.partial_x1(2).scale(mu) - p_poly.partial_x1()
+    p = PolyField(profile, [ca.const(0.0), ca.mul_pow([(dd, 1), (d, -2)], mu)])
+    f1 = v1.partial_x1(2).scale(mu) - p.partial_x1()
     f2 = v2.partial_x1(2).scale(mu)
-    lev = CorrectorLevel(1, 1, VectorField2(v1, v2), pressure, VectorField2(f1, f2))
+    lev = CorrectorLevel(1, 1, VectorField2(v1, v2), p, VectorField2(f1, f2))
     h = CorrectorHierarchy(profile, 1, [lev], green=True)
     return h.extend_to(levels)
 
@@ -535,7 +529,7 @@ def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
     x1 = cheb_nodes(41, -r, r)
     x2 = fiber_x2(profile, x1, 9)
     direct = lev.v.laplacian().scale(profile.mu)
-    grad_p = lev.pressure.gradient()
+    grad_p = VectorField2(lev.pressure.partial_x1(), lev.pressure.partial_x2())
     prev = [h.level(l - 1).residual] if l > 1 else []
     vals = eval_fields([lev.residual, direct, grad_p] + prev, x1, x2)
     err = 0.0

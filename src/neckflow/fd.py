@@ -360,11 +360,12 @@ class DiscreteSolution:
 def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     """Solve -mu Lap w + grad q = f, div w = 0 on the mapped neck.
 
-    ``f1``/``f2`` are arrays sampled at interior u/v nodes (or full-node
-    arrays; only interior entries are used).  ``bc`` maps (x1, x2) -> (w1, w2)
-    for the boundary data; omitted means homogeneous (the w-problem).  It is
-    called once, with 1-D arrays holding every boundary and wall-flux point,
-    and returns the two arrays of data values there.
+    ``f1``/``f2`` are finite arrays sampled at the interior u/v nodes, of
+    shapes (n1-1, n2) and (n1, n2-1) exactly; any other shape is a
+    ValueError.  ``bc`` maps (x1, x2) -> (w1, w2) for the boundary data;
+    omitted means homogeneous (the w-problem).  It is called once, with 1-D
+    arrays holding every boundary and wall-flux point, and returns the two
+    arrays of data values there.
     """
     lu, (A, order, int_u, int_v, D, vol_c) = grid.solver()
     n1, n2 = grid.n1, grid.n2
@@ -374,14 +375,10 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
 
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
-    if f1.shape == (n1 + 1, n2):
-        f1 = f1[1:-1]
     if f1.shape != (n1 - 1, n2):
-        raise ValueError(f"f1 must be (n1-1, n2) or (n1+1, n2), got {f1.shape}")
-    if f2.shape == (n1, n2 + 1):
-        f2 = f2[:, 1:-1]
+        raise ValueError(f"f1 must be (n1-1, n2), got {f1.shape}")
     if f2.shape != (n1, n2 - 1):
-        raise ValueError(f"f2 must be (n1, n2-1) or (n1, n2+1), got {f2.shape}")
+        raise ValueError(f"f2 must be (n1, n2-1), got {f2.shape}")
     if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
         raise ValueError("forcing samples must be finite")
     b[int_u] = f1.ravel()
@@ -410,16 +407,16 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
                             residual_rel, float(np.max(np.abs(div))))
 
 
-def solve_fields(grid: NeckGrid, f: VectorField2, bc_field: VectorField2 | None = None,
-                 tol: float = 1e-9) -> DiscreteSolution:
+def solve_fields(grid: NeckGrid, f: VectorField2,
+                 bc_field: VectorField2 | None = None) -> DiscreteSolution:
     """Sample an exact forcing field (and optional boundary field) and solve."""
     xf_i = grid.xf[1:-1]
-    f1 = f.u1.eval(xf_i, grid.x2_of(xf_i[:, None], grid.tc[None, :]), tol)
-    f2 = f.u2.eval(grid.xc, grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]), tol)
+    f1 = f.u1.eval(xf_i, grid.x2_of(xf_i[:, None], grid.tc[None, :]))
+    f2 = f.u2.eval(grid.xc, grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]))
     bc = None
     if bc_field is not None:
         def bc(x, x2):
-            return eval_fields(bc_field, x, x2, tol)
+            return eval_fields(bc_field, x, x2)
     return solve_w(grid, f1, f2, bc)
 
 
@@ -446,14 +443,19 @@ def _cell_grad(sol: DiscreteSolution):
             v_xh + a_c * v_th, v_th / d_c)
 
 
-def global_energy(sol: DiscreteSolution, r: float | None = None) -> float:
-    """Quadrature of |grad w|^2 with the mapped area element delta dx dt."""
+def _energy(sol: DiscreteSolution, mask: np.ndarray) -> float:
+    """Quadrature of |grad w|^2 with the mapped area element delta dx dt over
+    the cell columns selected by ``mask``."""
     g = sol.grid
-    comps = _cell_grad(sol)
-    e = sum(c**2 for c in comps)
-    mask = np.abs(g.xc) <= (r if r is not None else g.r)
+    e = sum(c**2 for c in _cell_grad(sol))
     vol = g._delta(g.xc)[:, None] * g.dx * g.dt
     return float(np.sum((e * vol)[mask]))
+
+
+def global_energy(sol: DiscreteSolution, r: float | None = None) -> float:
+    """Energy over |x1| <= r (the whole grid by default)."""
+    g = sol.grid
+    return _energy(sol, np.abs(g.xc) <= (r if r is not None else g.r))
 
 
 def local_energy(sol: DiscreteSolution, z1: float) -> float:
@@ -462,11 +464,7 @@ def local_energy(sol: DiscreteSolution, z1: float) -> float:
     width = g.profile.delta(z1)
     if abs(z1) + width > g.r:
         raise ValueError("local window reaches outside the grid")
-    comps = _cell_grad(sol)
-    e = sum(c**2 for c in comps)
-    mask = np.abs(g.xc - z1) < width
-    vol = g._delta(g.xc)[:, None] * g.dx * g.dt
-    return float(np.sum((e * vol)[mask]))
+    return _energy(sol, np.abs(g.xc - z1) < width)
 
 
 def sup_grad(sol: DiscreteSolution, r: float) -> float:

@@ -20,7 +20,6 @@ from .geometry import NeckProfile
 __all__ = [
     "PolyField",
     "VectorField2",
-    "ScalarPressure",
     "trace",
     "wall_curve",
     "keller_field",
@@ -122,9 +121,9 @@ class PolyField:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval(self, x1, x2, tol: float = ca.QUAD_TOL):
+    def eval(self, x1, x2):
         """Evaluate at ``x1`` and broadcastable ``x2`` (see ``eval_fields``)."""
-        return eval_fields(self, x1, x2, tol)[0]
+        return eval_fields(self, x1, x2)[0]
 
 
 def x2_field(profile: NeckProfile) -> PolyField:
@@ -203,40 +202,8 @@ class VectorField2:
             self.u2.partial_x1(2) + self.u2.partial_x2(2),
         )
 
-    def eval(self, x1, x2, tol: float = ca.QUAD_TOL):
-        return tuple(eval_fields(self, x1, x2, tol))
-
-
-@dataclass(frozen=True)
-class ScalarPressure:
-    """Pressure split as an x2-polynomial part plus a pure-x1 integral part."""
-
-    poly: PolyField
-    pure: Coeff
-
-    @property
-    def profile(self) -> NeckProfile:
-        return self.poly.profile
-
-    def __add__(self, other: "ScalarPressure") -> "ScalarPressure":
-        return ScalarPressure(self.poly + other.poly, self.pure + other.pure)
-
-    def gradient(self) -> VectorField2:
-        gx1 = self.poly.partial_x1() + PolyField(self.profile, [ca.coeff_diff(self.pure)])
-        gx2 = self.poly.partial_x2()
-        return VectorField2(gx1, gx2)
-
-    def eval(self, x1, x2, tol: float = ca.QUAD_TOL):
-        x1a = np.asarray(x1, dtype=float)
-        pure = np.asarray(ca.coeff_eval(self.pure, x1a, tol), dtype=float)
-        out = self.poly.eval(x1, x2, tol)
-        if np.asarray(x2).ndim > x1a.ndim:
-            pure = pure[..., None]
-        return out + pure
-
-    def eval_rel(self, x1, x2, z1: float, tol: float = ca.QUAD_TOL):
-        """p(x) - p(z1, 0), the gauge used for all pressure comparisons."""
-        return self.eval(x1, x2, tol) - self.eval(z1, 0.0, tol)
+    def eval(self, x1, x2):
+        return tuple(eval_fields(self, x1, x2))
 
 
 def wall_curve(profile: NeckProfile, side: str) -> Coeff:
@@ -282,7 +249,7 @@ def _flatten(field_or_fields) -> list[PolyField]:
     return out
 
 
-def eval_fields(fields, x1, x2, tol: float = ca.QUAD_TOL) -> list[np.ndarray]:
+def eval_fields(fields, x1, x2) -> list[np.ndarray]:
     """Evaluate several fields over one grid with a single shared DAG pass.
 
     ``x2`` with one more trailing axis than ``x1`` is interpreted as
@@ -297,7 +264,7 @@ def eval_fields(fields, x1, x2, tol: float = ca.QUAD_TOL) -> list[np.ndarray]:
     for f in fields:
         spans.append((len(all_coeffs), len(f.coeffs)))
         all_coeffs.extend(f.coeffs)
-    vals = ca.eval_many(all_coeffs, x1, tol)
+    vals = ca.eval_many(all_coeffs, x1)
     shape = np.broadcast_shapes(np.shape(x1[..., None] if expand else x1), x2.shape)
     out = []
     for start, n in spans:
@@ -312,23 +279,22 @@ def eval_fields(fields, x1, x2, tol: float = ca.QUAD_TOL) -> list[np.ndarray]:
     return out
 
 
-def sup_abs(field, r: float | None = None, n1: int = 201, n2: int = 33,
-            tol: float = ca.QUAD_TOL) -> float:
+def sup_abs(field, r: float | None = None, n1: int = 201, n2: int = 33) -> float:
     """Sup norm over the sampled neck chart (Chebyshev in x1, linear fibers)."""
     fields = _flatten(field)
     profile = fields[0].profile
     r = profile.R if r is None else r
     x1 = cheb_nodes(n1, -r, r)
     x2 = fiber_x2(profile, x1, n2)
-    return max(float(np.max(np.abs(v))) for v in eval_fields(fields, x1, x2, tol))
+    return max(float(np.max(np.abs(v))) for v in eval_fields(fields, x1, x2))
 
 
-def fiber_sup(field, x1: np.ndarray, n2: int = 33, tol: float = ca.QUAD_TOL) -> np.ndarray:
+def fiber_sup(field, x1: np.ndarray, n2: int = 33) -> np.ndarray:
     """Per-fiber sup of |field| at each x1 sample (max over components)."""
     fields = _flatten(field)
     x1 = np.asarray(x1, dtype=float)
     x2 = fiber_x2(fields[0].profile, x1, n2)
-    vals = eval_fields(fields, x1, x2, tol)
+    vals = eval_fields(fields, x1, x2)
     return np.max([np.max(np.abs(v), axis=-1) for v in vals], axis=0)
 
 

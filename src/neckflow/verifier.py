@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coeffs as ca
 from .correctors import CorrectorHierarchy, build_hierarchy, build_symmetric_green
-from .fields import PolyField, ScalarPressure, deriv_fields, fiber_sup
+from .fields import deriv_fields, fiber_sup, fiber_x2
 from .geometry import NeckProfile, named_profile
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "residual_order",
     "corrector_blowup_order",
     "theorem_rate_table",
-    "pressure_deriv_fields",
     "HierarchyCache",
     "DEFAULT_EPS_SWEEP",
     "WINDOW_CUTOFF",
@@ -100,8 +98,7 @@ def residual_order(h: CorrectorHierarchy, s: int, m: int | None = None,
     profile = h.profile
     x1 = decay_window(profile, n_x1)
     f = h.residual(m + 1)
-    fields = deriv_fields(f, s) if s > 0 else [f.u1, f.u2]
-    sup = fiber_sup(fields, x1, n2)
+    sup = fiber_sup(deriv_fields(f, s), x1, n2)
     dlt = profile.delta(x1)
     fit = fit_decay_order(zip(dlt, sup))
     predicted = float(m - s - 1)
@@ -142,24 +139,6 @@ def corrector_blowup_order(hierarchies, k1: int, k2: int = 1, component: int = 1
     passed = predicted is None or abs(fit.slope - predicted) <= BLOWUP_SLOPE_TOL
     return {"fit": fit, "predicted": predicted, "tolerance": BLOWUP_SLOPE_TOL,
             "passed": passed, "m": k1}
-
-
-def pressure_deriv_fields(p: ScalarPressure, order: int) -> list[PolyField]:
-    """All mixed partials of the pressure at total order ``order``."""
-    profile = p.profile
-    if order == 0:
-        return [p.poly + PolyField(profile, [p.pure])]
-    out = []
-    for k1 in range(order + 1):
-        k2 = order - k1
-        f = p.poly.partial_x1(k1).partial_x2(k2)
-        if k2 == 0:
-            pure = p.pure
-            for _ in range(k1):
-                pure = ca.coeff_diff(pure)
-            f = f + PolyField(profile, [pure])
-        out.append(f)
-    return out
 
 
 def load_profile(spec: str, eps: float) -> NeckProfile:
@@ -210,12 +189,11 @@ def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray, n2: int,
     v = h.cumulative_v(m + 1)
     p = h.cumulative_pressure(m + 1)
     vel = fiber_sup(deriv_fields(v, m + 1), x1, n2)
-    if m == 0:
-        from .fields import fiber_x2
+    if m == 0:  # the pressure in the gauge p(z1, 0) = 0
         x2 = fiber_x2(h.profile, x1, n2)
-        pr = np.max(np.abs(p.eval_rel(x1, x2, z1)), axis=-1)
+        pr = np.max(np.abs(p.eval(x1, x2) - p.eval(z1, 0.0)), axis=-1)
     else:
-        pr = fiber_sup(pressure_deriv_fields(p, m), x1, n2)
+        pr = fiber_sup(deriv_fields(p, m), x1, n2)
     return vel + pr
 
 

@@ -99,7 +99,7 @@ def test_first_level_cancellation_identity(cache):
     # mu d2/dx2^2 (v1)^(2) - d/dx2 pbar1 == 0 by construction
     h = cache.get("asym-quadratic", 1e-2, 1, 1)
     lev = h.level(1)
-    lhs = lev.v.u2.partial_x2(2).scale(h.profile.mu) - lev.pressure.poly.partial_x2()
+    lhs = lev.v.u2.partial_x2(2).scale(h.profile.mu) - lev.pressure.partial_x2()
     assert sup_abs(lhs, n1=51, n2=9) < 1e-8
 
 
@@ -243,7 +243,7 @@ def test_level_five_degrees():
 def test_sexp_dump_contains_structure(cache):
     h = cache.get("sym-quadratic", 1e-2, 1, 2)
     s = h.dump_sexp()
-    assert "(level 1" in s and "(level 2" in s and "(p-pure" in s
+    assert "(level 1" in s and "(level 2" in s and "  (p 0 #" in s
 
 
 def test_dump_lists_each_node_once():
@@ -253,9 +253,9 @@ def test_dump_lists_each_node_once():
     roots, rows = [], 1
     for lev in h.levels:
         coeffs = [c for f in (lev.v.u1, lev.v.u2, lev.residual.u1, lev.residual.u2,
-                              lev.pressure.poly) for c in f.coeffs]
-        roots += coeffs + [lev.pressure.pure]
-        rows += len(coeffs) + 3  # "(level", the coefficient rows, p-pure, ")"
+                              lev.pressure) for c in f.coeffs]
+        roots += coeffs
+        rows += len(coeffs) + 2  # "(level", the coefficient rows, ")"
     reachable, stack = set(), list(roots)
     while stack:
         n = stack.pop()
@@ -267,7 +267,7 @@ def test_dump_lists_each_node_once():
     lines = h.dump_sexp().split("\n")
     assert time.perf_counter() - t0 < 10.0
     assert len(lines) <= len(reachable) + rows
-    assert lines.count("(level 3") == 1 and sum(l.startswith("  (p-pure #") for l in lines) == 3
+    assert lines.count("(level 3") == 1 and sum(l.startswith("  (p 0 #") for l in lines) == 3
     defined = set()
     for line in lines:  # every id is defined once, before any line naming it
         ids = re.findall(r"#(\d+)", line)

@@ -98,6 +98,17 @@ def test_nonfinite_forcing_rejected(mild_profile):
         solve_w(g, f1, np.zeros((g.n1, g.n2 - 1)))
 
 
+def test_full_node_forcing_shapes_rejected(mild_profile):
+    # forcing is sampled at the interior u/v nodes only; arrays that also
+    # carry the boundary nodes are refused, not silently cut down
+    g = NeckGrid(mild_profile, r=0.6, n1=48, n2=32)
+    f1, f2 = np.zeros((g.n1 - 1, g.n2)), np.zeros((g.n1, g.n2 - 1))
+    with pytest.raises(ValueError, match="f1"):
+        solve_w(g, np.zeros((g.n1 + 1, g.n2)), f2)
+    with pytest.raises(ValueError, match="f2"):
+        solve_w(g, f1, np.zeros((g.n1, g.n2 + 1)))
+
+
 def test_boundary_data_on_asymmetric_walls():
     # the bump flow has zero boundary data; these exact Stokes flows (q = 0,
     # f = 0) do not, so a permuted or mis-weighted boundary row shows here

@@ -4,7 +4,6 @@ import pytest
 from neckflow import coeffs as ca
 from neckflow.fields import (
     PolyField,
-    ScalarPressure,
     VectorField2,
     deriv_fields,
     fiber_x2,
@@ -63,11 +62,13 @@ def test_laplacian_and_pure_gradient():
     lap = v.laplacian()
     assert lap.u1.degree == 0
     assert lap.u1.eval(0.3, 0.0) == pytest.approx(2.0)
+    # a pressure's pure x1 part is its x2^0 coefficient: d/dx2 drops it and
+    # d/dx1 collapses its integral back to the integrand
     g = ca.delta_coeff(p)
-    pr = ScalarPressure(PolyField(p, []), ca.antideriv(0.0, g))
-    gp = pr.gradient()
-    assert gp.u2.is_zero()
-    assert gp.u1.eval(0.2, 0.0) == pytest.approx(float(ca.coeff_eval(g, 0.2)))
+    pr = PolyField(p, [ca.antideriv(0.0, g)])
+    assert pr.partial_x2().is_zero()
+    assert pr.partial_x1().coeffs == (g,)
+    assert pr.partial_x1().eval(0.2, 0.0) == pytest.approx(float(ca.coeff_eval(g, 0.2)))
 
 
 def test_laplacian_matches_five_point_stencil(cache, rng):

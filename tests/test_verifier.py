@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from neckflow import coeffs as ca
 from neckflow import verifier as vf
+from neckflow.fields import PolyField, deriv_fields
 
 
 def test_fit_exact_power_law():
@@ -75,15 +77,15 @@ def test_blowup_point_inside_chart(cache):
 
 
 def test_pressure_deriv_fields(cache):
-    h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
+    # the pressure is one field, so deriv_fields gives its mixed partials
+    h = cache.get("asym-quadratic", 1e-2, 1, 2)
     p = h.cumulative_pressure(2)
-    fields0 = vf.pressure_deriv_fields(p, 0)
-    assert len(fields0) == 1
-    fields2 = vf.pressure_deriv_fields(p, 2)
+    assert deriv_fields(p, 0) == [p]
+    fields2 = deriv_fields(p, 2)
     assert len(fields2) == 3
-    # d/dx2 of the pure part vanishes: the (k1=0, k2=2) entry equals the
-    # poly-only derivative exactly
-    xs = np.linspace(-0.3, 0.3, 11)
-    a = fields2[0].eval(xs, 0.002)
-    b = p.poly.partial_x2(2).eval(xs, 0.002)
-    assert np.allclose(a, b, rtol=0, atol=0)
+    # the pure x1 part is the x2^0 coefficient: d/dx2 drops it, so the
+    # (k1=0, k2=2) entry is the same with that coefficient zeroed, and the
+    # (k1=2, k2=0) entry differentiates it twice in x1
+    no_pure = PolyField(p.profile, [0.0, *p.coeffs[1:]])
+    assert fields2[0].coeffs == no_pure.partial_x2(2).coeffs
+    assert fields2[2].coeffs[0] is ca.coeff_diff(ca.coeff_diff(p.coeffs[0]))
