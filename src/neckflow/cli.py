@@ -33,15 +33,31 @@ def _parse_eps(text: str) -> tuple:
         raise ConfigError(f"bad --eps list {text!r}") from None
 
 
-def _add_common(sp):
-    sp.add_argument("--profile", default="sym-quadratic",
-                    help=f"named profile {sorted(NAMED_PROFILES)} or JSON path")
-    sp.add_argument("--alpha", default="1,2,3", help="comma list within 1,2,3")
-    sp.add_argument("--m", type=int, default=2, help="highest derivative order")
-    sp.add_argument("--eps", default="1e-2,3e-3,1e-3,3e-4,1e-4",
-                    help="comma list, strictly decreasing")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--format", default="csv,json", help="csv, json or both")
+_FLAGS = {
+    "profile": dict(default="sym-quadratic",
+                    help=f"named profile {sorted(NAMED_PROFILES)} or JSON path"),
+    "eps": dict(default="1e-2,3e-3,1e-3,3e-4,1e-4", help="comma list, strictly decreasing"),
+    "out": dict(default=None, help="output directory"),
+    "alpha": dict(default="1,2,3", help="comma list within 1,2,3"),
+    "m": dict(type=int, default=2, help="highest derivative order"),
+    "format": dict(default="csv,json", help="csv, json or both"),
+    "envelopes": dict(action="store_true"),
+    "fd": dict(action="store_true"),
+}
+# the RunConfig field that each flag past --profile, --eps and --out sets
+_FLAG_FIELDS = {
+    "alpha": ("alphas", _parse_alphas),
+    "m": ("m_max", int),
+    "format": ("formats", lambda text: tuple(f for f in text.split(",") if f)),
+    "envelopes": ("envelopes", bool),
+    "fd": ("fd_checks", bool),
+}
+
+
+def _add_common(sp, *flags):
+    """--profile, --eps, --out and ``flags``: only the flags the command reads."""
+    for flag in ("profile", "eps", "out") + flags:
+        sp.add_argument(f"--{flag}", **_FLAGS[flag])
 
 
 def _config_from_args(args, sweep: bool = True) -> RunConfig:
@@ -55,15 +71,13 @@ def _config_from_args(args, sweep: bool = True) -> RunConfig:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
     else:
+        given = vars(args)
         cfg = RunConfig(
             profile=args.profile,
-            alphas=_parse_alphas(args.alpha),
-            m_max=args.m,
             eps=_parse_eps(args.eps),
             out_dir=args.out or ".",
-            formats=tuple(f for f in args.format.split(",") if f),
-            envelopes=getattr(args, "envelopes", False),
-            fd_checks=getattr(args, "fd", False),
+            **{name: parse(given[flag])
+               for flag, (name, parse) in _FLAG_FIELDS.items() if flag in given},
         )
     return cfg.validate(sweep=sweep)
 
@@ -183,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("corrector", help="build or verify corrector hierarchies")
     csub = c.add_subparsers(dest="sub", required=True)
     b = csub.add_parser("build")
-    _add_common(b)
+    _add_common(b, "alpha", "m")
     b.add_argument("--dump", action="store_true", help="write s-expression dump")
     b.set_defaults(func=cmd_corrector_build)
     v = csub.add_parser("verify")
-    _add_common(v)
+    _add_common(v, "alpha", "m", "format")
     v.add_argument("--config", default=None)
     v.set_defaults(func=cmd_corrector_verify)
 
@@ -204,10 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="full verification sweeps")
     wsub = w.add_subparsers(dest="sub", required=True)
     r = wsub.add_parser("rates")
-    _add_common(r)
+    _add_common(r, "alpha", "m", "format", "envelopes", "fd")
     r.add_argument("--config", default=None, help="RunConfig JSON path")
-    r.add_argument("--envelopes", action="store_true")
-    r.add_argument("--fd", action="store_true")
     r.set_defaults(func=cmd_sweep_rates)
 
     e = sub.add_parser("report", help="re-emit stored reports")

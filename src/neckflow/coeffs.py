@@ -573,7 +573,8 @@ def register_positive(node: Coeff):
 
 
 def delta_coeff(profile: NeckProfile) -> Coeff:
-    """The gap width eps + h1 + h2 as a node, certified positive."""
+    """The gap width eps + h1 + h2 as a node, certified positive: the one
+    node that reads eps; every other eps dependence is built from it."""
     d = lin(
         [(profile_deriv(profile, 1, 0), 1.0), (profile_deriv(profile, 2, 0), 1.0)],
         profile.eps,
@@ -584,9 +585,11 @@ def delta_coeff(profile: NeckProfile) -> Coeff:
 
 
 def q4_coeff(profile: NeckProfile) -> Coeff:
-    """(eps + 2 h1)(eps + 2 h2) / 4 = delta^2/4 - ((h1-h2)/2)^2."""
-    a = lin([(profile_deriv(profile, 1, 0), 2.0)], profile.eps)
-    b = lin([(profile_deriv(profile, 2, 0), 2.0)], profile.eps)
+    """(delta + h1 - h2)(delta - h1 + h2) / 4 = delta^2/4 - ((h1-h2)/2)^2."""
+    d = delta_coeff(profile)
+    h1, h2 = profile_deriv(profile, 1, 0), profile_deriv(profile, 2, 0)
+    a = lin([(d, 1.0), (h1, 1.0), (h2, -1.0)])
+    b = lin([(d, 1.0), (h1, -1.0), (h2, 1.0)])
     return mul_pow([(a, 1), (b, 1)], 0.25)
 
 

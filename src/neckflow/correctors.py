@@ -21,11 +21,14 @@ one closure step (`_close`), in four stages: a row F1 in x2 whose velocity
 F1 (k^2 - 1/4) cancels the leading residual; a row F2 that leaves the
 divergence a pure function R of x1; the closers F1t, F2t that remove R, so
 the divergence is exactly zero; and the pure pressure 2 mu int F1t/delta^2
-that cancels the leading term F1t adds.  Levels >= 2 of modes 1 and 3 use it
-on the first residual component (mode 3's level 2 on the strong part of its
-split first level), every level >= 2 of mode 2 on the first component less
-its pressure's x1-derivative, and mode 2's first level to correct its
-transport part.
+that cancels the leading term F1t adds.  One generic step builds every level
+>= 2 of modes 1 and 3, mode 3's second included.  Mode 2 uses `_close` on the
+first component less its pressure's x1-derivative at every level >= 2, and at
+its first level to correct its transport part.
+
+A level's `split` holds the strong parts of its residual, which the next level
+cancels, and the mild parts, which it carries: (s, g) of the second component
+for mode 2, (s, g, st, gt) of both components for mode 3's first level.
 
 For identical walls a Green-kernel variant builds the same objects by
 resolving d^2/dx2^2 directly on each gap fiber; it gains half an order of
@@ -212,10 +215,6 @@ def _check_degrees(alpha: int, l: int, residual: VectorField2):
         raise ConstructionError(
             f"alpha={alpha} level {l}: residual degrees "
             f"({residual.u1.degree},{residual.u2.degree}) exceed ({d1},{d2})")
-    cap = 2 * l + 3
-    for f in (residual.u1, residual.u2):
-        if f.degree > cap:
-            raise ConstructionError(f"degree cap {cap} violated at level {l}")
 
 
 # -- first levels -------------------------------------------------------------
@@ -279,12 +278,10 @@ def _first_level_mode2(profile: NeckProfile) -> CorrectorLevel:
 
 def _first_level_mode3(profile: NeckProfile) -> CorrectorLevel:
     mu = profile.mu
-    eps = profile.eps
     d, dh, _ = _context(profile)
     sh = ca.lin([(ca.profile_deriv(profile, 1, 0), 1.0),
                  (ca.profile_deriv(profile, 2, 0), 1.0)])
-    dsh = ca.lin([(ca.profile_deriv(profile, 1, 1), 1.0),
-                  (ca.profile_deriv(profile, 2, 1), 1.0)])
+    dsh = ca.coeff_diff(d)
     k = keller_field(profile)
     kp = keller_plus_half(profile)
     kq = ksq_minus_quarter(profile)
@@ -297,8 +294,8 @@ def _first_level_mode3(profile: NeckProfile) -> CorrectorLevel:
     F_rest = x2f.scale(ca.mul_pow([(dh, 1), (d, -1)], -1.5)) + (k * x2f).scale(-5.0)
     F = PolyField(profile, [Fa]) + F_rest
 
-    # G = Gc + Grest; Gc = 2 x1 k - (eps - 3 x1^2) dk
-    Gc = k.scale(ca.lin([(ca.X1, 2.0)])) + dk.scale(ca.lin([(x1sq, 3.0)], -eps))
+    # G = Gc + Grest; Gc = 2 x1 k - (delta - (h1+h2) - 3 x1^2) dk
+    Gc = k.scale(ca.lin([(ca.X1, 2.0)])) + dk.scale(ca.lin([(x1sq, 3.0), (d, -1.0), (sh, 1.0)]))
     Grest = (k * dk * x2f).scale(ca.lin([(d, 3.0)])) + (dk * x2f).scale(ca.lin([(dh, 1.5)]))
     G = Gc + Grest
 
@@ -348,15 +345,18 @@ def build_first_level(profile: NeckProfile, alpha: int) -> CorrectorLevel:
 
 
 def _extend_generic(h: CorrectorHierarchy) -> CorrectorLevel:
-    """One level of the default induction: cancel the full first component,
-    close the divergence, then integrate away the second component's core."""
+    """One level of the default induction: cancel the strong first component,
+    close the divergence, then integrate away the strong second component."""
     mu = h.profile.mu
     l = h.depth + 1
-    prev = h.residual()
-    v, p_pure = _close(h.profile, prev.u1, 2 * l - 2)
-    p_poly = (prev.u2 + v.u2.partial_x2(2).scale(mu)).antideriv_x2()
-    f1 = v.u1.partial_x1(2).scale(mu) - p_poly.partial_x1()
+    prev = h.levels[-1]
+    s, g, st, gt = prev.split or (prev.residual.u1, None, prev.residual.u2, None)
+    v, p_pure = _close(h.profile, s, 2 * l - 2)
+    p_poly = (st + v.u2.partial_x2(2).scale(mu)).antideriv_x2()
+    f1 = v.u1.partial_x1(2).scale(mu)
+    f1 = (f1 if g is None else g + f1) - p_poly.partial_x1()
     f2 = v.u2.partial_x1(2).scale(mu)
+    f2 = f2 if gt is None else gt + f2
     residual = VectorField2(f1, f2)
     _check_degrees(h.alpha, l, residual)
     return CorrectorLevel(h.alpha, l, v, p_poly + PolyField(h.profile, [p_pure]), residual)
@@ -378,20 +378,6 @@ def _extend_mode2(h: CorrectorHierarchy) -> CorrectorLevel:
     _check_degrees(2, l, residual)
     return CorrectorLevel(2, l, v, p_poly + PolyField(profile, [p_pure]), residual,
                           split=(s_new, g_new))
-
-
-def _extend_mode3(h: CorrectorHierarchy) -> CorrectorLevel:
-    """Level 2 of mode 3: cancel the strong parts of the first level's split
-    residual and carry its mild parts g1, gt1 into the new residual."""
-    mu = h.profile.mu
-    s1, g1, st1, gt1 = h.levels[0].split
-    v, p_pure = _close(h.profile, s1, 2)
-    p_poly = (st1 + v.u2.partial_x2(2).scale(mu)).antideriv_x2()
-    f1 = g1 + v.u1.partial_x1(2).scale(mu) - p_poly.partial_x1()
-    f2 = gt1 + v.u2.partial_x1(2).scale(mu)
-    residual = VectorField2(f1, f2)
-    _check_degrees(3, 2, residual)
-    return CorrectorLevel(3, 2, v, p_poly + PolyField(h.profile, [p_pure]), residual)
 
 
 def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -437,8 +423,6 @@ def extend(h: CorrectorHierarchy) -> CorrectorLevel:
         lev = _extend_green(h)
     elif h.alpha == 2:
         lev = _extend_mode2(h)
-    elif h.alpha == 3 and h.depth == 1:
-        lev = _extend_mode3(h)
     else:
         lev = _extend_generic(h)
     h.levels.append(lev)
@@ -460,8 +444,7 @@ def build_symmetric_green(profile: NeckProfile, levels: int) -> CorrectorHierarc
         raise ValueError(f"levels must be in 1..{LEVEL_CAP}")
     mu = profile.mu
     d, _, _ = _context(profile)
-    dd = ca.lin([(ca.profile_deriv(profile, 1, 1), 1.0),
-                 (ca.profile_deriv(profile, 2, 1), 1.0)])  # delta'
+    dd = ca.coeff_diff(d)
     inv_d = ca.mul_pow([(d, -1)])
     v1 = PolyField(profile, [ca.const(0.5), inv_d])
     v2 = PolyField(profile, [
@@ -478,17 +461,6 @@ def build_symmetric_green(profile: NeckProfile, levels: int) -> CorrectorHierarc
 
 
 # -- numerical certification ---------------------------------------------------
-
-
-def green_kernel(profile: NeckProfile, x1: float, x2: float, y: float) -> float:
-    """Fiber kernel resolving d^2/dy^2 with zero values on both walls."""
-    d = float(profile.delta(x1))
-    lo, hi = -0.5 * d, 0.5 * d
-    if not (lo <= x2 <= hi and lo <= y <= hi):
-        raise ValueError("kernel arguments outside the gap fiber")
-    if y <= x2:
-        return (y + 0.5 * d) * (x2 - 0.5 * d) / d
-    return (x2 + 0.5 * d) * (y - 0.5 * d) / d
 
 
 def psi_top_traces(profile: NeckProfile, alpha: int) -> tuple[Coeff, Coeff]:

@@ -145,7 +145,7 @@ def keller_plus_half(profile: NeckProfile) -> PolyField:
 
 
 def ksq_minus_quarter(profile: NeckProfile) -> PolyField:
-    """k^2 - 1/4 = (x2^2 - (h1-h2) x2 - (eps+2h1)(eps+2h2)/4) / delta^2."""
+    """k^2 - 1/4 = (x2^2 - (h1-h2) x2 - q4) / delta^2, q4 from ``ca.q4_coeff``."""
     d2 = ca.mul_pow([(ca.delta_coeff(profile), -2)])
     dh = ca.lin(
         [(ca.profile_deriv(profile, 1, 0), 1.0), (ca.profile_deriv(profile, 2, 0), -1.0)]
@@ -207,12 +207,12 @@ class VectorField2:
 
 
 def wall_curve(profile: NeckProfile, side: str) -> Coeff:
-    """The wall x2 = eps/2 + h1 (top) or x2 = -eps/2 - h2 (bottom) as a node."""
-    if side == "top":
-        return ca.lin([(ca.profile_deriv(profile, 1, 0), 1.0)], profile.eps / 2.0)
-    if side == "bottom":
-        return ca.lin([(ca.profile_deriv(profile, 2, 0), -1.0)], -profile.eps / 2.0)
-    raise ValueError("side must be 'top' or 'bottom'")
+    """The wall x2 = (h1 - h2 + delta)/2 (top) or (h1 - h2 - delta)/2 (bottom)."""
+    if side not in ("top", "bottom"):
+        raise ValueError("side must be 'top' or 'bottom'")
+    return ca.lin([(ca.delta_coeff(profile), 0.5 if side == "top" else -0.5),
+                   (ca.profile_deriv(profile, 1, 0), 0.5),
+                   (ca.profile_deriv(profile, 2, 0), -0.5)])
 
 
 def trace(field: PolyField, side: str) -> Coeff:
@@ -281,12 +281,8 @@ def eval_fields(fields, x1, x2) -> list[np.ndarray]:
 
 def sup_abs(field, r: float | None = None, n1: int = 201, n2: int = 33) -> float:
     """Sup norm over the sampled neck chart (Chebyshev in x1, linear fibers)."""
-    fields = _flatten(field)
-    profile = fields[0].profile
-    r = profile.R if r is None else r
-    x1 = cheb_nodes(n1, -r, r)
-    x2 = fiber_x2(profile, x1, n2)
-    return max(float(np.max(np.abs(v))) for v in eval_fields(fields, x1, x2))
+    r = _flatten(field)[0].profile.R if r is None else r
+    return float(np.max(fiber_sup(field, cheb_nodes(n1, -r, r), n2)))
 
 
 def fiber_sup(field, x1: np.ndarray, n2: int = 33) -> np.ndarray:

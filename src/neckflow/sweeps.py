@@ -269,7 +269,7 @@ def _blowup_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     hs = [cache.get(config.profile, e, 1, 1, green=True) for e in config.eps]
     rows = []
     for m in range(0, min(config.m_max, 3) + 1):
-        res = vf.corrector_blowup_order(hs, m, 1)
+        res = vf.corrector_blowup_order(hs, m)
         rows.append(RateRow(
             "rate/blowup", "lower-bound", config.profile, 1, m, None,
             "x1=0.5*sqrt(eps)", res["predicted"], res["fit"].slope,
@@ -284,8 +284,7 @@ def _envelope_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     for r in vf.theorem_rate_table(config.eps, tuple(range(min(config.m_max, 2) + 1)),
                                    cache=cache):
         rows.append(RateRow(
-            f"envelope/{r['fit_kind']}", r["family"],
-            "asym-quadratic" if r["family"] == "general" else "sym-quadratic",
+            f"envelope/{r['fit_kind']}", r["family"], vf.FAMILIES[r["family"]][0],
             None, r["m"], None, r["fit_kind"], r["predicted"], r["slope"],
             r["tolerance"], r["passed"]))
     return rows

@@ -113,32 +113,24 @@ def residual_order(h: CorrectorHierarchy, s: int, m: int | None = None,
     }
 
 
-def corrector_blowup_order(hierarchies, k1: int, k2: int = 1, component: int = 1,
-                           level: int = 1, r_eval: float = R_EVAL) -> dict:
-    """Growth order in eps of a first-level derivative at (r sqrt(eps), 0).
+def corrector_blowup_order(hierarchies, m: int, r_eval: float = R_EVAL) -> dict:
+    """Growth order in eps of d^m/dx1^m d/dx2 of the first level's first
+    velocity component at (r sqrt(eps), 0); the predicted slope is -(m+2)/2.
 
-    ``hierarchies`` holds one hierarchy per eps (same profile family).  For
-    the (m, 1) mixed derivative of the first component the predicted slope is
-    -(m+2)/2.
+    ``hierarchies`` holds one hierarchy per eps (same profile family).
     """
-    eps_vals, mags = [], []
-    for h in hierarchies:
-        profile = h.profile
-        eps = profile.eps
+    eps_vals = [h.profile.eps for h in hierarchies]
+    mags = []
+    for h, eps in zip(hierarchies, eps_vals):
         x_eval = r_eval * np.sqrt(eps)
-        if x_eval > profile.R:
+        if x_eval > h.profile.R:
             raise ValueError("evaluation point outside the chart")
-        v = h.level(level).v
-        comp = v.u1 if component == 1 else v.u2
-        g = comp.partial_x1(k1).partial_x2(k2)
-        val = float(np.abs(g.eval(np.asarray(x_eval), 0.0)))
-        eps_vals.append(eps)
-        mags.append(val)
+        g = h.level(1).v.u1.partial_x1(m).partial_x2(1)
+        mags.append(float(np.abs(g.eval(np.asarray(x_eval), 0.0))))
     fit = fit_decay_order(zip(eps_vals, mags), min_samples=5, min_decades=2.0)
-    predicted = -(k1 + 2) / 2.0 if (k2 == 1 and component == 1) else None
-    passed = predicted is None or abs(fit.slope - predicted) <= BLOWUP_SLOPE_TOL
+    predicted = -(m + 2) / 2.0
     return {"fit": fit, "predicted": predicted, "tolerance": BLOWUP_SLOPE_TOL,
-            "passed": passed, "m": k1}
+            "passed": abs(fit.slope - predicted) <= BLOWUP_SLOPE_TOL, "m": m}
 
 
 def load_profile(spec: str, eps: float) -> NeckProfile:
@@ -180,7 +172,16 @@ class HierarchyCache:
             h = (build_symmetric_green(profile, levels) if green
                  else build_hierarchy(profile, alpha, levels))
             self._hier[key] = h
-        return h.extend_to(max(levels, h.depth))
+        return h.extend_to(levels)
+
+
+# envelope families: profile, then (alpha, green) per member hierarchy.  The
+# symmetric family takes mode 1 from the Green construction and drops the
+# rotation (odd data on identical walls).
+FAMILIES = {
+    "general": ("asym-quadratic", ((1, False), (2, False), (3, False))),
+    "symmetric": ("sym-quadratic", ((1, True), (2, False))),
+}
 
 
 def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray, n2: int,
@@ -199,28 +200,16 @@ def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray, n2: int,
 
 def _envelope(cache: HierarchyCache, family: str, eps: float, m: int,
               x1: np.ndarray, n2: int = 17) -> np.ndarray:
-    """Mode-weighted derivative envelope: sqrt(eps) on the translation modes,
-    eps^{3/2} on the vertical mode; the rotation drops in the symmetric
-    odd-data case."""
-    levels = m + 1
-    if family == "general":
-        name = "asym-quadratic"
-        prof = cache.profile(name, eps)
-        z1 = prof.R / 2.0
-        e = np.zeros_like(x1)
-        for alpha, scale in ((1, np.sqrt(eps)), (2, eps**1.5), (3, np.sqrt(eps))):
-            h = cache.get(name, eps, alpha, levels)
-            e = e + scale * _envelope_sups(h, m, x1, n2, z1)
-        return e
-    if family == "symmetric":
-        name = "sym-quadratic"
-        prof = cache.profile(name, eps)
-        z1 = prof.R / 2.0
-        h1 = cache.get(name, eps, 1, levels, green=True)
-        h2 = cache.get(name, eps, 2, levels)
-        return (np.sqrt(eps) * _envelope_sups(h1, m, x1, n2, z1)
-                + eps**1.5 * _envelope_sups(h2, m, x1, n2, z1))
-    raise ValueError("family must be 'general' or 'symmetric'")
+    """Mode-weighted derivative envelope over the family's members: sqrt(eps)
+    on the translation modes, eps^{3/2} on the vertical mode."""
+    name, members = FAMILIES[family]
+    z1 = cache.profile(name, eps).R / 2.0
+    e = np.zeros_like(x1)
+    for alpha, green in members:
+        h = cache.get(name, eps, alpha, m + 1, green=green)
+        scale = eps**1.5 if alpha == 2 else np.sqrt(eps)
+        e = e + scale * _envelope_sups(h, m, x1, n2, z1)
+    return e
 
 
 def _envelope_exponent(family: str, m: int) -> float:
@@ -244,31 +233,25 @@ def theorem_rate_table(eps_sweep=DEFAULT_EPS_SWEEP, m_values=(0, 1, 2),
     cache = cache or HierarchyCache()
     eps_sweep = sorted(eps_sweep, reverse=True)
     rows = []
-    for family in ("general", "symmetric"):
+    for family, (name, _) in FAMILIES.items():
         eps_d, cutoff = _DELTA_FIT[family]
         for m in m_values:
             pred_d = _envelope_exponent(family, m)
-            prof = cache.profile(
-                "asym-quadratic" if family == "general" else "sym-quadratic", eps_d)
+            prof = cache.profile(name, eps_d)
             x1 = np.geomspace(cutoff * np.sqrt(eps_d), prof.R / 2.0, n_x1)
             env = _envelope(cache, family, eps_d, m, x1, n2)
             fit_d = fit_decay_order(zip(prof.delta(x1), env))
-            rows.append({
-                "family": family, "m": m, "fit_kind": "delta",
-                "slope": fit_d.slope, "predicted": pred_d,
-                "tolerance": ENVELOPE_SLOPE_TOL, "r2": fit_d.r2,
-                "passed": abs(fit_d.slope - pred_d) <= ENVELOPE_SLOPE_TOL,
-            })
             pred_e = 0.5 + pred_d
             mags = []
             for eps in eps_sweep:
                 x_pt = np.array([R_EVAL * np.sqrt(eps)])
                 mags.append(float(_envelope(cache, family, eps, m, x_pt, n2)[0]))
             fit_e = fit_decay_order(zip(eps_sweep, mags), min_samples=5, min_decades=1.5)
-            rows.append({
-                "family": family, "m": m, "fit_kind": "eps",
-                "slope": fit_e.slope, "predicted": pred_e,
-                "tolerance": ENVELOPE_SLOPE_TOL, "r2": fit_e.r2,
-                "passed": abs(fit_e.slope - pred_e) <= ENVELOPE_SLOPE_TOL,
-            })
+            for kind, fit, pred in (("delta", fit_d, pred_d), ("eps", fit_e, pred_e)):
+                rows.append({
+                    "family": family, "m": m, "fit_kind": kind,
+                    "slope": fit.slope, "predicted": pred,
+                    "tolerance": ENVELOPE_SLOPE_TOL, "r2": fit.r2,
+                    "passed": abs(fit.slope - pred) <= ENVELOPE_SLOPE_TOL,
+                })
     return rows

@@ -71,7 +71,7 @@ def test_criterion_3_blowup_rates(cache):
           for e in vf.DEFAULT_EPS_SWEEP]
     devs = []
     for m in (0, 1, 2, 3):
-        row = vf.corrector_blowup_order(hs, m, 1)
+        row = vf.corrector_blowup_order(hs, m)
         devs.append(abs(row["fit"].slope - row["predicted"]))
     ok = all(d <= 0.05 for d in devs)
     _line(3, ok, "corrector blow-up slopes -(m+2)/2 for m in 0..3, "

@@ -13,10 +13,9 @@ from neckflow.correctors import (
     build_hierarchy,
     build_symmetric_green,
     extend,
-    green_kernel,
     verify_level,
 )
-from neckflow.fields import PolyField, sup_abs, trace
+from neckflow.fields import PolyField, eval_fields, fiber_x2, sup_abs, trace
 from neckflow.geometry import named_profile
 
 
@@ -173,14 +172,6 @@ def test_quartic_profiles_build_cleanly(cache, name):
             assert info["identity_rel"] < 1e-8
 
 
-def test_green_kernel_value():
-    p = named_profile("sym-quadratic", eps=0.01)
-    x1 = np.sqrt(0.01)  # delta = 0.02 there
-    assert green_kernel(p, x1, 0.0, 0.0) == pytest.approx(-0.005)
-    with pytest.raises(ValueError):
-        green_kernel(p, 0.0, 1.0, 0.0)
-
-
 def test_green_first_level(cache):
     h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
     p = h.profile
@@ -277,3 +268,32 @@ def test_dump_lists_each_node_once():
         else:
             assert set(ids) <= defined
     assert len(defined) == len(reachable)
+
+
+def test_eps_enters_the_construction_only_through_delta(monkeypatch):
+    # build on an eps=1e-2 profile whose gap-width node carries eps=1e-3: if
+    # delta is the only node that reads eps, the result is the eps=1e-3 build
+    def sample(profile, x1, x2):
+        out = []
+        for alpha in (1, 2, 3):
+            for lev in build_hierarchy(profile, alpha, 2).levels:
+                out += [a.tobytes() for a in eval_fields(
+                    [lev.v, lev.residual, lev.pressure], x1, x2)]
+        return out
+
+    target = named_profile("asym-quadratic", eps=1e-3)
+    x1 = np.linspace(-0.4, 0.4, 21)
+    x2 = fiber_x2(target, x1, 5)
+    expected = sample(target, x1, x2)
+
+    delta_coeff = ca.delta_coeff
+
+    def delta_at_target_eps(profile):
+        eps, profile.eps = profile.eps, target.eps
+        try:
+            return delta_coeff(profile)
+        finally:
+            profile.eps = eps
+
+    monkeypatch.setattr(ca, "delta_coeff", delta_at_target_eps)
+    assert sample(named_profile("asym-quadratic", eps=1e-2), x1, x2) == expected

@@ -159,6 +159,23 @@ def test_cli_stokes_solve(tmp_path, capsys):
     assert f"unknowns={66 * 34 + 67 * 33 + 65 * 32} lu_fill=" in out
 
 
+@pytest.mark.parametrize("flag", [["--m", "1"], ["--alpha", "1"], ["--format", "csv"]])
+def test_cli_stokes_solve_rejects_flags_it_does_not_read(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["stokes", "solve", "--profile", "sym-quadratic", "--eps", "1e-2",
+              "--n1", "33", "--n2", "32", "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_corrector_build_rejects_format(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corrector", "build", "--eps", "5e-2", "--format", "xml",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format xml" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [["--n1", "0"], ["--n1", "2"], ["--n1", "-5"],
                                  ["--n2", "16"], ["--level", "0"], ["--level", "9"]])
 def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, bad):

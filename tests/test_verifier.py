@@ -65,7 +65,7 @@ def test_blowup_orders_exact(cache):
     hs = [cache.get("sym-quadratic", e, 1, 1, green=True)
           for e in vf.DEFAULT_EPS_SWEEP]
     for m in (0, 1, 2, 3):
-        row = vf.corrector_blowup_order(hs, m, 1)
+        row = vf.corrector_blowup_order(hs, m)
         assert row["predicted"] == pytest.approx(-(m + 2) / 2)
         assert abs(row["fit"].slope - row["predicted"]) < 0.05
 
@@ -73,7 +73,7 @@ def test_blowup_orders_exact(cache):
 def test_blowup_point_inside_chart(cache):
     hs = [cache.get("sym-quadratic", 1e-2, 1, 1, green=True)]
     with pytest.raises(ValueError):
-        vf.corrector_blowup_order(hs, 0, 1, r_eval=20.0)
+        vf.corrector_blowup_order(hs, 0, r_eval=20.0)
 
 
 def test_pressure_deriv_fields(cache):
