@@ -88,7 +88,6 @@ def _num(v, spec: str) -> str:
 
 
 def _emit_report(report: RateReport, cfg: RunConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for fmt in cfg.formats:
         path = os.path.join(cfg.out_dir, f"rates-{report.config_digest}.{fmt}")
         sweeps.emit(report, fmt, path)
@@ -99,6 +98,8 @@ def cmd_corrector_build(args) -> int:
     cfg = _config_from_args(args, sweep=False)
     eps = cfg.eps[0]
     prof = cfg.load_profile(eps)
+    if args.dump:
+        os.makedirs(cfg.out_dir, exist_ok=True)
     for alpha in cfg.alphas:
         h = build_hierarchy(prof, alpha, cfg.m_max + 1)
         sups = [sup_abs(h.residual(l), n1=101, n2=17) for l in range(1, h.depth + 1)]
@@ -110,7 +111,6 @@ def cmd_corrector_build(args) -> int:
                   f"{sup_abs(hg.residual(), n1=101, n2=17):.3e}")
         if args.dump:
             path = os.path.join(cfg.out_dir, f"hierarchy-a{alpha}.sexp")
-            os.makedirs(cfg.out_dir, exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(h.dump_sexp())
             print(f"  wrote {path}")
@@ -119,6 +119,7 @@ def cmd_corrector_build(args) -> int:
 
 def cmd_corrector_verify(args) -> int:
     cfg = _config_from_args(args, sweep=False)
+    os.makedirs(cfg.out_dir, exist_ok=True)  # a bad --out fails before the sweep
     report = sweeps.run(RunConfig(
         profile=cfg.profile, alphas=cfg.alphas, m_max=cfg.m_max, eps=cfg.eps,
         out_dir=cfg.out_dir, formats=cfg.formats,
@@ -161,6 +162,7 @@ def cmd_stokes_solve(args) -> int:
 
 def cmd_sweep_rates(args) -> int:
     cfg = _config_from_args(args)
+    os.makedirs(cfg.out_dir, exist_ok=True)  # a bad --out fails before the sweep
     report = sweeps.run(cfg)
     n_fail = sum(not r.passed for r in report.rows)
     for r in report.rows:
@@ -237,10 +239,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:  # bad values, or unusable input/output paths
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,12 @@ one node.  Linear combinations collect identical subtrees, which is what makes
 the large algebraic cancellations of the constructions collapse exactly.
 Construction is single-threaded: interning and id allocation take no lock.
 
+The gap parameter eps is a leaf too, one per wall shape (``_Eps``, made by
+``delta_coeff`` as a summand of delta = eps + h1 + h2), and construction never
+reads its value.  A DAG built once therefore serves every eps of its shape
+(``NeckProfile.at``): eps is bound when the DAG is evaluated, and each
+integral keeps one panel table per eps it has been evaluated at.
+
 Storage: a sum ``c0 + sum(w * n)`` keeps its children and their weights in
 two parallel tuples, ``nodes`` and ``weights``; a product ``c * prod(n**e)``
 keeps ``nodes`` and ``exps``.  Both are sorted by node rank, with no
@@ -36,9 +42,10 @@ factor, both in stored order, with only exact identities skipped (no ``*1.0``
 and no ``**1``).  Each distinct power ``v**e`` (e != 1) is computed once per
 walk and kept in a power table keyed by (node, exponent).  The results are
 bit for bit those of the node-by-node recursion they replace.  An integral is
-a leaf of the walk: its panel table evaluates the integrand in walks of its
-own, ten times tighter than its own tolerance.  Public evaluation has one
-tolerance, ``QUAD_TOL``.
+a leaf of the walk: its panel table at the walk's eps evaluates the integrand
+in walks of its own at that eps, ten times tighter than its own tolerance.
+Public evaluation has one tolerance, ``QUAD_TOL``, and takes an optional eps
+(``eval_many``).
 """
 
 from __future__ import annotations
@@ -179,8 +186,8 @@ class Coeff:
         return self._diff_impl()
         yield  # never reached: makes this a generator that needs no child
 
-    def eval(self, x1):
-        return eval_many([self], x1)[0]
+    def eval(self, x1, eps: float | None = None):
+        return eval_many([self], x1, eps)[0]
 
     def sexp(self) -> str:
         return self._sexp(sys.maxsize)
@@ -234,7 +241,7 @@ class _Const(Coeff):
     def _diff_impl(self):
         return const(0.0)
 
-    def _eval_impl(self, x, tol):
+    def _eval_impl(self, x, tol, eps):
         return self.value
 
     def _text(self):
@@ -247,11 +254,27 @@ class _X1(Coeff):
     def _diff_impl(self):
         return const(1.0)
 
-    def _eval_impl(self, x, tol):
+    def _eval_impl(self, x, tol, eps):
         return x
 
     def _text(self):
         return "x1"
+
+
+class _Eps(Coeff):
+    """The gap parameter eps of a wall shape: one leaf per shape, valued at
+    each evaluation by the eps that evaluation binds."""
+
+    __slots__ = ()
+
+    def _diff_impl(self):
+        return const(0.0)
+
+    def _eval_impl(self, x, tol, eps):
+        return eps
+
+    def _text(self):
+        return "eps"
 
 
 class _ProfileDeriv(Coeff):
@@ -260,7 +283,7 @@ class _ProfileDeriv(Coeff):
     def _diff_impl(self):
         return profile_deriv(self.profile, self.wall, self.order + 1)
 
-    def _eval_impl(self, x, tol):
+    def _eval_impl(self, x, tol, eps):
         if self.order > self.profile.M:
             raise CapabilityError(
                 f"wall derivative order {self.order} exceeds the profile cap M={self.profile.M}"
@@ -349,18 +372,18 @@ class _Prod(Coeff):
 
 
 class _Antideriv(Coeff):
-    """int_lower^{x1} integrand(y) dy, evaluated by panelized quadrature."""
+    """int_lower^{x1} integrand(y) dy, evaluated by panelized quadrature:
+    one panel table per eps, kept in ``_tables``."""
 
-    __slots__ = ("lower", "integrand", "_table")
+    __slots__ = ("lower", "integrand", "_tables")
 
     def _diff_impl(self):
         return self.integrand
 
-    def _eval_impl(self, x, tol):
-        table = self._table
+    def _eval_impl(self, x, tol, eps):
+        table = self._tables.get(eps)
         if table is None or table.tol > max(tol, _PanelTable.TOL_FLOOR):
-            table = _PanelTable(self, tol)
-            self._table = table
+            table = self._tables[eps] = _PanelTable.at_eps(self, tol, eps)
         return table.value_at(x)
 
     def _sexp_steps(self, room):
@@ -378,7 +401,7 @@ def _intern(profile, key, cls, **fields):
         node = cls.__new__(cls)
         for name, value in fields.items():
             setattr(node, name, value)
-        node._register(profile)
+        node._register(None if profile is None else profile._owner)
         table[key] = node
     return node
 
@@ -524,7 +547,7 @@ def antideriv(lower: float, integrand) -> Coeff:
         # exact: int_a^x c dy = c*(x - a)
         return lin([(X1, integrand.value)], -integrand.value * lower)
     return _intern(integrand.profile, ("a", lower, integrand._id), _Antideriv,
-                   lower=lower, integrand=integrand, _table=None)
+                   lower=lower, integrand=integrand, _tables={})
 
 
 def _is_positive(root) -> bool:
@@ -573,14 +596,14 @@ def register_positive(node: Coeff):
 
 
 def delta_coeff(profile: NeckProfile) -> Coeff:
-    """The gap width eps + h1 + h2 as a node, certified positive: the one
-    node that reads eps; every other eps dependence is built from it."""
-    d = lin(
-        [(profile_deriv(profile, 1, 0), 1.0), (profile_deriv(profile, 2, 0), 1.0)],
-        profile.eps,
-    )
-    if isinstance(d, _Sum):
-        register_positive(d)
+    """The gap width eps + h1 + h2 as a node, certified positive.  eps is the
+    shape's one eps leaf, valued at evaluation, so the node is the same at
+    every eps; every other eps dependence is built from it."""
+    eps = _intern(profile, ("eps",), _Eps)
+    register_positive(eps)
+    d = lin([(eps, 1.0), (profile_deriv(profile, 1, 0), 1.0),
+             (profile_deriv(profile, 2, 0), 1.0)])
+    register_positive(d)
     return d
 
 
@@ -628,9 +651,9 @@ def _post_order(roots, seen: set, integrands: bool = False) -> list:
     return order
 
 
-def _walk(roots, x: np.ndarray, tol) -> list:
-    """Values of ``roots`` at ``x`` from one post-order walk with one memo;
-    integrals are evaluated to quadrature tolerance ``tol``."""
+def _walk(roots, x: np.ndarray, tol, eps) -> list:
+    """Values of ``roots`` at ``x`` and gap ``eps`` from one post-order walk
+    with one memo; integrals are evaluated to quadrature tolerance ``tol``."""
     roots = list(roots)
     # a sum or product keeps the type the np.full-seeded recursion gave it
     # (an x-shaped array, or a float64 scalar for 0-d x), even where every
@@ -661,7 +684,7 @@ def _walk(roots, x: np.ndarray, tol) -> list:
                 v = memo[t]
                 out = out + (v if c == 1.0 else c * v)
         else:
-            memo[node] = node._eval_impl(x, tol)
+            memo[node] = node._eval_impl(x, tol, eps)
             continue
         if out.__class__ is not kind:
             out = np.full(shape, out) if shape else np.float64(out)
@@ -672,16 +695,35 @@ def _walk(roots, x: np.ndarray, tol) -> list:
 # -- public operation wrappers ----------------------------------------------
 
 
-def coeff_eval(c: Coeff, x1):
-    """Evaluate at x1 (scalar or array) with quadrature error <= QUAD_TOL per node."""
-    return c.eval(x1)
+def coeff_eval(c: Coeff, x1, eps: float | None = None):
+    """Evaluate at x1 (scalar or array) and gap eps with quadrature error
+    <= QUAD_TOL per node; see ``eval_many`` for the default eps."""
+    return c.eval(x1, eps)
 
 
-def eval_many(nodes, x1) -> list:
-    """Evaluate several nodes over one x1 array in one walk with one memo."""
+def _owner_eps(nodes):
+    """The eps an evaluation without one binds: that of the wall shape the
+    nodes were built on, unless the shape has been rebound with ``at``."""
+    for n in nodes:
+        prof = n.profile
+        if prof is not None:
+            if prof._rebound:
+                raise ValueError(f"profile {prof.name!r} is in use at several eps; "
+                                 "pass the eps to evaluate at")
+            return prof.eps
+    return None
+
+
+def eval_many(nodes, x1, eps: float | None = None) -> list:
+    """Evaluate several nodes over one x1 array at gap ``eps`` in one walk
+    with one memo.  Without ``eps``, the eps of the profile the nodes were
+    built on, which must not have been rebound with ``NeckProfile.at``."""
+    nodes = list(nodes)
     arr = np.asarray(x1, dtype=float)
+    if eps is None:
+        eps = _owner_eps(nodes)
     out = []
-    for v in _walk(nodes, arr, QUAD_TOL):
+    for v in _walk(nodes, arr, QUAD_TOL, eps):
         v = np.broadcast_to(np.asarray(v, dtype=float), arr.shape)
         out.append(np.array(v) if arr.ndim else float(v))
     return out
@@ -753,6 +795,15 @@ class _PanelTable:
     # the Gauss/Kronrod difference and would refine forever
     TOL_FLOOR = 1e-13
 
+    @classmethod
+    def at_eps(cls, node: _Antideriv, tol: float, eps) -> "_PanelTable":
+        """The table of ``node`` at gap ``eps``; ``__init__`` keeps the
+        signature (node, tol) and reads the eps its walks bind from here."""
+        table = cls.__new__(cls)
+        table.eps = eps
+        table.__init__(node, tol)
+        return table
+
     def __init__(self, node: _Antideriv, tol: float):
         self.tol = max(tol, self.TOL_FLOOR)
         self.node = node
@@ -770,7 +821,7 @@ class _PanelTable:
         hi = np.asarray(hi, dtype=float)
         half = 0.5 * (hi - lo)
         xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES[None, :]
-        ys = np.broadcast_to(_walk([f], xs, self.inner_tol)[0], xs.shape)
+        ys = np.broadcast_to(_walk([f], xs, self.inner_tol, self.eps)[0], xs.shape)
         ik = half * (ys @ _GK_WK)
         ig = half * (ys @ _GK_WG)
         err = (200.0 * np.abs(ik - ig)) ** 1.5

@@ -96,6 +96,12 @@ class CorrectorLevel:
     residual: VectorField2  # cumulative: mu*Lap(sum v) - grad(sum p) through this level
     split: tuple = field(default=None, repr=False)  # mode-specific recursion state
 
+    def at(self, profile: NeckProfile) -> "CorrectorLevel":
+        """This level with every field bound to ``profile`` (same shape)."""
+        split = self.split and tuple(f.at(profile) for f in self.split)
+        return CorrectorLevel(self.alpha, self.level, self.v.at(profile),
+                              self.pressure.at(profile), self.residual.at(profile), split)
+
 
 @dataclass
 class CorrectorHierarchy:
@@ -124,6 +130,13 @@ class CorrectorHierarchy:
         """Levels 1..upto (all by default) of one part, summed in level order."""
         first, *rest = [getattr(lev, part) for lev in self.levels[:upto or self.depth]]
         return sum(rest, first)
+
+    def at(self, profile: NeckProfile) -> "CorrectorHierarchy":
+        """The same levels read at ``profile``, this wall shape at another eps
+        (``NeckProfile.at``): the construction never reads eps, so the
+        levels are the ones a build at that eps would make."""
+        return CorrectorHierarchy(profile, self.alpha,
+                                  [lev.at(profile) for lev in self.levels], self.green)
 
     def extend_to(self, depth: int) -> "CorrectorHierarchy":
         while self.depth < depth:
@@ -491,7 +504,7 @@ def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
         top_err = [trace(lev.v.u1, "top"), trace(lev.v.u2, "top")]
     bot_err = [trace(lev.v.u1, "bottom"), trace(lev.v.u2, "bottom")]
     out["trace_sup"] = max(
-        float(np.max(np.abs(v))) for v in ca.eval_many(top_err + bot_err, xs)
+        float(np.max(np.abs(v))) for v in ca.eval_many(top_err + bot_err, xs, profile.eps)
     )
 
     out["degrees"] = (lev.residual.u1.degree, lev.residual.u2.degree)

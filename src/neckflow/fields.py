@@ -119,6 +119,11 @@ class PolyField:
             out = out * g + c
         return out
 
+    def at(self, profile: NeckProfile) -> "PolyField":
+        """The same coefficients bound to ``profile``, the same wall shape at
+        another eps (``NeckProfile.at``); no node is made."""
+        return PolyField(profile, self.coeffs)
+
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, x1, x2):
@@ -202,6 +207,9 @@ class VectorField2:
             self.u2.partial_x1(2) + self.u2.partial_x2(2),
         )
 
+    def at(self, profile: NeckProfile) -> "VectorField2":
+        return VectorField2(self.u1.at(profile), self.u2.at(profile))
+
     def eval(self, x1, x2):
         return tuple(eval_fields(self, x1, x2))
 
@@ -253,9 +261,11 @@ def eval_fields(fields, x1, x2) -> list[np.ndarray]:
     """Evaluate several fields over one grid with a single shared DAG pass.
 
     ``x2`` with one more trailing axis than ``x1`` is interpreted as
-    per-fiber samples: coefficients are evaluated once per x1 entry.
+    per-fiber samples: coefficients are evaluated once per x1 entry.  The
+    coefficients are evaluated at the eps of the first field's profile.
     """
     fields = _flatten(fields)
+    eps = fields[0].profile.eps if fields else None
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     expand = x2.ndim > x1.ndim
@@ -264,7 +274,7 @@ def eval_fields(fields, x1, x2) -> list[np.ndarray]:
     for f in fields:
         spans.append((len(all_coeffs), len(f.coeffs)))
         all_coeffs.extend(f.coeffs)
-    vals = ca.eval_many(all_coeffs, x1)
+    vals = ca.eval_many(all_coeffs, x1, eps)
     shape = np.broadcast_shapes(np.shape(x1[..., None] if expand else x1), x2.shape)
     out = []
     for start, n in spans:

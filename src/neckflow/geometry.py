@@ -89,6 +89,11 @@ class NeckProfile:
     ``M`` caps the wall-derivative order the coefficient algebra may request;
     polynomial profiles are smooth, so the cap mirrors a declared regularity
     rather than a computational limit.
+
+    The wall shape (everything but eps) owns the coefficient intern table and
+    the set of nodes known positive.  ``at(eps)`` gives the same shape at
+    another eps, sharing both, so coefficients built on one are the
+    coefficients of all; nodes are registered on the shape's ``_owner``.
     """
 
     eps: float
@@ -103,8 +108,11 @@ class NeckProfile:
     symmetric: bool = field(init=False)
     _intern: dict = field(init=False, repr=False, default_factory=dict)
     _positive_ids: set = field(init=False, repr=False, default_factory=set)
+    _owner: "NeckProfile" = field(init=False, repr=False, default=None)
+    _rebound: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
+        self._owner = self
         if not (self.eps > 0 and self.R > 0 and self.mu > 0):
             raise ValueError("eps, R, mu must be positive")
         if self.M < 1:
@@ -134,6 +142,19 @@ class NeckProfile:
             raise ValueError(
                 f"h1 + h2 >= kappa*x1^2 fails: observed {kappa_obs:.6g} < {self.kappa:.6g}"
             )
+
+    def at(self, eps: float) -> "NeckProfile":
+        """This wall shape at gap ``eps`` (validated), sharing the shape's
+        intern table and positive-node set.  Afterwards an evaluation of the
+        shape's coefficients must name its eps (see ``coeffs.eval_many``)."""
+        owner = self._owner
+        other = NeckProfile(eps=eps, h1=owner.h1, h2=owner.h2, R=owner.R, mu=owner.mu,
+                            kappa=owner.kappa, M=owner.M, name=owner.name)
+        other._intern = owner._intern
+        other._positive_ids = owner._positive_ids
+        other._owner = owner
+        owner._rebound = True
+        return other
 
     # -- wall data ------------------------------------------------------
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .correctors import CorrectorHierarchy, build_hierarchy, build_symmetric_green
 from .fields import deriv_fields, fiber_sup, fiber_x2
-from .geometry import NeckProfile, named_profile
+from .geometry import NAMED_PROFILES, NeckProfile, named_profile, profile_from_json
 
 __all__ = [
     "ConfigError",
@@ -135,7 +135,6 @@ def corrector_blowup_order(hierarchies, m: int, r_eval: float = R_EVAL) -> dict:
 
 def load_profile(spec: str, eps: float) -> NeckProfile:
     """Resolve a profile given a built-in name or a JSON document path."""
-    from .geometry import NAMED_PROFILES, profile_from_json
     if spec in NAMED_PROFILES:
         return named_profile(spec, eps=eps)
     import json
@@ -151,28 +150,53 @@ def load_profile(spec: str, eps: float) -> NeckProfile:
 
 
 class HierarchyCache:
-    """Build-once store for hierarchies keyed by (profile, eps, alpha, green)."""
+    """Build-once store of hierarchies.
+
+    The construction sees eps only through the shape's eps leaf, so one
+    hierarchy per (profile, alpha, green) serves every eps: it is built at
+    the first eps asked for, extended to the deepest level asked for, and
+    read at each eps through ``CorrectorHierarchy.at``.  Each profile name is
+    loaded once; other eps are ``NeckProfile.at`` of it.  ``get`` returns the
+    eps-bound view, kept per (profile, eps, alpha, green).
+    """
 
     def __init__(self):
+        self._shapes: dict = {}
         self._profiles: dict = {}
+        self._shared: dict = {}
         self._hier: dict = {}
 
     def profile(self, name: str, eps: float) -> NeckProfile:
         key = (name, eps)
-        if key not in self._profiles:
-            self._profiles[key] = load_profile(name, eps)
-        return self._profiles[key]
+        prof = self._profiles.get(key)
+        if prof is not None:
+            return prof
+        shape = self._shapes.get(name)
+        if shape is None:
+            prof = self._shapes[name] = load_profile(name, eps)
+        else:
+            try:
+                prof = shape.at(eps)
+            except ValueError as exc:  # as load_profile: files give config errors
+                if name in NAMED_PROFILES:
+                    raise
+                raise ConfigError(f"profile {name}: {exc}") from None
+        self._profiles[key] = prof
+        return prof
 
     def get(self, name: str, eps: float, alpha: int, levels: int,
             green: bool = False) -> CorrectorHierarchy:
         key = (name, eps, alpha, green)
         h = self._hier.get(key)
-        if h is None:
+        if h is None or h.depth < levels:
             profile = self.profile(name, eps)
-            h = (build_symmetric_green(profile, levels) if green
-                 else build_hierarchy(profile, alpha, levels))
-            self._hier[key] = h
-        return h.extend_to(levels)
+            base = self._shared.get((name, alpha, green))
+            if base is None:
+                base = (build_symmetric_green(profile, levels) if green
+                        else build_hierarchy(profile, alpha, levels))
+                self._shared[(name, alpha, green)] = base
+            h = self._hier[key] = base.extend_to(levels).at(profile)
+        return h
 
 
 # envelope families: profile, then (alpha, green) per member hierarchy.  The

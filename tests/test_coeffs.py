@@ -63,8 +63,8 @@ def test_corrector_coefficients_diff_property(cache, rng):
     coeffs = list(h.residual(2).u1.coeffs) + list(h.level(2).v.u2.coeffs)
     for c in coeffs:
         dc = ca.coeff_diff(c)
-        fd = (ca.coeff_eval(c, xs + step) - ca.coeff_eval(c, xs - step)) / (2 * step)
-        got = ca.coeff_eval(dc, xs)
+        fd = (ca.coeff_eval(c, xs + step, p.eps) - ca.coeff_eval(c, xs - step, p.eps)) / (2 * step)
+        got = ca.coeff_eval(dc, xs, p.eps)
         scale = np.maximum(np.max(np.abs(fd)), 1e-8)
         assert np.max(np.abs(got - fd)) / scale < 1e-5
 
@@ -121,27 +121,28 @@ def test_quadrature_failure_is_diagnosed(monkeypatch):
     assert "int" in str(err.value)  # the offending node path is reported
 
 
-def _reference_eval(node, x, tol, memo):
-    """The node-by-node recursion the evaluation walk replaced."""
+def _reference_eval(node, x, tol, eps, memo):
+    """The node-by-node recursion the evaluation walk replaced; leaves (the
+    eps leaf and integrals included) are evaluated at gap ``eps``."""
     v = memo.get(node._id)
     if v is None:
         if isinstance(node, ca._Sum):
             v = np.full(x.shape, node.c0)
             for t, c in zip(node.nodes, node.weights):
-                v = v + c * _reference_eval(t, x, tol, memo)
+                v = v + c * _reference_eval(t, x, tol, eps, memo)
         elif isinstance(node, ca._Prod):
             v = np.full(x.shape, node.c)
             for t, e in zip(node.nodes, node.exps):
-                v = v * _reference_eval(t, x, tol, memo) ** e
+                v = v * _reference_eval(t, x, tol, eps, memo) ** e
         else:
-            v = node._eval_impl(x, tol)
+            v = node._eval_impl(x, tol, eps)
         memo[node._id] = v
     return np.array(np.broadcast_to(np.asarray(v, dtype=float), x.shape))
 
 
 def test_walk_matches_recursive_reference_bitwise(cache):
     h = cache.get("asym-quadratic", 1e-3, 2, 2)
-    r = h.profile.R
+    r, eps = h.profile.R, h.profile.eps
     nodes = []
     for l in (1, 2):
         lev = h.level(l)
@@ -154,9 +155,9 @@ def test_walk_matches_recursive_reference_bitwise(cache):
              np.array([-0.5 * r, 0.0, 0.5 * r]), np.array([0.3 * r]), np.asarray(0.0))
     for xs in grids:
         memo: dict = {}
-        want = [_reference_eval(n, xs, ca.QUAD_TOL, memo) for n in nodes]
-        got = [np.asarray(v) for v in ca.eval_many(nodes, xs)]
-        one = [np.asarray(n.eval(xs)) for n in nodes]
+        want = [_reference_eval(n, xs, ca.QUAD_TOL, eps, memo) for n in nodes]
+        got = [np.asarray(v) for v in ca.eval_many(nodes, xs, eps)]
+        one = [np.asarray(n.eval(xs, eps)) for n in nodes]
         for w, g, o in zip(want, got, one):
             assert np.array_equal(w, g) and np.array_equal(w, o)
             assert w.tobytes() == g.tobytes() == o.tobytes()  # signed zeros too
@@ -169,9 +170,9 @@ def test_walk_keeps_the_value_types_of_the_recursion():
     p = asym()
     s = ca.antideriv(0.0, ca.delta_coeff(p)) + ca.antideriv(0.0, ca.delta_coeff(p) * ca.X1)
     for xs, kind in ((np.array([0.3]), np.ndarray), (np.asarray(0.3), np.float64)):
-        vals = ca._walk([s, s**2], xs, ca.QUAD_TOL)
+        vals = ca._walk([s, s**2], xs, ca.QUAD_TOL, p.eps)
         assert [type(v) for v in vals] == [kind, kind]
-        want = _reference_eval(s**2, xs, ca.QUAD_TOL, {})
+        want = _reference_eval(s**2, xs, ca.QUAD_TOL, p.eps, {})
         assert np.asarray(vals[1]).tobytes() == want.tobytes()
 
 
@@ -307,3 +308,25 @@ def test_positivity_check_is_linear_in_the_dag(src_env):
     seconds, exps = out.stdout.split(maxsplit=1)
     assert float(seconds) < 5.0 and exps.strip() == "(-1,)"
 
+
+
+def test_eps_leaf_is_bound_at_evaluation():
+    p = asym(0.01)
+    d = ca.delta_coeff(p)
+    assert "eps" in ca.to_sexp(d)
+    assert ca.coeff_diff(d) is ca.coeff_diff(ca.profile_deriv(p, 1, 0) + ca.profile_deriv(p, 2, 0))
+    g = ca.antideriv(0.0, ca.mul_pow([(d, -1)]))
+    # without an eps, the profile's own; with one, that eps
+    assert ca.coeff_eval(d, 0.2) == pytest.approx(0.01 + 1.5 * 0.04)
+    assert ca.coeff_eval(d, 0.2, 1e-3) == pytest.approx(1e-3 + 1.5 * 0.04)
+    want = ca.coeff_eval(g, 0.2)
+    q = p.at(1e-3)
+    assert ca.delta_coeff(q) is d
+    # once the shape is in use at another eps, an evaluation must name its eps
+    for call in (lambda: ca.coeff_eval(g, 0.2), lambda: d.eval(0.2),
+                 lambda: ca.eval_many([ca.X1, d], 0.2)):
+        with pytest.raises(ValueError, match="pass the eps"):
+            call()
+    assert ca.coeff_eval(g, 0.2, 0.01) == want
+    assert ca.coeff_eval(g, 0.2, 1e-3) > want  # a narrower gap
+    assert ca.coeff_eval(ca.X1 * 2.0, 0.2) == 0.4  # profile-free nodes need none

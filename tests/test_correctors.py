@@ -120,9 +120,9 @@ def test_level2_golden_coefficients(cache):
     assert v2.u1.degree == 3 and v2.u2.degree == 4
     for x1, want in GOLDEN_LEVEL2.items():
         d2 = p.delta(x1) ** 2
-        f12_1 = float(ca.coeff_eval(v2.u1.coeffs[3], x1)) * d2
-        f22_2 = float(ca.coeff_eval(v2.u2.coeffs[4], x1)) * d2
-        f22_0 = -4.0 * float(ca.coeff_eval(v2.u2.coeffs[0], x1))
+        f12_1 = float(ca.coeff_eval(v2.u1.coeffs[3], x1, p.eps)) * d2
+        f22_2 = float(ca.coeff_eval(v2.u2.coeffs[4], x1, p.eps)) * d2
+        f22_0 = -4.0 * float(ca.coeff_eval(v2.u2.coeffs[0], x1, p.eps))
         assert f12_1 == pytest.approx(want["F12_1"], rel=1e-12, abs=1e-13)
         assert f22_2 == pytest.approx(want["F22_2"], rel=1e-12, abs=1e-13)
         assert f22_0 == pytest.approx(want["F22_0"], rel=1e-12, abs=1e-13)
@@ -137,7 +137,7 @@ def test_mode2_golden_rows(cache):
     u1 = h.level(1).v.u1
     for x1 in (0.1, 0.2):
         d = p.delta(x1)
-        f11_2 = float(ca.coeff_eval(u1.coeffs[4], x1)) * d * d
+        f11_2 = float(ca.coeff_eval(u1.coeffs[4], x1, p.eps)) * d * d
         assert f11_2 == pytest.approx((18 * x1 * d - 48 * x1**3) / d**3, rel=1e-12)
         # at the midline k = 0: u1 = -(F + F11^0 + F~11)/4
         u1_mid = float(u1.eval(np.asarray(x1), 0.0))
@@ -270,13 +270,13 @@ def test_dump_lists_each_node_once():
     assert len(defined) == len(reachable)
 
 
-def test_eps_enters_the_construction_only_through_delta(monkeypatch):
-    # build on an eps=1e-2 profile whose gap-width node carries eps=1e-3: if
-    # delta is the only node that reads eps, the result is the eps=1e-3 build
-    def sample(profile, x1, x2):
+def test_a_hierarchy_read_at_another_eps_is_the_build_at_that_eps():
+    # the construction sees eps only through the shape's eps leaf, so levels
+    # built at eps=1e-2 and read at 1e-3 are bytewise an eps=1e-3 build
+    def sample(hierarchies, x1, x2):
         out = []
-        for alpha in (1, 2, 3):
-            for lev in build_hierarchy(profile, alpha, 2).levels:
+        for h in hierarchies:
+            for lev in h.levels:
                 out += [a.tobytes() for a in eval_fields(
                     [lev.v, lev.residual, lev.pressure], x1, x2)]
         return out
@@ -284,16 +284,12 @@ def test_eps_enters_the_construction_only_through_delta(monkeypatch):
     target = named_profile("asym-quadratic", eps=1e-3)
     x1 = np.linspace(-0.4, 0.4, 21)
     x2 = fiber_x2(target, x1, 5)
-    expected = sample(target, x1, x2)
+    expected = sample([build_hierarchy(target, alpha, 2) for alpha in (1, 2, 3)], x1, x2)
 
-    delta_coeff = ca.delta_coeff
-
-    def delta_at_target_eps(profile):
-        eps, profile.eps = profile.eps, target.eps
-        try:
-            return delta_coeff(profile)
-        finally:
-            profile.eps = eps
-
-    monkeypatch.setattr(ca, "delta_coeff", delta_at_target_eps)
-    assert sample(named_profile("asym-quadratic", eps=1e-2), x1, x2) == expected
+    profile = named_profile("asym-quadratic", eps=1e-2)
+    built = [build_hierarchy(profile, alpha, 2) for alpha in (1, 2, 3)]
+    at = profile.at(1e-3)
+    views = [h.at(at) for h in built]
+    assert all(v.profile is at and v.levels[0].v.u1.coeffs == h.levels[0].v.u1.coeffs
+               for v, h in zip(views, built))
+    assert sample(views, x1, x2) == expected

@@ -137,3 +137,21 @@ def test_profile_json_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     p2 = profile_from_json(json.loads(path.read_text()))
     assert p2.h1 == p.h1
+
+
+def test_at_rebinds_eps_and_shares_the_shape():
+    p = asym(0.01)
+    q = p.at(1e-3)
+    assert q.eps == 1e-3 and p.eps == 0.01
+    assert (q.h1, q.h2, q.R, q.mu, q.M, q.kappa, q.name) == (p.h1, p.h2, p.R, p.mu, p.M,
+                                                              p.kappa, p.name)
+    assert q._intern is p._intern and q._positive_ids is p._positive_ids
+    assert q.at(1e-4)._owner is p
+    assert q.delta(0.1) == pytest.approx(1e-3 + 1.5 * 0.01)
+    assert asym(0.01)._intern is not p._intern  # named_profile: a fresh shape
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3])
+def test_at_rejects_a_non_positive_eps(eps):
+    with pytest.raises(ValueError):
+        asym().at(eps)

@@ -239,3 +239,33 @@ def test_malformed_json_inputs_are_config_errors(tmp_path, capsys, argv, text):
     subs = {"{path}": str(path), "{out}": str(tmp_path / "out")}
     assert main([subs.get(a, a) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _no_sweep(_cfg):
+    raise AssertionError("the sweep ran before its output directory was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "rates", "--profile", "sym-quadratic", "--alpha", "1", "--m", "1",
+     "--out", "{file}"],
+    ["corrector", "verify", "--profile", "sym-quadratic", "--alpha", "1", "--m", "1",
+     "--eps", "1e-2", "--out", "{file}/sub"],
+    ["corrector", "build", "--profile", "sym-quadratic", "--alpha", "1", "--m", "0",
+     "--eps", "5e-2", "--dump", "--out", "{file}"],
+    ["report", "emit", "--input", "{report}", "--output", "{dir}"],
+], ids=["sweep-out-is-a-file", "verify-out-below-a-file", "build-dump-out-is-a-file",
+        "emit-output-is-a-directory"])
+def test_unusable_output_paths_are_config_errors(tmp_path, capsys, monkeypatch, argv):
+    # each ended in a traceback (FileExistsError, NotADirectoryError,
+    # FileExistsError, IsADirectoryError); the sweeps did so only after the
+    # whole sweep had run
+    import neckflow.cli as cli_mod
+    monkeypatch.setattr(cli_mod.sweeps, "run", _no_sweep)
+    file = tmp_path / "taken"
+    file.write_text("")
+    report = tmp_path / "report.json"
+    report.write_text(emit(RateReport("x"), "json"))
+    for key, path in (("{file}", file), ("{report}", report), ("{dir}", tmp_path)):
+        argv = [a.replace(key, str(path)) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -89,3 +89,26 @@ def test_pressure_deriv_fields(cache):
     no_pure = PolyField(p.profile, [0.0, *p.coeffs[1:]])
     assert fields2[0].coeffs == no_pure.partial_x2(2).coeffs
     assert fields2[2].coeffs[0] is ca.coeff_diff(ca.coeff_diff(p.coeffs[0]))
+
+
+def test_cache_builds_each_hierarchy_once_for_every_eps(monkeypatch):
+    built = []
+    for name in ("build_hierarchy", "build_symmetric_green"):
+        real = getattr(vf, name)
+        monkeypatch.setattr(vf, name, lambda profile, *a, real=real, name=name:
+                            built.append((name, *a)) or real(profile, *a))
+    cache = vf.HierarchyCache()
+    for eps in vf.DEFAULT_EPS_SWEEP:
+        for alpha, green in ((1, False), (2, False), (1, True)):
+            h = cache.get("sym-quadratic", eps, alpha, 1, green=green)
+            assert h.profile.eps == eps and h.alpha == alpha and h.green == green
+            assert cache.get("sym-quadratic", eps, alpha, 1, green=green) is h
+    # (alpha, levels) of each build_hierarchy call, (levels,) of the Green one
+    assert sorted(built) == [("build_hierarchy", 1, 1), ("build_hierarchy", 2, 1),
+                             ("build_symmetric_green", 1)]
+    # deeper levels extend the one shared hierarchy
+    h = cache.get("sym-quadratic", 1e-4, 1, 2)
+    assert h.depth == 2 and h.profile.eps == 1e-4 and len(built) == 3
+    assert h.level(2).v.u1.coeffs == cache.get("sym-quadratic", 1e-2, 1, 2).level(2).v.u1.coeffs
+    assert len({id(cache.profile("sym-quadratic", e)._intern)
+                for e in vf.DEFAULT_EPS_SWEEP}) == 1
