@@ -16,7 +16,11 @@ The gap parameter eps is a leaf too, one per wall shape (``_Eps``, made by
 ``delta_coeff`` as a summand of delta = eps + h1 + h2), and construction never
 reads its value.  A DAG built once therefore serves every eps of its shape
 (``NeckProfile.at``): eps is bound when the DAG is evaluated, and each
-integral keeps one panel table per eps it has been evaluated at.
+integral keeps one panel table per eps it has been evaluated at.  eps is a
+coordinate of the evaluation point, like x1: an evaluation binds one float,
+or an array of x1's shape with one eps per point, so a single walk covers
+points of several eps.  The eps leaf is then that array, and an integral
+queries each distinct eps's table at the points of that eps.
 
 Storage: a sum ``c0 + sum(w * n)`` keeps its children and their weights in
 two parallel tuples, ``nodes`` and ``weights``; a product ``c * prod(n**e)``
@@ -40,12 +44,14 @@ memo, so a DAG of any depth needs no deep Python recursion.  A sum is
 ``c0 + c*v`` term by term and a product ``c * v1**e1 * v2**e2 ...`` factor by
 factor, both in stored order, with only exact identities skipped (no ``*1.0``
 and no ``**1``).  Each distinct power ``v**e`` (e != 1) is computed once per
-walk and kept in a power table keyed by (node, exponent).  The results are
-bit for bit those of the node-by-node recursion they replace.  An integral is
-a leaf of the walk: its panel table at the walk's eps evaluates the integrand
-in walks of its own at that eps, ten times tighter than its own tolerance.
-Public evaluation has one tolerance, ``QUAD_TOL``, and takes an optional eps
-(``eval_many``).
+walk and kept in a power table per node.  The walk frees as it goes: the
+listing pass counts how often each node is reached, and a value leaves the
+memo, with its powers, once its last parent has read it; the roots stay.
+The results are bit for bit those of the node-by-node recursion they
+replace.  An integral is a leaf of the walk: its panel table at an eps
+evaluates the integrand in walks of its own at that eps, ten times tighter
+than its own tolerance.  Public evaluation has one tolerance, ``QUAD_TOL``,
+and takes an optional eps, checked finite and positive (``eval_many``).
 """
 
 from __future__ import annotations
@@ -186,7 +192,7 @@ class Coeff:
         return self._diff_impl()
         yield  # never reached: makes this a generator that needs no child
 
-    def eval(self, x1, eps: float | None = None):
+    def eval(self, x1, eps=None):
         return eval_many([self], x1, eps)[0]
 
     def sexp(self) -> str:
@@ -263,7 +269,8 @@ class _X1(Coeff):
 
 class _Eps(Coeff):
     """The gap parameter eps of a wall shape: one leaf per shape, valued at
-    each evaluation by the eps that evaluation binds."""
+    each evaluation by the eps that evaluation binds (a float, or an array
+    with one eps per point)."""
 
     __slots__ = ()
 
@@ -373,7 +380,8 @@ class _Prod(Coeff):
 
 class _Antideriv(Coeff):
     """int_lower^{x1} integrand(y) dy, evaluated by panelized quadrature:
-    one panel table per eps, kept in ``_tables``."""
+    one panel table per eps, kept in ``_tables``; an evaluation with one eps
+    per point queries each distinct eps's table at its own points."""
 
     __slots__ = ("lower", "integrand", "_tables")
 
@@ -381,10 +389,25 @@ class _Antideriv(Coeff):
         return self.integrand
 
     def _eval_impl(self, x, tol, eps):
+        if eps.__class__ is not np.ndarray:
+            return self._table(tol, eps).value_at(x)
+        # one eps per point: each distinct eps through its own table
+        vals, inv = np.unique(eps, return_inverse=True)
+        vals = vals.tolist()
+        if len(vals) == 1:  # the value, and its type, of a float eps
+            return self._table(tol, vals[0]).value_at(x)
+        inv = inv.reshape(eps.shape)
+        out = np.empty(x.shape)
+        for i, e in enumerate(vals):
+            at = inv == i
+            out[at] = self._table(tol, e).value_at(x[at])
+        return out
+
+    def _table(self, tol, eps):
         table = self._tables.get(eps)
         if table is None or table.tol > max(tol, _PanelTable.TOL_FLOOR):
             table = self._tables[eps] = _PanelTable.at_eps(self, tol, eps)
-        return table.value_at(x)
+        return table
 
     def _sexp_steps(self, room):
         head = f"(int {self.lower!r} "
@@ -621,11 +644,13 @@ def q4_coeff(profile: NeckProfile) -> Coeff:
 _DONE = object()
 
 
-def _post_order(roots, seen: set, integrands: bool = False) -> list:
+def _post_order(roots, seen: dict, integrands: bool = False) -> list:
     """The nodes reachable from ``roots`` and not in ``seen``, each once,
     children before parents: the order in which a recursive walk visiting
-    children in stored order would finish them.  Adds them to ``seen``.  An
-    integral's integrand counts as its child only with ``integrands``."""
+    children in stored order would finish them.  ``seen`` maps each node
+    reached to the number of times it was reached: once per parent, plus
+    once per appearance among ``roots``.  An integral's integrand counts as
+    its child only with ``integrands``."""
     order = []
     # a node sits below _DONE once its children are pushed above it
     stack = list(reversed(roots))
@@ -634,9 +659,11 @@ def _post_order(roots, seen: set, integrands: bool = False) -> list:
         if node is _DONE:
             order.append(stack.pop())
             continue
-        if node in seen:
+        n = seen.get(node)
+        if n is not None:
+            seen[node] = n + 1
             continue
-        seen.add(node)
+        seen[node] = 1
         cls = node.__class__
         if cls is _Prod or cls is _Sum:
             kids = node.nodes
@@ -652,8 +679,11 @@ def _post_order(roots, seen: set, integrands: bool = False) -> list:
 
 
 def _walk(roots, x: np.ndarray, tol, eps) -> list:
-    """Values of ``roots`` at ``x`` and gap ``eps`` from one post-order walk
-    with one memo; integrals are evaluated to quadrature tolerance ``tol``."""
+    """Values of ``roots`` at ``x`` and gap ``eps`` (a float, or an array of
+    x's shape with one eps per point) from one post-order walk with one memo;
+    integrals are evaluated to quadrature tolerance ``tol``.  A value, and
+    its powers, leave the memo once its last parent has read them; a root
+    stays, as its appearance among the roots is a use no parent makes."""
     roots = list(roots)
     # a sum or product keeps the type the np.full-seeded recursion gave it
     # (an x-shaped array, or a float64 scalar for 0-d x), even where every
@@ -664,25 +694,40 @@ def _walk(roots, x: np.ndarray, tol, eps) -> list:
     else:
         kind, shape = np.float64, None
     memo: dict = {}
-    powers: dict = {}
-    for node in _post_order(roots, set()):
+    powers: dict = {}  # node -> {exponent: value}
+    uses: dict = {}
+    for node in _post_order(roots, uses):
         cls = node.__class__
         if cls is _Prod:
             out = None if node.c == 1.0 else node.c
             for t, e in zip(node.nodes, node.exps):
                 v = memo[t]
                 if e != 1:
-                    key = (t, e)
-                    p = powers.get(key)
+                    table = powers.get(t)
+                    if table is None:
+                        table = powers[t] = {}
+                    p = table.get(e)
                     if p is None:
-                        p = powers[key] = v**e
+                        p = table[e] = v**e
                     v = p
                 out = v if out is None else out * v
+                left = uses[t] - 1
+                if left:
+                    uses[t] = left
+                else:
+                    del memo[t]
+                    powers.pop(t, None)
         elif cls is _Sum:
             out = node.c0  # added even when 0.0, which turns -0.0 into +0.0
             for t, c in zip(node.nodes, node.weights):
                 v = memo[t]
                 out = out + (v if c == 1.0 else c * v)
+                left = uses[t] - 1
+                if left:
+                    uses[t] = left
+                else:
+                    del memo[t]
+                    powers.pop(t, None)
         else:
             memo[node] = node._eval_impl(x, tol, eps)
             continue
@@ -695,9 +740,9 @@ def _walk(roots, x: np.ndarray, tol, eps) -> list:
 # -- public operation wrappers ----------------------------------------------
 
 
-def coeff_eval(c: Coeff, x1, eps: float | None = None):
+def coeff_eval(c: Coeff, x1, eps=None):
     """Evaluate at x1 (scalar or array) and gap eps with quadrature error
-    <= QUAD_TOL per node; see ``eval_many`` for the default eps."""
+    <= QUAD_TOL per node; see ``eval_many`` for eps."""
     return c.eval(x1, eps)
 
 
@@ -714,14 +759,25 @@ def _owner_eps(nodes):
     return None
 
 
-def eval_many(nodes, x1, eps: float | None = None) -> list:
-    """Evaluate several nodes over one x1 array at gap ``eps`` in one walk
-    with one memo.  Without ``eps``, the eps of the profile the nodes were
-    built on, which must not have been rebound with ``NeckProfile.at``."""
+def _checked_eps(eps, shape):
+    """``eps`` as a float, or as an array of x1's ``shape`` with one eps per
+    point; every eps must be finite and positive."""
+    e = np.asarray(eps, dtype=float)
+    if e.ndim and e.shape != shape:
+        raise ValueError(f"eps of shape {e.shape} does not match x1 of shape {shape}")
+    if not np.all(np.isfinite(e) & (e > 0.0)):
+        raise ValueError("eps must be finite and positive")
+    return e if e.ndim else float(e)
+
+
+def eval_many(nodes, x1, eps=None) -> list:
+    """Evaluate several nodes over one x1 array in one walk with one memo, at
+    gap ``eps``: a float, or an array of x1's shape giving each point its own
+    eps.  Without ``eps``, the eps of the profile the nodes were built on,
+    which must not have been rebound with ``NeckProfile.at``."""
     nodes = list(nodes)
     arr = np.asarray(x1, dtype=float)
-    if eps is None:
-        eps = _owner_eps(nodes)
+    eps = _owner_eps(nodes) if eps is None else _checked_eps(eps, arr.shape)
     out = []
     for v in _walk(nodes, arr, QUAD_TOL, eps):
         v = np.broadcast_to(np.asarray(v, dtype=float), arr.shape)
@@ -729,7 +785,7 @@ def eval_many(nodes, x1, eps: float | None = None) -> list:
     return out
 
 
-def dump_rows(roots, seen: set) -> list[str]:
+def dump_rows(roots, seen: dict) -> list[str]:
     """One line ``#id text`` per node reachable from ``roots`` (integrands
     included) and not in ``seen``, children first and printed by id, so the
     output grows with the DAG, not with its expanded tree."""

@@ -147,7 +147,7 @@ class CorrectorHierarchy:
         """Shared-node dump: each level's new nodes as ``#id`` lines, children
         first and referenced by id, then the level's rows naming their ids."""
         lines = [f"(hierarchy alpha={self.alpha} green={int(self.green)} profile={self.profile.name})"]
-        seen: set = set()
+        seen: dict = {}
         for lev in self.levels:
             rows = [(f"{tag} {j}", c)
                     for tag, f in (("v1", lev.v.u1), ("v2", lev.v.u2),

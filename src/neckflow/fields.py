@@ -31,6 +31,7 @@ __all__ = [
     "fiber_x2",
     "sup_abs",
     "fiber_sup",
+    "fiber_max",
     "deriv_fields",
 ]
 
@@ -238,10 +239,13 @@ def cheb_nodes(n: int, a: float, b: float) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * x
 
 
-def fiber_x2(profile: NeckProfile, x1: np.ndarray, n2: int = 33) -> np.ndarray:
-    """(len(x1), n2) vertical sample points spanning each gap fiber."""
-    lo = profile.bottom(x1)
-    hi = profile.top(x1)
+def fiber_x2(profile: NeckProfile, x1: np.ndarray, n2: int = 33, eps=None) -> np.ndarray:
+    """(len(x1), n2) vertical sample points spanning each gap fiber.  The
+    walls sit at -eps/2 - h2 and eps/2 + h1, with ``eps`` the profile's or,
+    if given, one eps per x1 entry."""
+    eps = profile.eps if eps is None else np.asarray(eps, dtype=float)
+    lo = -eps / 2 - profile.h2(x1)
+    hi = eps / 2 + profile.h1(x1)
     s = np.linspace(0.0, 1.0, n2)
     return lo[:, None] + (hi - lo)[:, None] * s[None, :]
 
@@ -257,15 +261,18 @@ def _flatten(field_or_fields) -> list[PolyField]:
     return out
 
 
-def eval_fields(fields, x1, x2) -> list[np.ndarray]:
+def eval_fields(fields, x1, x2, eps=None) -> list[np.ndarray]:
     """Evaluate several fields over one grid with a single shared DAG pass.
 
     ``x2`` with one more trailing axis than ``x1`` is interpreted as
     per-fiber samples: coefficients are evaluated once per x1 entry.  The
-    coefficients are evaluated at the eps of the first field's profile.
+    coefficients are evaluated at ``eps``, a float or one eps per x1 entry
+    (see ``coeffs.eval_many``), by default the eps of the first field's
+    profile.
     """
     fields = _flatten(fields)
-    eps = fields[0].profile.eps if fields else None
+    if eps is None and fields:
+        eps = fields[0].profile.eps
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     expand = x2.ndim > x1.ndim
@@ -295,12 +302,17 @@ def sup_abs(field, r: float | None = None, n1: int = 201, n2: int = 33) -> float
     return float(np.max(fiber_sup(field, cheb_nodes(n1, -r, r), n2)))
 
 
-def fiber_sup(field, x1: np.ndarray, n2: int = 33) -> np.ndarray:
-    """Per-fiber sup of |field| at each x1 sample (max over components)."""
+def fiber_sup(field, x1: np.ndarray, n2: int = 33, eps=None) -> np.ndarray:
+    """Per-fiber sup of |field| at each x1 sample (max over components), at
+    the first field's eps or, if given, one eps per x1 sample."""
     fields = _flatten(field)
     x1 = np.asarray(x1, dtype=float)
-    x2 = fiber_x2(fields[0].profile, x1, n2)
-    vals = eval_fields(fields, x1, x2)
+    x2 = fiber_x2(fields[0].profile, x1, n2, eps)
+    return fiber_max(eval_fields(fields, x1, x2, eps))
+
+
+def fiber_max(vals) -> np.ndarray:
+    """Per-fiber max of |v| over fiber-sampled values (max over fields)."""
     return np.max([np.max(np.abs(v), axis=-1) for v in vals], axis=0)
 
 

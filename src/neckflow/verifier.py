@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import CorrectorHierarchy, build_hierarchy, build_symmetric_green
-from .fields import deriv_fields, fiber_sup, fiber_x2
+from .fields import deriv_fields, eval_fields, fiber_max, fiber_sup, fiber_x2
 from .geometry import NAMED_PROFILES, NeckProfile, named_profile, profile_from_json
 
 __all__ = [
@@ -117,16 +117,19 @@ def corrector_blowup_order(hierarchies, m: int, r_eval: float = R_EVAL) -> dict:
     """Growth order in eps of d^m/dx1^m d/dx2 of the first level's first
     velocity component at (r sqrt(eps), 0); the predicted slope is -(m+2)/2.
 
-    ``hierarchies`` holds one hierarchy per eps (same profile family).
+    ``hierarchies`` holds one hierarchy per eps (same profile family).  Each
+    field is an eps-generic DAG, so all are evaluated in one walk at every
+    point x1 = r sqrt(eps), each point at its own eps.
     """
     eps_vals = [h.profile.eps for h in hierarchies]
-    mags = []
-    for h, eps in zip(hierarchies, eps_vals):
-        x_eval = r_eval * np.sqrt(eps)
-        if x_eval > h.profile.R:
-            raise ValueError("evaluation point outside the chart")
-        g = h.level(1).v.u1.partial_x1(m).partial_x2(1)
-        mags.append(float(np.abs(g.eval(np.asarray(x_eval), 0.0))))
+    x_eval = np.array([r_eval * np.sqrt(eps) for eps in eps_vals])
+    if any(x > h.profile.R for x, h in zip(x_eval, hierarchies)):
+        raise ValueError("evaluation point outside the chart")
+    gs = [h.level(1).v.u1.partial_x1(m).partial_x2(1) for h in hierarchies]
+    fields = {g.coeffs: g for g in gs}  # eps views of one hierarchy share it
+    vals = dict(zip(fields, eval_fields(list(fields.values()), x_eval,
+                                        np.zeros_like(x_eval), np.array(eps_vals))))
+    mags = [float(np.abs(vals[g.coeffs][i])) for i, g in enumerate(gs)]
     fit = fit_decay_order(zip(eps_vals, mags), min_samples=5, min_decades=2.0)
     predicted = -(m + 2) / 2.0
     return {"fit": fit, "predicted": predicted, "tolerance": BLOWUP_SLOPE_TOL,
@@ -208,31 +211,41 @@ FAMILIES = {
 }
 
 
-def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray, n2: int,
-                   z1: float) -> np.ndarray:
-    """Per-fiber sup of |grad^{m+1} v^{m+1}| + the pressure part at order m."""
-    v = h.cumulative_v(m + 1)
+def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray, eps: np.ndarray,
+                   n2: int, z1: float) -> np.ndarray:
+    """Per-fiber sup of |grad^{m+1} v^{m+1}| + the pressure part at order m,
+    at x1[i] and gap eps[i], velocity and pressure from one walk."""
+    vel = deriv_fields(h.cumulative_v(m + 1), m + 1)
     p = h.cumulative_pressure(m + 1)
-    vel = fiber_sup(deriv_fields(v, m + 1), x1, n2)
-    if m == 0:  # the pressure in the gauge p(z1, 0) = 0
-        x2 = fiber_x2(h.profile, x1, n2)
-        pr = np.max(np.abs(p.eval(x1, x2) - p.eval(z1, 0.0)), axis=-1)
-    else:
-        pr = fiber_sup(deriv_fields(p, m), x1, n2)
-    return vel + pr
+    n = len(x1)
+    if m == 0:
+        # the pressure in the gauge p(z1, 0) = 0: each point's gauge value is
+        # one more fiber, at x1 = z1, whose samples all sit at x2 = 0
+        pts, eps = np.concatenate([x1, np.full(n, z1)]), np.concatenate([eps, eps])
+        x2 = fiber_x2(h.profile, pts, n2, eps)
+        x2[n:] = 0.0
+        vals = eval_fields(vel + [p], pts, x2, eps)
+        pv = vals.pop()
+        return fiber_max(vals)[:n] + np.max(np.abs(pv[:n] - pv[n:, :1]), axis=-1)
+    vals = eval_fields(vel + deriv_fields(p, m), x1, fiber_x2(h.profile, x1, n2, eps), eps)
+    return fiber_max(vals[:len(vel)]) + fiber_max(vals[len(vel):])
 
 
-def _envelope(cache: HierarchyCache, family: str, eps: float, m: int,
+def _envelope(cache: HierarchyCache, family: str, eps, m: int,
               x1: np.ndarray, n2: int = 17) -> np.ndarray:
-    """Mode-weighted derivative envelope over the family's members: sqrt(eps)
-    on the translation modes, eps^{3/2} on the vertical mode."""
+    """Mode-weighted derivative envelope over the family's members at x1[i]
+    and gap eps[i]: sqrt(eps) on the translation modes, eps^{3/2} on the
+    vertical mode.  One walk per member covers every point."""
     name, members = FAMILIES[family]
-    z1 = cache.profile(name, eps).R / 2.0
+    eps = [float(e) for e in eps]
+    z1 = cache.profile(name, eps[0]).R / 2.0
     e = np.zeros_like(x1)
     for alpha, green in members:
-        h = cache.get(name, eps, alpha, m + 1, green=green)
-        scale = eps**1.5 if alpha == 2 else np.sqrt(eps)
-        e = e + scale * _envelope_sups(h, m, x1, n2, z1)
+        # the cache validates and serves each eps; the views share one DAG,
+        # which is evaluated once at each point's eps
+        views = [cache.get(name, ep, alpha, m + 1, green=green) for ep in dict.fromkeys(eps)]
+        scale = np.array([ep**1.5 if alpha == 2 else np.sqrt(ep) for ep in eps])
+        e = e + scale * _envelope_sups(views[0], m, x1, np.array(eps), n2, z1)
     return e
 
 
@@ -256,6 +269,7 @@ def theorem_rate_table(eps_sweep=DEFAULT_EPS_SWEEP, m_values=(0, 1, 2),
     the moving point x1 = 0.5 sqrt(eps), against the predicted exponents."""
     cache = cache or HierarchyCache()
     eps_sweep = sorted(eps_sweep, reverse=True)
+    x_sweep = [R_EVAL * np.sqrt(eps) for eps in eps_sweep]
     rows = []
     for family, (name, _) in FAMILIES.items():
         eps_d, cutoff = _DELTA_FIT[family]
@@ -263,14 +277,14 @@ def theorem_rate_table(eps_sweep=DEFAULT_EPS_SWEEP, m_values=(0, 1, 2),
             pred_d = _envelope_exponent(family, m)
             prof = cache.profile(name, eps_d)
             x1 = np.geomspace(cutoff * np.sqrt(eps_d), prof.R / 2.0, n_x1)
-            env = _envelope(cache, family, eps_d, m, x1, n2)
-            fit_d = fit_decay_order(zip(prof.delta(x1), env))
+            # the delta window at eps_d and the moving point of each sweep
+            # eps, in one envelope
+            env = _envelope(cache, family, [eps_d] * n_x1 + eps_sweep, m,
+                            np.concatenate([x1, x_sweep]), n2)
+            fit_d = fit_decay_order(zip(prof.delta(x1), env[:n_x1]))
             pred_e = 0.5 + pred_d
-            mags = []
-            for eps in eps_sweep:
-                x_pt = np.array([R_EVAL * np.sqrt(eps)])
-                mags.append(float(_envelope(cache, family, eps, m, x_pt, n2)[0]))
-            fit_e = fit_decay_order(zip(eps_sweep, mags), min_samples=5, min_decades=1.5)
+            fit_e = fit_decay_order(zip(eps_sweep, env[n_x1:]), min_samples=5,
+                                    min_decades=1.5)
             for kind, fit, pred in (("delta", fit_d, pred_d), ("eps", fit_e, pred_e)):
                 rows.append({
                     "family": family, "m": m, "fit_kind": kind,

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_evaluation_needs_no_deep_recursion(src_env):
         "d = ca.coeff_diff(x)\n"
         "print(a.tolist() == b.tolist(), float(a[2]), ca.coeff_eval(d, 0.0))\n"
         "s = ca.to_sexp(x)\n"
-        "rows = ca.dump_rows([x], set())\n"
+        "rows = ca.dump_rows([x], {})\n"
         "print(len(s), s.startswith(repr(x)[:77]), len(rows))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -239,7 +240,7 @@ def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
     h = cache.get("asym-quadratic", 1e-3, 2, 2)
     roots = [c for l in (1, 2) for f in (h.residual(l).u1, h.residual(l).u2)
              for c in f.coeffs]
-    prods = [n for n in ca._post_order(roots, set(), integrands=True)
+    prods = [n for n in ca._post_order(roots, {}, integrands=True)
              if isinstance(n, ca._Prod)]
     assert len(prods) > 1000
     real_lin = ca.lin
@@ -330,3 +331,68 @@ def test_eps_leaf_is_bound_at_evaluation():
     assert ca.coeff_eval(g, 0.2, 0.01) == want
     assert ca.coeff_eval(g, 0.2, 1e-3) > want  # a narrower gap
     assert ca.coeff_eval(ca.X1 * 2.0, 0.2) == 0.4  # profile-free nodes need none
+
+
+def test_per_point_eps_matches_the_scalar_calls_bitwise(monkeypatch):
+    # one walk with an eps per point equals one-point walks at each eps; each
+    # integral builds one panel table per distinct eps and tolerance (inner
+    # is also evaluated ten times tighter inside outer's table)
+    p = named_profile("asym-quadratic", eps=1e-2)
+    d = ca.delta_coeff(p)
+    inner = ca.antideriv(0.0, ca.mul_pow([(d, -1)]))
+    outer = ca.antideriv(0.0, inner * ca.profile_deriv(p, 1, 1) * d)
+    g = ca.antideriv(0.0, ca.quotient(ca.profile_deriv(p, 1, 0), d ** 3))
+    nodes = [d, inner, outer, g, g * d + ca.X1, (g * inner) ** 2]
+    built = []
+    real = ca._PanelTable.__init__
+    monkeypatch.setattr(ca._PanelTable, "__init__", lambda table, node, tol:
+                        built.append((node, table.eps, tol)) or real(table, node, tol))
+    xs = np.array([-0.4, -0.1, 0.0, 0.05, 0.2, 0.3, 0.45])
+    eps = np.array([1e-2, 1e-3, 1e-2, 3e-4, 1e-3, 1e-2, 3e-4])
+    ca.eval_many(nodes, xs, eps)
+    assert len(built) == len(set(built)) == 4 * 3  # (inner twice, outer, g) x 3 eps
+    for n in (inner, outer, g):
+        assert sorted(n._tables) == [3e-4, 1e-3, 1e-2]
+    # inner's first tables gave way to the tighter ones of outer's build, so
+    # compare once every table is final
+    got = ca.eval_many(nodes, xs, eps)
+    for i in range(len(xs)):
+        one = ca.eval_many(nodes, xs[i:i + 1], float(eps[i]))
+        for v, w in zip(got, one):
+            assert v[i:i + 1].tobytes() == w.tobytes()
+    assert len(built) == 4 * 3  # the one-point calls reuse every table
+    # all points at one eps: the walk at that eps, bit for bit
+    same = ca.eval_many(nodes, xs, np.full(xs.shape, 1e-3))
+    for v, w in zip(same, ca.eval_many(nodes, xs, 1e-3)):
+        assert v.tobytes() == w.tobytes()
+
+
+def test_an_explicit_eps_is_validated():
+    d = ca.delta_coeff(asym(0.01))
+    for bad in (-0.5, 0.0, np.nan, np.inf, [0.01, -1e-3], [np.nan, 0.01]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ca.eval_many([d], [0.0, 0.1], eps=bad)
+    for bad in ([0.01], [0.01, 0.01, 0.01], [[0.01, 0.01]]):
+        with pytest.raises(ValueError, match="shape"):
+            ca.eval_many([d], [0.0, 0.1], eps=bad)
+    with pytest.raises(ValueError, match="finite and positive"):
+        ca.coeff_eval(d, 0.1, -0.5)
+    assert ca.eval_many([d], [0.0], eps=np.asarray(1e-3))[0][0] == 1e-3
+
+
+def test_walk_frees_each_value_after_its_last_parent():
+    # a 2000-node chain at 2000 points: kept to the end, its values take
+    # 32 MB; freed after their last parent, a handful are alive at a time
+    x = ca.X1
+    for _ in range(1000):
+        x = 0.5 * x * ca.X1 + 0.25
+    xs = np.linspace(-1.0, 1.0, 2000)
+    want = ca.eval_many([x, x * x], xs[:5])
+    tracemalloc.start()
+    try:
+        got = ca.eval_many([x, x * x], xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert [v[:5].tobytes() for v in got] == [v.tobytes() for v in want]

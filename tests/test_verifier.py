@@ -3,7 +3,9 @@ import pytest
 
 from neckflow import coeffs as ca
 from neckflow import verifier as vf
+from neckflow.correctors import build_symmetric_green
 from neckflow.fields import PolyField, deriv_fields
+from neckflow.geometry import named_profile
 
 
 def test_fit_exact_power_law():
@@ -112,3 +114,26 @@ def test_cache_builds_each_hierarchy_once_for_every_eps(monkeypatch):
     assert h.level(2).v.u1.coeffs == cache.get("sym-quadratic", 1e-2, 1, 2).level(2).v.u1.coeffs
     assert len({id(cache.profile("sym-quadratic", e)._intern)
                 for e in vf.DEFAULT_EPS_SWEEP}) == 1
+
+
+@pytest.mark.parametrize("family", ["general", "symmetric"])
+def test_batched_envelope_equals_the_one_point_calls(cache, family):
+    # one walk per member over points of several eps is, point by point, the
+    # envelope evaluated at that point alone
+    eps = [1e-2, 1e-3, 1e-3, 1e-4, 1e-5]
+    x1 = np.array([0.05, 0.5 * np.sqrt(1e-3), 0.2, 0.5 * np.sqrt(1e-4), 0.1])
+    for m in (0, 1):
+        env = vf._envelope(cache, family, eps, m, x1)
+        for i in range(len(x1)):
+            one = vf._envelope(cache, family, eps[i:i + 1], m, x1[i:i + 1])
+            assert env[i:i + 1].tobytes() == one.tobytes()
+
+
+def test_blowup_order_of_separately_built_hierarchies(cache):
+    # eps views of one shared hierarchy and independent builds per eps give
+    # the same magnitudes, so the same fit
+    shared = [cache.get("sym-quadratic", e, 1, 1, green=True) for e in vf.DEFAULT_EPS_SWEEP]
+    own = [build_symmetric_green(named_profile("sym-quadratic", eps=e), 1)
+           for e in vf.DEFAULT_EPS_SWEEP]
+    for m in (0, 2):
+        assert vf.corrector_blowup_order(own, m)["fit"] == vf.corrector_blowup_order(shared, m)["fit"]
