@@ -30,6 +30,7 @@ from .correctors import (
     build_symmetric_green,
     extend,
     verify_level,
+    verify_level_many,
 )
 from .verifier import (
     HierarchyCache,

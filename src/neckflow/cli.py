@@ -134,6 +134,8 @@ def cmd_corrector_verify(args) -> int:
 
 def cmd_stokes_solve(args) -> int:
     cfg = _config_from_args(args, sweep=False)
+    if args.csv:
+        os.makedirs(cfg.out_dir, exist_ok=True)  # a bad --out fails before the solve
     eps = cfg.eps[0]
     prof = cfg.load_profile(eps)
     try:  # bad grid sizes and levels
@@ -153,7 +155,6 @@ def cmd_stokes_solve(args) -> int:
           f"div={sol.div_max:.2e} sup|grad w|={sup:.4f} "
           f"energy={fd.global_energy(sol):.5e}")
     if args.csv:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, args.csv)
         fd.export_csv(sol, path)
         print(f"wrote {path}")

@@ -20,7 +20,11 @@ integral keeps one panel table per eps it has been evaluated at.  eps is a
 coordinate of the evaluation point, like x1: an evaluation binds one float,
 or an array of x1's shape with one eps per point, so a single walk covers
 points of several eps.  The eps leaf is then that array, and an integral
-queries each distinct eps's table at the points of that eps.
+queries each distinct eps's table at the points of that eps.  The tables it
+lacks are refined in lockstep: each round evaluates the new panels of every
+such eps in one walk of the integrand, with one eps per point, and each
+table then decides its own splits, so it is bit for bit the table built at
+its eps alone.
 
 Storage: a sum ``c0 + sum(w * n)`` keeps its children and their weights in
 two parallel tuples, ``nodes`` and ``weights``; a product ``c * prod(n**e)``
@@ -48,9 +52,9 @@ walk and kept in a power table per node.  The walk frees as it goes: the
 listing pass counts how often each node is reached, and a value leaves the
 memo, with its powers, once its last parent has read it; the roots stay.
 The results are bit for bit those of the node-by-node recursion they
-replace.  An integral is a leaf of the walk: its panel table at an eps
-evaluates the integrand in walks of its own at that eps, ten times tighter
-than its own tolerance.  Public evaluation has one tolerance, ``QUAD_TOL``,
+replace.  An integral is a leaf of the walk: its panel tables evaluate the
+integrand in walks of their own, one per refinement round over all the eps
+being tabulated, ten times tighter than the integral's own tolerance.  Public evaluation has one tolerance, ``QUAD_TOL``,
 and takes an optional eps, checked finite and positive (``eval_many``).
 """
 
@@ -381,7 +385,8 @@ class _Prod(Coeff):
 class _Antideriv(Coeff):
     """int_lower^{x1} integrand(y) dy, evaluated by panelized quadrature:
     one panel table per eps, kept in ``_tables``; an evaluation with one eps
-    per point queries each distinct eps's table at its own points."""
+    per point queries each distinct eps's table at its own points, and the
+    tables it lacks are refined together (``_tabulate``)."""
 
     __slots__ = ("lower", "integrand", "_tables")
 
@@ -390,24 +395,28 @@ class _Antideriv(Coeff):
 
     def _eval_impl(self, x, tol, eps):
         if eps.__class__ is not np.ndarray:
-            return self._table(tol, eps).value_at(x)
+            return self._tables_at(tol, [eps])[0].value_at(x)
         # one eps per point: each distinct eps through its own table
         vals, inv = np.unique(eps, return_inverse=True)
-        vals = vals.tolist()
-        if len(vals) == 1:  # the value, and its type, of a float eps
-            return self._table(tol, vals[0]).value_at(x)
+        tables = self._tables_at(tol, vals.tolist())
+        if len(tables) == 1:  # the value, and its type, of a float eps
+            return tables[0].value_at(x)
         inv = inv.reshape(eps.shape)
         out = np.empty(x.shape)
-        for i, e in enumerate(vals):
+        for i, table in enumerate(tables):
             at = inv == i
-            out[at] = self._table(tol, e).value_at(x[at])
+            out[at] = table.value_at(x[at])
         return out
 
-    def _table(self, tol, eps):
-        table = self._tables.get(eps)
-        if table is None or table.tol > max(tol, _PanelTable.TOL_FLOOR):
-            table = self._tables[eps] = _PanelTable.at_eps(self, tol, eps)
-        return table
+    def _tables_at(self, tol, eps: list) -> list:
+        """The table at each eps of ``eps``.  Those missing, or looser than
+        ``tol``, are replaced by new ones, all refined in one lockstep."""
+        tables = self._tables
+        floor = max(tol, _PanelTable.TOL_FLOOR)
+        stale = [e for e in eps if e not in tables or tables[e].tol > floor]
+        if stale:
+            tables.update(zip(stale, _tabulate(self, tol, stale)))
+        return [tables[e] for e in eps]
 
     def _sexp_steps(self, room):
         head = f"(int {self.lower!r} "
@@ -837,84 +846,120 @@ _GK_WG = np.array([
 _GK_VINV = np.linalg.inv(np.vander(_GK_NODES, increasing=True))
 
 
-class _PanelTable:
-    """Panelized cumulative integral of one node over its chart interval.
+def _gauss_kronrod(lo, hi):
+    """Generator of the 15-point rule on the panels [lo, hi]: yields their
+    Kronrod points, (npanels, 15), is sent the integrand's values there, and
+    returns the Kronrod integrals, their error estimates and the values."""
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES[None, :]
+    ys = np.broadcast_to((yield xs), xs.shape)
+    ik = half * (ys @ _GK_WK)
+    ig = half * (ys @ _GK_WG)
+    err = (200.0 * np.abs(ik - ig)) ** 1.5
+    return ik, err, ys
 
-    Panels are refined in batches where the Gauss/Kronrod error estimate is
-    largest until the summed estimate meets the tolerance.  Each panel then
-    stores the exact antiderivative of its degree-14 interpolant, so queries
-    are a prefix sum plus one local polynomial evaluation: after the build,
-    no integrand evaluations happen at all.
+
+def _refine(node: _Antideriv, tol: float):
+    """Generator of one table's panels: yields the Kronrod points of each
+    round's new panels, is sent the integrand's values there, and returns
+    the panels' left and right edges and values, sorted.  Each round splits
+    the panels whose Gauss/Kronrod error estimate is largest, until the
+    summed estimate meets ``tol``."""
+    prof = node.integrand.profile
+    if prof is not None:
+        a, b = -2.0 * prof.R, 2.0 * prof.R
+    else:
+        a, b = min(-1.0, node.lower), max(1.0, node.lower)
+    # the lower limit is forced to be a panel edge: the prefix is then
+    # anchored there, so values near the limit sum only nearby panels and
+    # never cancel the far mass of the chart
+    edges = np.unique(np.concatenate([np.linspace(a, b, 9), [node.lower]]))
+    lo, hi = edges[:-1], edges[1:]
+    val, err, ys = yield from _gauss_kronrod(lo, hi)
+    while True:
+        # scale by the prefix function's magnitude, not the signed total:
+        # odd integrands cancel globally but their cumulative is large
+        scale = float(np.sum(np.abs(val)))
+        target = max(1e-300, tol * max(1.0, scale))
+        if float(np.sum(err)) <= target:
+            break
+        if len(lo) >= _MAX_PANELS:
+            raise QuadratureError(
+                f"quadrature did not converge after {_MAX_PANELS} panels "
+                f"(err~{float(np.sum(err)):.2e}) on node {node._sexp(120)[:120]}"
+            )
+        split = err > target / (2.0 * len(lo))
+        if not np.any(split):
+            split = err >= np.max(err)
+        mid = 0.5 * (lo[split] + hi[split])
+        nv, ne, nys = yield from _gauss_kronrod(np.concatenate([lo[split], mid]),
+                                                np.concatenate([mid, hi[split]]))
+        lo = np.concatenate([lo[~split], lo[split], mid])
+        hi = np.concatenate([hi[~split], mid, hi[split]])
+        val = np.concatenate([val[~split], nv])
+        err = np.concatenate([err[~split], ne])
+        ys = np.concatenate([ys[~split], nys])
+    order = np.argsort(lo)
+    return lo[order], hi[order], ys[order]
+
+
+def _tabulate(node: _Antideriv, tol: float, eps: list) -> list:
+    """The tables of ``node`` at each eps of ``eps``, refined in lockstep.
+    Each round evaluates the new panels of every table still refining in
+    one walk of the integrand, ten times tighter than ``tol``, with one eps
+    per point (a float while one table refines); each table then reads its
+    own block of rows and decides its own splits, as it would alone."""
+    runs = [_refine(node, max(tol, _PanelTable.TOL_FLOOR)) for _ in eps]
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    panels = [None] * len(eps)
+    while asks:
+        xs = np.concatenate(list(asks.values()))
+        if len(asks) == 1:
+            at = eps[next(iter(asks))]
+        else:
+            at = np.repeat([eps[i] for i in asks],
+                           [p.size for p in asks.values()]).reshape(xs.shape)
+        ys = np.broadcast_to(_walk([node.integrand], xs, tol / 10.0, at)[0], xs.shape)
+        start = 0
+        for i, p in list(asks.items()):
+            block, start = ys[start:start + len(p)], start + len(p)
+            try:
+                asks[i] = runs[i].send(block)
+            except StopIteration as done:
+                del asks[i]
+                panels[i] = done.value
+    tables = []
+    for e, ps in zip(eps, panels):
+        table = _PanelTable.__new__(_PanelTable)
+        table.eps, table.panels = e, ps
+        table.__init__(node, tol)
+        tables.append(table)
+    return tables
+
+
+class _PanelTable:
+    """Panelized cumulative integral of one node over its chart interval, at
+    one eps.
+
+    Panels are refined where the Gauss/Kronrod error estimate is largest
+    until the summed estimate meets the tolerance (``_refine``); the tables
+    of one node at several eps are refined in lockstep (``_tabulate``).
+    Each panel then stores the exact antiderivative of its degree-14
+    interpolant, so queries are a prefix sum plus one local polynomial
+    evaluation: after the build, no integrand evaluations happen at all.
     """
 
     # requests below the double-precision noise floor cannot be certified by
     # the Gauss/Kronrod difference and would refine forever
     TOL_FLOOR = 1e-13
 
-    @classmethod
-    def at_eps(cls, node: _Antideriv, tol: float, eps) -> "_PanelTable":
-        """The table of ``node`` at gap ``eps``; ``__init__`` keeps the
-        signature (node, tol) and reads the eps its walks bind from here."""
-        table = cls.__new__(cls)
-        table.eps = eps
-        table.__init__(node, tol)
-        return table
-
     def __init__(self, node: _Antideriv, tol: float):
+        """The table from the panels ``_tabulate`` refined: it sets ``eps``
+        and ``panels`` (left edges, right edges, integrand values) before
+        this runs, so the signature stays (node, tol)."""
         self.tol = max(tol, self.TOL_FLOOR)
-        self.node = node
-        integrand = node.integrand
-        prof = integrand.profile
-        if prof is not None:
-            a, b = -2.0 * prof.R, 2.0 * prof.R
-        else:
-            a, b = min(-1.0, node.lower), max(1.0, node.lower)
-        self.inner_tol = tol / 10.0  # nested integrals are evaluated tighter
-        self._build(integrand, a, b, node.lower)
-
-    def _quad_batch(self, f, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        half = 0.5 * (hi - lo)
-        xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES[None, :]
-        ys = np.broadcast_to(_walk([f], xs, self.inner_tol, self.eps)[0], xs.shape)
-        ik = half * (ys @ _GK_WK)
-        ig = half * (ys @ _GK_WG)
-        err = (200.0 * np.abs(ik - ig)) ** 1.5
-        return ik, err, ys
-
-    def _build(self, f, a, b, lower):
-        # the lower limit is forced to be a panel edge: the prefix is then
-        # anchored there, so values near the limit sum only nearby panels and
-        # never cancel the far mass of the chart
-        edges = np.unique(np.concatenate([np.linspace(a, b, 9), [lower]]))
-        lo, hi = edges[:-1], edges[1:]
-        val, err, ys = self._quad_batch(f, lo, hi)
-        while True:
-            # scale by the prefix function's magnitude, not the signed total:
-            # odd integrands cancel globally but their cumulative is large
-            scale = float(np.sum(np.abs(val)))
-            target = max(1e-300, self.tol * max(1.0, scale))
-            if float(np.sum(err)) <= target:
-                break
-            if len(lo) >= _MAX_PANELS:
-                raise QuadratureError(
-                    f"quadrature did not converge after {_MAX_PANELS} panels "
-                    f"(err~{float(np.sum(err)):.2e}) on node {self.node._sexp(120)[:120]}"
-                )
-            split = err > target / (2.0 * len(lo))
-            if not np.any(split):
-                split = err >= np.max(err)
-            mid = 0.5 * (lo[split] + hi[split])
-            nv, ne, nys = self._quad_batch(f, np.concatenate([lo[split], mid]),
-                                           np.concatenate([mid, hi[split]]))
-            lo = np.concatenate([lo[~split], lo[split], mid])
-            hi = np.concatenate([hi[~split], mid, hi[split]])
-            val = np.concatenate([val[~split], nv])
-            err = np.concatenate([err[~split], ne])
-            ys = np.concatenate([ys[~split], nys])
-        order = np.argsort(lo)
-        lo, hi, ys = lo[order], hi[order], ys[order]
+        lo, hi, ys = self.panels
+        del self.panels
         half = 0.5 * (hi - lo)
         # antiderivative of the interpolant, measured from each panel's left edge
         c = ys @ _GK_VINV.T                      # (npanels, 15) poly coeffs in z
@@ -925,7 +970,7 @@ class _PanelTable:
         self.aconst = -at_left
         panel_totals = ac.sum(axis=1) - at_left
         self.edges = np.concatenate([lo, [hi[-1]]])
-        i0 = int(np.searchsorted(self.edges, lower))
+        i0 = int(np.searchsorted(self.edges, node.lower))
         right = np.concatenate([[0.0], np.cumsum(panel_totals[i0:])])
         left = -np.cumsum(panel_totals[:i0][::-1])[::-1]
         self.prefix = np.concatenate([left, right])  # integral from `lower`

@@ -48,12 +48,12 @@ from .fields import (
     VectorField2,
     cheb_nodes,
     eval_fields,
+    fiber_sup,
     fiber_x2,
     keller_field,
     keller_plus_half,
     keller_x1_deriv,
     ksq_minus_quarter,
-    sup_abs,
     trace,
     wall_curve,
     x2_field,
@@ -70,6 +70,7 @@ __all__ = [
     "build_hierarchy",
     "build_symmetric_green",
     "verify_level",
+    "verify_level_many",
     "psi_top_traces",
 ]
 
@@ -487,43 +488,62 @@ def psi_top_traces(profile: NeckProfile, alpha: int) -> tuple[Coeff, Coeff]:
 
 def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
                  n_trace: int = 1000) -> dict:
-    """Certify one level: divergence, wall traces, degrees and the identity
-    residual_l == residual_{l-1} + mu*Lap(v_l) - grad(p_l), all sampled."""
+    """Certify one level at its profile's eps: divergence, wall traces,
+    degrees and the identity residual_l == residual_{l-1} + mu*Lap(v_l)
+    - grad(p_l), all sampled (``verify_level_many`` at one eps)."""
+    return verify_level_many(h, l, [h.profile.eps], n1, n2, n_trace)[0]
+
+
+def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
+                      n_trace: int = 1000) -> list[dict]:
+    """``verify_level``'s dict at each eps of ``eps``, the hierarchy's shape
+    read at that eps.  Each check is one walk over the points of every eps,
+    each point carrying its own eps (a float for a single eps), so the dicts
+    equal the one-eps calls bit for bit."""
     profile = h.profile
     lev = h.level(l)
     r = profile.R
-    out = {"alpha": h.alpha, "level": l}
+    k = len(eps)
 
-    out["div_sup"] = sup_abs(lev.v.divergence(), r=r, n1=n1, n2=n2)
+    def tiled(x):
+        """``x`` once per eps, and the eps of each point."""
+        return (x, eps[0]) if k == 1 else (np.tile(x, k), np.repeat(eps, len(x)))
 
-    xs = np.linspace(-r, r, n_trace)
+    x1, at = tiled(cheb_nodes(n1, -r, r))
+    div = fiber_sup(lev.v.divergence(), x1, n2, at).reshape(k, -1)
+
+    xs, at = tiled(np.linspace(-r, r, n_trace))
     if l == 1:
         t1, t2 = psi_top_traces(profile, h.alpha)
         top_err = [trace(lev.v.u1, "top") - t1, trace(lev.v.u2, "top") - t2]
     else:
         top_err = [trace(lev.v.u1, "top"), trace(lev.v.u2, "top")]
     bot_err = [trace(lev.v.u1, "bottom"), trace(lev.v.u2, "bottom")]
-    out["trace_sup"] = max(
-        float(np.max(np.abs(v))) for v in ca.eval_many(top_err + bot_err, xs, profile.eps)
-    )
-
-    out["degrees"] = (lev.residual.u1.degree, lev.residual.u2.degree)
-    out["expected_degrees"] = RESIDUAL_DEGREES[h.alpha](l)
+    traces = [v.reshape(k, -1) for v in ca.eval_many(top_err + bot_err, xs, at)]
 
     # identity check on a coarse grid: reduced residual vs direct evaluation
-    x1 = cheb_nodes(41, -r, r)
-    x2 = fiber_x2(profile, x1, 9)
+    x1, at = tiled(cheb_nodes(41, -r, r))
+    x2 = fiber_x2(profile, x1, 9, at)
     direct = lev.v.laplacian().scale(profile.mu)
     grad_p = VectorField2(lev.pressure.partial_x1(), lev.pressure.partial_x2())
     prev = [h.level(l - 1).residual] if l > 1 else []
-    vals = eval_fields([lev.residual, direct, grad_p] + prev, x1, x2)
-    err = 0.0
-    scale = 1e-300
-    for comp in (0, 1):
-        red, lap, gp = vals[comp], vals[2 + comp], vals[4 + comp]
-        before = vals[6 + comp] if prev else 0.0
-        err = max(err, float(np.max(np.abs(red - (before + lap - gp)))))
-        scale = max(scale, float(np.max(np.abs(lap))), float(np.max(np.abs(gp))))
-    out["identity_abs"] = err
-    out["identity_rel"] = err / scale
-    return out
+    vals = [v.reshape(k, -1) for v in eval_fields([lev.residual, direct, grad_p] + prev,
+                                                  x1, x2, at)]
+
+    outs = []
+    for i in range(k):
+        out = {"alpha": h.alpha, "level": l, "div_sup": float(np.max(div[i]))}
+        out["trace_sup"] = max(float(np.max(np.abs(v[i]))) for v in traces)
+        out["degrees"] = (lev.residual.u1.degree, lev.residual.u2.degree)
+        out["expected_degrees"] = RESIDUAL_DEGREES[h.alpha](l)
+        err = 0.0
+        scale = 1e-300
+        for comp in (0, 1):
+            red, lap, gp = vals[comp][i], vals[2 + comp][i], vals[4 + comp][i]
+            before = vals[6 + comp][i] if prev else 0.0
+            err = max(err, float(np.max(np.abs(red - (before + lap - gp)))))
+            scale = max(scale, float(np.max(np.abs(lap))), float(np.max(np.abs(gp))))
+        out["identity_abs"] = err
+        out["identity_rel"] = err / scale
+        outs.append(out)
+    return outs

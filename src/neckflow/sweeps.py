@@ -23,7 +23,7 @@ import numpy as np
 
 from . import verifier as vf
 from .verifier import ConfigError
-from .correctors import verify_level
+from .correctors import verify_level_many
 from .geometry import NAMED_PROFILES
 
 __all__ = [
@@ -227,10 +227,11 @@ def _structural_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     levels = min(config.m_max + 1, 4)
     eps_struct = [e for e in config.eps if e >= 1e-3] or [config.eps[0]]
     for alpha in sorted(config.alphas):
-        for eps in eps_struct:
-            h = cache.get(config.profile, eps, alpha, levels)
-            for l in range(1, levels + 1):
-                info = verify_level(h, l, n1=101, n2=17, n_trace=301)
+        # one hierarchy serves every eps, and one walk per check covers them all
+        h = cache.get(config.profile, eps_struct[0], alpha, levels)
+        for l in range(1, levels + 1):
+            infos = verify_level_many(h, l, eps_struct, n1=101, n2=17, n_trace=301)
+            for eps, info in zip(eps_struct, infos):
                 win = f"eps={eps:g},l={l}"
                 rows.append(RateRow("structural/divergence", "exactness", config.profile,
                                     alpha, l - 1, None, win, 0.0, info["div_sup"],

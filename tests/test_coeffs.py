@@ -367,6 +367,43 @@ def test_per_point_eps_matches_the_scalar_calls_bitwise(monkeypatch):
         assert v.tobytes() == w.tobytes()
 
 
+def test_lockstep_tables_equal_the_one_eps_builds_bitwise(monkeypatch):
+    # a peaked integral (several rounds, more at smaller eps) and a nested
+    # one, at three eps: built together in one walk per round, each table is
+    # bytewise the one built alone, and the rounds are those of the slowest
+    eps = [1e-2, 3e-3, 1e-3]
+
+    def integrals():
+        p = named_profile("asym-quadratic", eps=1e-2)  # a fresh shape each time
+        d = ca.delta_coeff(p)
+        inner = ca.antideriv(0.0, ca.mul_pow([(d, -1)]))
+        return [ca.antideriv(0.0, ca.mul_pow([(d, -3)])),
+                ca.antideriv(0.0, inner * ca.profile_deriv(p, 1, 1) * d)]
+
+    walked = []
+    real = ca._walk
+    monkeypatch.setattr(ca, "_walk", lambda roots, *rest:
+                        walked.append(roots[0]) or real(roots, *rest))
+    xs = np.array([-0.3, 0.1, 0.4])
+    alone, rounds = integrals(), {}
+    for node in alone:
+        for x, e in zip(xs, eps):
+            del walked[:]
+            ca.eval_many([node], np.array([x]), e)
+            rounds[node, e] = walked.count(node.integrand)
+    for node, ref in zip(integrals(), alone):
+        del walked[:]
+        got = ca.eval_many([node], xs, np.array(eps))[0]
+        per_eps = [rounds[ref, e] for e in eps]
+        assert walked.count(node.integrand) == max(per_eps) < sum(per_eps)
+        for i, e in enumerate(eps):
+            assert got[i:i + 1].tobytes() == ca.eval_many([ref], xs[i:i + 1], e)[0].tobytes()
+            mine, theirs = node._tables[e], ref._tables[e]
+            for name in ("edges", "acoeffs", "aconst", "prefix"):
+                assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes()
+    assert len(set(rounds.values())) > 1  # the eps do need different rounds
+
+
 def test_an_explicit_eps_is_validated():
     d = ca.delta_coeff(asym(0.01))
     for bad in (-0.5, 0.0, np.nan, np.inf, [0.01, -1e-3], [np.nan, 0.01]):

@@ -14,6 +14,7 @@ from neckflow.correctors import (
     build_symmetric_green,
     extend,
     verify_level,
+    verify_level_many,
 )
 from neckflow.fields import PolyField, eval_fields, fiber_x2, sup_abs, trace
 from neckflow.geometry import named_profile
@@ -293,3 +294,23 @@ def test_a_hierarchy_read_at_another_eps_is_the_build_at_that_eps():
     assert all(v.profile is at and v.levels[0].v.u1.coeffs == h.levels[0].v.u1.coeffs
                for v, h in zip(views, built))
     assert sample(views, x1, x2) == expected
+
+
+def test_multi_eps_verify_equals_the_one_eps_calls_bitwise():
+    # one walk per check over three eps gives verify_level's dict at each eps;
+    # two fresh shapes built alike, so neither side reads the other's tables
+    eps = [1e-2, 3e-3, 1e-3]
+    sizes = dict(n1=101, n2=17, n_trace=301)
+    got, want = [], []
+    for out in (got, want):
+        profile = named_profile("sym-quadratic", eps=eps[0])
+        for h in [build_hierarchy(profile, alpha, 2) for alpha in (1, 2, 3)]:
+            if out is got:
+                for l in (1, 2):
+                    out += verify_level_many(h, l, eps, **sizes)
+            else:
+                out += [verify_level(h.at(profile.at(e)), l, **sizes)
+                        for l in (1, 2) for e in eps]
+    assert got == want
+    assert [(d["alpha"], d["level"]) for d in got] == [
+        (alpha, l) for alpha in (1, 2, 3) for l in (1, 2) for _ in eps]

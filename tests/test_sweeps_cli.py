@@ -241,8 +241,8 @@ def test_malformed_json_inputs_are_config_errors(tmp_path, capsys, argv, text):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def _no_sweep(_cfg):
-    raise AssertionError("the sweep ran before its output directory was checked")
+def _no_run(*_args, **_kwargs):
+    raise AssertionError("the sweep or solve ran before its output directory was checked")
 
 
 @pytest.mark.parametrize("argv", [
@@ -253,14 +253,17 @@ def _no_sweep(_cfg):
     ["corrector", "build", "--profile", "sym-quadratic", "--alpha", "1", "--m", "0",
      "--eps", "5e-2", "--dump", "--out", "{file}"],
     ["report", "emit", "--input", "{report}", "--output", "{dir}"],
+    ["stokes", "solve", "--profile", "asym-quadratic", "--eps", "0.05", "--level", "1",
+     "--n1", "33", "--n2", "32", "--csv", "x.csv", "--out", "{file}"],
 ], ids=["sweep-out-is-a-file", "verify-out-below-a-file", "build-dump-out-is-a-file",
-        "emit-output-is-a-directory"])
+        "emit-output-is-a-directory", "solve-csv-out-is-a-file"])
 def test_unusable_output_paths_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     # each ended in a traceback (FileExistsError, NotADirectoryError,
     # FileExistsError, IsADirectoryError); the sweeps did so only after the
-    # whole sweep had run
+    # whole sweep had run, and stokes solve after the solve
     import neckflow.cli as cli_mod
-    monkeypatch.setattr(cli_mod.sweeps, "run", _no_sweep)
+    monkeypatch.setattr(cli_mod.sweeps, "run", _no_run)
+    monkeypatch.setattr(cli_mod.fd, "solve_fields", _no_run)
     file = tmp_path / "taken"
     file.write_text("")
     report = tmp_path / "report.json"
