@@ -12,11 +12,13 @@ one node.  Linear combinations collect identical subtrees, which is what makes
 the large algebraic cancellations of the constructions collapse exactly.
 Construction is single-threaded: interning and id allocation take no lock.
 
-The gap parameter eps is a leaf too, one per wall shape (``_Eps``, made by
+The gap parameter eps is a leaf too, one per profile (``_Eps``, made by
 ``delta_coeff`` as a summand of delta = eps + h1 + h2), and construction never
-reads its value.  A DAG built once therefore serves every eps of its shape
-(``NeckProfile.at``): eps is bound when the DAG is evaluated, and each
-integral keeps one panel table per eps it has been evaluated at.  eps is a
+reads its value.  A DAG built once therefore serves every eps: eps is bound
+when the DAG is evaluated, and each integral keeps one panel table per eps it
+has been evaluated at.  A DAG built on a wall shape (a profile with
+``eps=None``) has no eps of its own, so each evaluation of it names one; a
+DAG built on a profile at an eps defaults to that eps.  eps is a
 coordinate of the evaluation point, like x1: an evaluation binds one float,
 or an array of x1's shape with one eps per point, so a single walk covers
 points of several eps.  The eps leaf is then that array, and an integral
@@ -433,7 +435,7 @@ def _intern(profile, key, cls, **fields):
         node = cls.__new__(cls)
         for name, value in fields.items():
             setattr(node, name, value)
-        node._register(None if profile is None else profile._owner)
+        node._register(profile)
         table[key] = node
     return node
 
@@ -755,16 +757,12 @@ def coeff_eval(c: Coeff, x1, eps=None):
     return c.eval(x1, eps)
 
 
-def _owner_eps(nodes):
-    """The eps an evaluation without one binds: that of the wall shape the
-    nodes were built on, unless the shape has been rebound with ``at``."""
+def _profile_eps(nodes):
+    """The eps an evaluation without one binds: that of the profile the
+    nodes were built on, which a wall shape does not have."""
     for n in nodes:
-        prof = n.profile
-        if prof is not None:
-            if prof._rebound:
-                raise ValueError(f"profile {prof.name!r} is in use at several eps; "
-                                 "pass the eps to evaluate at")
-            return prof.eps
+        if n.profile is not None:
+            return n.profile.eps_or()
     return None
 
 
@@ -783,10 +781,10 @@ def eval_many(nodes, x1, eps=None) -> list:
     """Evaluate several nodes over one x1 array in one walk with one memo, at
     gap ``eps``: a float, or an array of x1's shape giving each point its own
     eps.  Without ``eps``, the eps of the profile the nodes were built on,
-    which must not have been rebound with ``NeckProfile.at``."""
+    which must not be a wall shape."""
     nodes = list(nodes)
     arr = np.asarray(x1, dtype=float)
-    eps = _owner_eps(nodes) if eps is None else _checked_eps(eps, arr.shape)
+    eps = _profile_eps(nodes) if eps is None else _checked_eps(eps, arr.shape)
     out = []
     for v in _walk(nodes, arr, QUAD_TOL, eps):
         v = np.broadcast_to(np.asarray(v, dtype=float), arr.shape)

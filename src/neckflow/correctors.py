@@ -97,12 +97,6 @@ class CorrectorLevel:
     residual: VectorField2  # cumulative: mu*Lap(sum v) - grad(sum p) through this level
     split: tuple = field(default=None, repr=False)  # mode-specific recursion state
 
-    def at(self, profile: NeckProfile) -> "CorrectorLevel":
-        """This level with every field bound to ``profile`` (same shape)."""
-        split = self.split and tuple(f.at(profile) for f in self.split)
-        return CorrectorLevel(self.alpha, self.level, self.v.at(profile),
-                              self.pressure.at(profile), self.residual.at(profile), split)
-
 
 @dataclass
 class CorrectorHierarchy:
@@ -131,13 +125,6 @@ class CorrectorHierarchy:
         """Levels 1..upto (all by default) of one part, summed in level order."""
         first, *rest = [getattr(lev, part) for lev in self.levels[:upto or self.depth]]
         return sum(rest, first)
-
-    def at(self, profile: NeckProfile) -> "CorrectorHierarchy":
-        """The same levels read at ``profile``, this wall shape at another eps
-        (``NeckProfile.at``): the construction never reads eps, so the
-        levels are the ones a build at that eps would make."""
-        return CorrectorHierarchy(profile, self.alpha,
-                                  [lev.at(profile) for lev in self.levels], self.green)
 
     def extend_to(self, depth: int) -> "CorrectorHierarchy":
         while self.depth < depth:
@@ -487,17 +474,17 @@ def psi_top_traces(profile: NeckProfile, alpha: int) -> tuple[Coeff, Coeff]:
 
 
 def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
-                 n_trace: int = 1000) -> dict:
-    """Certify one level at its profile's eps: divergence, wall traces,
-    degrees and the identity residual_l == residual_{l-1} + mu*Lap(v_l)
-    - grad(p_l), all sampled (``verify_level_many`` at one eps)."""
-    return verify_level_many(h, l, [h.profile.eps], n1, n2, n_trace)[0]
+                 n_trace: int = 1000, eps=None) -> dict:
+    """Certify one level at ``eps`` or its profile's own: divergence, wall
+    traces, degrees and the identity residual_l == residual_{l-1}
+    + mu*Lap(v_l) - grad(p_l), all sampled (``verify_level_many`` at one eps)."""
+    return verify_level_many(h, l, [h.profile.eps_or(eps)], n1, n2, n_trace)[0]
 
 
 def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
                       n_trace: int = 1000) -> list[dict]:
-    """``verify_level``'s dict at each eps of ``eps``, the hierarchy's shape
-    read at that eps.  Each check is one walk over the points of every eps,
+    """``verify_level``'s dict at each eps of ``eps``, the hierarchy read at
+    that eps.  Each check is one walk over the points of every eps,
     each point carrying its own eps (a float for a single eps), so the dicts
     equal the one-eps calls bit for bit."""
     profile = h.profile

@@ -409,14 +409,16 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
 
 def solve_fields(grid: NeckGrid, f: VectorField2,
                  bc_field: VectorField2 | None = None) -> DiscreteSolution:
-    """Sample an exact forcing field (and optional boundary field) and solve."""
+    """Sample an exact forcing field (and optional boundary field) at the
+    grid's eps and solve."""
+    eps = grid.profile.eps
     xf_i = grid.xf[1:-1]
-    f1 = f.u1.eval(xf_i, grid.x2_of(xf_i[:, None], grid.tc[None, :]))
-    f2 = f.u2.eval(grid.xc, grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]))
+    f1 = f.u1.eval(xf_i, grid.x2_of(xf_i[:, None], grid.tc[None, :]), eps)
+    f2 = f.u2.eval(grid.xc, grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]), eps)
     bc = None
     if bc_field is not None:
         def bc(x, x2):
-            return eval_fields(bc_field, x, x2)
+            return eval_fields(bc_field, x, x2, eps)
     return solve_w(grid, f1, f2, bc)
 
 

@@ -120,16 +120,11 @@ class PolyField:
             out = out * g + c
         return out
 
-    def at(self, profile: NeckProfile) -> "PolyField":
-        """The same coefficients bound to ``profile``, the same wall shape at
-        another eps (``NeckProfile.at``); no node is made."""
-        return PolyField(profile, self.coeffs)
-
     # -- evaluation ------------------------------------------------------------
 
-    def eval(self, x1, x2):
+    def eval(self, x1, x2, eps=None):
         """Evaluate at ``x1`` and broadcastable ``x2`` (see ``eval_fields``)."""
-        return eval_fields(self, x1, x2)[0]
+        return eval_fields(self, x1, x2, eps)[0]
 
 
 def x2_field(profile: NeckProfile) -> PolyField:
@@ -208,11 +203,8 @@ class VectorField2:
             self.u2.partial_x1(2) + self.u2.partial_x2(2),
         )
 
-    def at(self, profile: NeckProfile) -> "VectorField2":
-        return VectorField2(self.u1.at(profile), self.u2.at(profile))
-
-    def eval(self, x1, x2):
-        return tuple(eval_fields(self, x1, x2))
+    def eval(self, x1, x2, eps=None):
+        return tuple(eval_fields(self, x1, x2, eps))
 
 
 def wall_curve(profile: NeckProfile, side: str) -> Coeff:
@@ -241,9 +233,9 @@ def cheb_nodes(n: int, a: float, b: float) -> np.ndarray:
 
 def fiber_x2(profile: NeckProfile, x1: np.ndarray, n2: int = 33, eps=None) -> np.ndarray:
     """(len(x1), n2) vertical sample points spanning each gap fiber.  The
-    walls sit at -eps/2 - h2 and eps/2 + h1, with ``eps`` the profile's or,
-    if given, one eps per x1 entry."""
-    eps = profile.eps if eps is None else np.asarray(eps, dtype=float)
+    walls sit at -eps/2 - h2 and eps/2 + h1, with ``eps`` a float or one eps
+    per x1 entry, by default the profile's (``NeckProfile.eps_or``)."""
+    eps = np.asarray(profile.eps_or(eps), dtype=float)
     lo = -eps / 2 - profile.h2(x1)
     hi = eps / 2 + profile.h1(x1)
     s = np.linspace(0.0, 1.0, n2)
@@ -266,13 +258,11 @@ def eval_fields(fields, x1, x2, eps=None) -> list[np.ndarray]:
 
     ``x2`` with one more trailing axis than ``x1`` is interpreted as
     per-fiber samples: coefficients are evaluated once per x1 entry.  The
-    coefficients are evaluated at ``eps``, a float or one eps per x1 entry
-    (see ``coeffs.eval_many``), by default the eps of the first field's
-    profile.
+    coefficients are evaluated at ``eps``, a float or one eps per x1 entry,
+    by default the eps of the profile they were built on (see
+    ``coeffs.eval_many``).
     """
     fields = _flatten(fields)
-    if eps is None and fields:
-        eps = fields[0].profile.eps
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     expand = x2.ndim > x1.ndim
@@ -296,15 +286,17 @@ def eval_fields(fields, x1, x2, eps=None) -> list[np.ndarray]:
     return out
 
 
-def sup_abs(field, r: float | None = None, n1: int = 201, n2: int = 33) -> float:
-    """Sup norm over the sampled neck chart (Chebyshev in x1, linear fibers)."""
+def sup_abs(field, r: float | None = None, n1: int = 201, n2: int = 33,
+            eps=None) -> float:
+    """Sup norm over the sampled neck chart (Chebyshev in x1, linear fibers),
+    at ``eps`` or the profile's own."""
     r = _flatten(field)[0].profile.R if r is None else r
-    return float(np.max(fiber_sup(field, cheb_nodes(n1, -r, r), n2)))
+    return float(np.max(fiber_sup(field, cheb_nodes(n1, -r, r), n2, eps)))
 
 
 def fiber_sup(field, x1: np.ndarray, n2: int = 33, eps=None) -> np.ndarray:
     """Per-fiber sup of |field| at each x1 sample (max over components), at
-    the first field's eps or, if given, one eps per x1 sample."""
+    ``eps`` (a float or one eps per x1 sample) or the profile's own."""
     fields = _flatten(field)
     x1 = np.asarray(x1, dtype=float)
     x2 = fiber_x2(fields[0].profile, x1, n2, eps)

@@ -90,13 +90,14 @@ class NeckProfile:
     polynomial profiles are smooth, so the cap mirrors a declared regularity
     rather than a computational limit.
 
-    The wall shape (everything but eps) owns the coefficient intern table and
-    the set of nodes known positive.  ``at(eps)`` gives the same shape at
-    another eps, sharing both, so coefficients built on one are the
-    coefficients of all; nodes are registered on the shape's ``_owner``.
+    Each profile owns a coefficient intern table and the set of nodes known
+    positive.  With ``eps=None`` it is a wall shape: the construction never
+    reads eps, so hierarchies built on a shape serve every eps, and each read
+    of them names its eps (``eps_or``).  Every finite eps > 0 is a valid gap
+    of every valid shape: h1 + h2 is nonnegative and uniformly convex.
     """
 
-    eps: float
+    eps: float | None
     h1: ProfileFn
     h2: ProfileFn
     R: float = 0.5
@@ -108,13 +109,12 @@ class NeckProfile:
     symmetric: bool = field(init=False)
     _intern: dict = field(init=False, repr=False, default_factory=dict)
     _positive_ids: set = field(init=False, repr=False, default_factory=set)
-    _owner: "NeckProfile" = field(init=False, repr=False, default=None)
-    _rebound: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
-        self._owner = self
-        if not (self.eps > 0 and self.R > 0 and self.mu > 0):
+        if not ((self.eps is None or self.eps > 0) and self.R > 0 and self.mu > 0):
             raise ValueError("eps, R, mu must be positive")
+        if self.kappa is not None and not self.kappa > 0:
+            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         self.symmetric = self.h1 == self.h2
@@ -127,34 +127,29 @@ class NeckProfile:
             if abs(h(0.0)) > CHECK_TOL or abs(h.deriv()(0.0)) > CHECK_TOL:
                 raise ValueError(f"h{i} must vanish to second order at x1=0")
         x = np.linspace(-2 * self.R, 2 * self.R, 801)
-        gap = self.h1(x) + self.h2(x)
-        d = self.eps + gap
-        if np.any(d <= 0):
-            raise ValueError("delta(x1) must be positive on [-2R, 2R]")
+        if np.any(self.h1(x) + self.h2(x) < 0):  # delta = eps + h1 + h2 > 0 at every eps
+            raise ValueError("h1 + h2 must be nonnegative on [-2R, 2R]")
         xs = x[np.abs(x) > 1e-9]
         ratio = (self.h1(xs) + self.h2(xs)) / xs**2
         kappa_obs = float(ratio.min())
+        if kappa_obs <= 0:
+            raise ValueError("h1 + h2 is not uniformly convex near 0")
         if self.kappa is None:
-            if kappa_obs <= 0:
-                raise ValueError("h1 + h2 is not uniformly convex near 0")
             self.kappa = kappa_obs
         elif kappa_obs < self.kappa - CHECK_TOL:
             raise ValueError(
                 f"h1 + h2 >= kappa*x1^2 fails: observed {kappa_obs:.6g} < {self.kappa:.6g}"
             )
 
-    def at(self, eps: float) -> "NeckProfile":
-        """This wall shape at gap ``eps`` (validated), sharing the shape's
-        intern table and positive-node set.  Afterwards an evaluation of the
-        shape's coefficients must name its eps (see ``coeffs.eval_many``)."""
-        owner = self._owner
-        other = NeckProfile(eps=eps, h1=owner.h1, h2=owner.h2, R=owner.R, mu=owner.mu,
-                            kappa=owner.kappa, M=owner.M, name=owner.name)
-        other._intern = owner._intern
-        other._positive_ids = owner._positive_ids
-        other._owner = owner
-        owner._rebound = True
-        return other
+    def eps_or(self, eps=None):
+        """``eps`` if given, else this profile's own.  A wall shape has none,
+        so a read of it must name its eps."""
+        if eps is None:
+            eps = self.eps
+            if eps is None:
+                raise ValueError(f"profile {self.name!r} is a wall shape with no eps; "
+                                 "pass the eps to read at")
+        return eps
 
     # -- wall data ------------------------------------------------------
 
@@ -166,13 +161,13 @@ class NeckProfile:
         raise ValueError("wall must be 1 or 2")
 
     def delta(self, x1):
-        return self.eps + self.h1(x1) + self.h2(x1)
+        return self.eps_or() + self.h1(x1) + self.h2(x1)
 
     def top(self, x1):
-        return self.eps / 2 + self.h1(x1)
+        return self.eps_or() / 2 + self.h1(x1)
 
     def bottom(self, x1):
-        return -self.eps / 2 - self.h2(x1)
+        return -self.eps_or() / 2 - self.h2(x1)
 
     def check_x1(self, x1):
         if np.any(np.abs(np.asarray(x1)) > 2 * self.R * (1 + 1e-12)):
@@ -224,7 +219,9 @@ NAMED_PROFILES = {
 }
 
 
-def named_profile(name: str, eps: float, R: float = 0.5, mu: float = 1.0, M: int = 64) -> NeckProfile:
+def named_profile(name: str, eps: float | None, R: float = 0.5, mu: float = 1.0,
+                  M: int = 64) -> NeckProfile:
+    """A built-in profile at gap ``eps``, or its wall shape for ``eps=None``."""
     try:
         h1, h2 = NAMED_PROFILES[name]
     except KeyError:
@@ -233,12 +230,14 @@ def named_profile(name: str, eps: float, R: float = 0.5, mu: float = 1.0, M: int
 
 
 def profile_from_json(doc: dict) -> NeckProfile:
-    """Build a profile from ``{"eps":..,"R":..,"mu":..,"h1":{"poly":[...]},"h2":...}``."""
+    """Build a profile from ``{"eps":..,"R":..,"mu":..,"h1":{"poly":[...]},"h2":...}``;
+    an ``eps`` of None gives the wall shape."""
     try:
         h1 = ProfileFn(doc["h1"]["poly"])
         h2 = ProfileFn(doc["h2"]["poly"])
+        eps = doc["eps"]
         return NeckProfile(
-            eps=float(doc["eps"]),
+            eps=None if eps is None else float(eps),
             h1=h1,
             h2=h2,
             R=float(doc.get("R", 0.5)),

@@ -255,7 +255,7 @@ def _decay_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
         h = cache.get(config.profile, eps_fit, alpha, config.m_max + 1)
         for m in range(1, config.m_max + 1):
             for s in range(0, m + 1):
-                res = vf.residual_order(h, s, m)
+                res = vf.residual_order(h, s, m, eps=eps_fit)
                 rows.append(RateRow(
                     "decay/residual", "order", config.profile, alpha, m, s,
                     f"[2sqrt(eps),R/2]@eps={eps_fit:g}", res["predicted"],
@@ -267,10 +267,10 @@ def _blowup_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     prof0 = cache.profile(config.profile, config.eps[0])
     if not prof0.symmetric or 1 not in config.alphas:
         return []
-    hs = [cache.get(config.profile, e, 1, 1, green=True) for e in config.eps]
+    h = cache.get(config.profile, config.eps[0], 1, 1, green=True)
     rows = []
     for m in range(0, min(config.m_max, 3) + 1):
-        res = vf.corrector_blowup_order(hs, m)
+        res = vf.corrector_blowup_order(h, config.eps, m)
         rows.append(RateRow(
             "rate/blowup", "lower-bound", config.profile, 1, m, None,
             "x1=0.5*sqrt(eps)", res["predicted"], res["fit"].slope,

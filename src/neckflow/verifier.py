@@ -7,7 +7,7 @@ with a stated tolerance, never an absolute-constant claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,8 +84,9 @@ def decay_window(profile: NeckProfile, n: int = 20) -> np.ndarray:
 
 
 def residual_order(h: CorrectorHierarchy, s: int, m: int | None = None,
-                   n_x1: int = 20, n2: int = 17) -> dict:
-    """Fitted decay order of sup-fiber |grad^s f^{m+1}| against the gap width.
+                   n_x1: int = 20, n2: int = 17, eps=None) -> dict:
+    """Fitted decay order of sup-fiber |grad^s f^{m+1}| against the gap width,
+    at ``eps`` or the hierarchy's profile's own.
 
     Passes when the slope is at least (m - s - 1) - 0.25; faster decay than
     predicted is a pass.
@@ -95,10 +96,10 @@ def residual_order(h: CorrectorHierarchy, s: int, m: int | None = None,
         raise ValueError("derivative order s must satisfy s <= m")
     if h.depth < m + 1:
         raise ValueError(f"hierarchy has {h.depth} levels, need {m + 1}")
-    profile = h.profile
+    profile = replace(h.profile, eps=h.profile.eps_or(eps))  # the geometry at eps
     x1 = decay_window(profile, n_x1)
     f = h.residual(m + 1)
-    sup = fiber_sup(deriv_fields(f, s), x1, n2)
+    sup = fiber_sup(deriv_fields(f, s), x1, n2, profile.eps)
     dlt = profile.delta(x1)
     fit = fit_decay_order(zip(dlt, sup))
     predicted = float(m - s - 1)
@@ -113,31 +114,29 @@ def residual_order(h: CorrectorHierarchy, s: int, m: int | None = None,
     }
 
 
-def corrector_blowup_order(hierarchies, m: int, r_eval: float = R_EVAL) -> dict:
+def corrector_blowup_order(h: CorrectorHierarchy, eps, m: int,
+                           r_eval: float = R_EVAL) -> dict:
     """Growth order in eps of d^m/dx1^m d/dx2 of the first level's first
     velocity component at (r sqrt(eps), 0); the predicted slope is -(m+2)/2.
 
-    ``hierarchies`` holds one hierarchy per eps (same profile family).  Each
-    field is an eps-generic DAG, so all are evaluated in one walk at every
-    point x1 = r sqrt(eps), each point at its own eps.
+    The field is evaluated in one walk at every point x1 = r sqrt(eps) of
+    the list ``eps``, each point at its own eps.
     """
-    eps_vals = [h.profile.eps for h in hierarchies]
-    x_eval = np.array([r_eval * np.sqrt(eps) for eps in eps_vals])
-    if any(x > h.profile.R for x, h in zip(x_eval, hierarchies)):
+    eps = [float(e) for e in eps]
+    x_eval = r_eval * np.sqrt(eps)
+    if np.any(x_eval > h.profile.R):
         raise ValueError("evaluation point outside the chart")
-    gs = [h.level(1).v.u1.partial_x1(m).partial_x2(1) for h in hierarchies]
-    fields = {g.coeffs: g for g in gs}  # eps views of one hierarchy share it
-    vals = dict(zip(fields, eval_fields(list(fields.values()), x_eval,
-                                        np.zeros_like(x_eval), np.array(eps_vals))))
-    mags = [float(np.abs(vals[g.coeffs][i])) for i, g in enumerate(gs)]
-    fit = fit_decay_order(zip(eps_vals, mags), min_samples=5, min_decades=2.0)
+    g = h.level(1).v.u1.partial_x1(m).partial_x2(1)
+    vals = eval_fields(g, x_eval, np.zeros_like(x_eval), np.array(eps))[0]
+    fit = fit_decay_order(zip(eps, np.abs(vals).tolist()), min_samples=5, min_decades=2.0)
     predicted = -(m + 2) / 2.0
     return {"fit": fit, "predicted": predicted, "tolerance": BLOWUP_SLOPE_TOL,
             "passed": abs(fit.slope - predicted) <= BLOWUP_SLOPE_TOL, "m": m}
 
 
-def load_profile(spec: str, eps: float) -> NeckProfile:
-    """Resolve a profile given a built-in name or a JSON document path."""
+def load_profile(spec: str, eps: float | None) -> NeckProfile:
+    """Resolve a profile given a built-in name or a JSON document path; an
+    ``eps`` of None gives its wall shape."""
     if spec in NAMED_PROFILES:
         return named_profile(spec, eps=eps)
     import json
@@ -155,51 +154,44 @@ def load_profile(spec: str, eps: float) -> NeckProfile:
 class HierarchyCache:
     """Build-once store of hierarchies.
 
-    The construction sees eps only through the shape's eps leaf, so one
-    hierarchy per (profile, alpha, green) serves every eps: it is built at
-    the first eps asked for, extended to the deepest level asked for, and
-    read at each eps through ``CorrectorHierarchy.at``.  Each profile name is
-    loaded once; other eps are ``NeckProfile.at`` of it.  ``get`` returns the
-    eps-bound view, kept per (profile, eps, alpha, green).
+    The construction never reads eps, so one hierarchy per (profile, alpha,
+    green) serves every eps: it is built on the profile's wall shape, loaded
+    once with ``eps=None``, and extended to the deepest level asked for.
+    ``get`` checks its eps and returns that one hierarchy, so each read of it
+    names its eps.  ``profile`` gives the validated geometry at an eps
+    (windows, delta, walls, FD grids); coefficients built on it are not the
+    hierarchies'.
     """
 
     def __init__(self):
         self._shapes: dict = {}
-        self._profiles: dict = {}
-        self._shared: dict = {}
         self._hier: dict = {}
 
-    def profile(self, name: str, eps: float) -> NeckProfile:
-        key = (name, eps)
-        prof = self._profiles.get(key)
-        if prof is not None:
-            return prof
+    def _shape(self, name: str) -> NeckProfile:
         shape = self._shapes.get(name)
         if shape is None:
-            prof = self._shapes[name] = load_profile(name, eps)
-        else:
-            try:
-                prof = shape.at(eps)
-            except ValueError as exc:  # as load_profile: files give config errors
-                if name in NAMED_PROFILES:
-                    raise
-                raise ConfigError(f"profile {name}: {exc}") from None
-        self._profiles[key] = prof
-        return prof
+            shape = self._shapes[name] = load_profile(name, None)
+        return shape
+
+    def profile(self, name: str, eps: float) -> NeckProfile:
+        shape = self._shape(name)
+        try:
+            return replace(shape, eps=eps)
+        except ValueError as exc:  # as load_profile: files give config errors
+            if name in NAMED_PROFILES:
+                raise
+            raise ConfigError(f"profile {name}: {exc}") from None
 
     def get(self, name: str, eps: float, alpha: int, levels: int,
             green: bool = False) -> CorrectorHierarchy:
-        key = (name, eps, alpha, green)
+        self.profile(name, eps)
+        key = (name, alpha, green)
         h = self._hier.get(key)
-        if h is None or h.depth < levels:
-            profile = self.profile(name, eps)
-            base = self._shared.get((name, alpha, green))
-            if base is None:
-                base = (build_symmetric_green(profile, levels) if green
-                        else build_hierarchy(profile, alpha, levels))
-                self._shared[(name, alpha, green)] = base
-            h = self._hier[key] = base.extend_to(levels).at(profile)
-        return h
+        if h is None:
+            shape = self._shape(name)
+            h = self._hier[key] = (build_symmetric_green(shape, levels) if green
+                                   else build_hierarchy(shape, alpha, levels))
+        return h.extend_to(levels)
 
 
 # envelope families: profile, then (alpha, green) per member hierarchy.  The
@@ -238,14 +230,11 @@ def _envelope(cache: HierarchyCache, family: str, eps, m: int,
     vertical mode.  One walk per member covers every point."""
     name, members = FAMILIES[family]
     eps = [float(e) for e in eps]
-    z1 = cache.profile(name, eps[0]).R / 2.0
     e = np.zeros_like(x1)
     for alpha, green in members:
-        # the cache validates and serves each eps; the views share one DAG,
-        # which is evaluated once at each point's eps
-        views = [cache.get(name, ep, alpha, m + 1, green=green) for ep in dict.fromkeys(eps)]
+        h = cache.get(name, eps[0], alpha, m + 1, green=green)
         scale = np.array([ep**1.5 if alpha == 2 else np.sqrt(ep) for ep in eps])
-        e = e + scale * _envelope_sups(views[0], m, x1, np.array(eps), n2, z1)
+        e = e + scale * _envelope_sups(h, m, x1, np.array(eps), n2, h.profile.R / 2.0)
     return e
 
 

@@ -39,7 +39,7 @@ def test_criterion_1_structural_exactness(cache):
             for alpha in (1, 2, 3):
                 h = cache.get(name, eps, alpha, 4)
                 for l in range(1, 5):
-                    info = verify_level(h, l, n1=201, n2=33, n_trace=1000)
+                    info = verify_level(h, l, n1=201, n2=33, n_trace=1000, eps=eps)
                     worst["div"] = max(worst["div"], info["div_sup"])
                     worst["trace"] = max(worst["trace"], info["trace_sup"])
                     d, e = info["degrees"], info["expected_degrees"]
@@ -59,7 +59,7 @@ def test_criterion_2_residual_decay(cache):
         h = cache.get("asym-quadratic", 1e-4, alpha, 4)
         for m in (1, 2, 3):
             for s in range(0, m + 1):
-                rows.append(vf.residual_order(h, s, m))
+                rows.append(vf.residual_order(h, s, m, eps=1e-4))
     ok = all(r["passed"] for r in rows)
     margin = min(r["fit"].slope - (r["predicted"] - r["tolerance"]) for r in rows)
     _line(2, ok, f"residual decay: {len(rows)} slope fits "
@@ -67,11 +67,10 @@ def test_criterion_2_residual_decay(cache):
 
 
 def test_criterion_3_blowup_rates(cache):
-    hs = [cache.get("sym-quadratic", e, 1, 1, green=True)
-          for e in vf.DEFAULT_EPS_SWEEP]
+    h = cache.get("sym-quadratic", vf.DEFAULT_EPS_SWEEP[0], 1, 1, green=True)
     devs = []
     for m in (0, 1, 2, 3):
-        row = vf.corrector_blowup_order(hs, m)
+        row = vf.corrector_blowup_order(h, vf.DEFAULT_EPS_SWEEP, m)
         devs.append(abs(row["fit"].slope - row["predicted"]))
     ok = all(d <= 0.05 for d in devs)
     _line(3, ok, "corrector blow-up slopes -(m+2)/2 for m in 0..3, "
@@ -129,7 +128,7 @@ def test_criterion_6_singularity_capture(cache):
     sups, energies, v_grads = [], [], []
     for eps in eps_list:
         h = cache.get("sym-quadratic", eps, 1, 2, green=True)
-        p = h.profile
+        p = cache.profile("sym-quadratic", eps)
         g = NeckGrid(p, r=0.75, n1=257, n2=64)
         sol = solve_fields(g, h.residual(2))
         assert sol.residual_rel < 1e-10
@@ -137,13 +136,13 @@ def test_criterion_6_singularity_capture(cache):
         sups.append(sup_grad(sol, 0.5))
         energies.append(global_energy(sol))
         v_grads.append(float(np.abs(
-            h.level(1).v.u1.partial_x2().eval(np.asarray(0.0), 0.0))))
+            h.level(1).v.u1.partial_x2().eval(np.asarray(0.0), 0.0, eps))))
     sup_ratio = max(sups) / min(sups)
     energy_ratio = max(energies) / min(energies)
     v_slope = float(np.polyfit(np.log(eps_list), np.log(v_grads), 1)[0])
 
     h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
-    p = h.profile
+    p = cache.profile("sym-quadratic", 1e-2)
     g = NeckGrid(p, r=0.75, n1=385, n2=64)
     sol = solve_fields(g, h.residual(2))
     z1 = np.linspace(0.15, 0.45, 9)
@@ -163,12 +162,12 @@ def test_criterion_7_cross_construction(cache):
     hg = cache.get("sym-quadratic", 1e-3, 1, 3, green=True)
     ha = cache.get("sym-quadratic", 1e-3, 1, 3)
     xs = np.linspace(-0.5, 0.5, 101)
-    exact_equal = np.array_equal(hg.level(1).v.u1.eval(xs, 0.0),
-                                 ha.level(1).v.u1.eval(xs, 0.0))
+    exact_equal = np.array_equal(hg.level(1).v.u1.eval(xs, 0.0, 1e-3),
+                                 ha.level(1).v.u1.eval(xs, 0.0, 1e-3))
     ratios = []
     for l in (2, 3):
-        sg = sup_abs(hg.residual(l), n1=101, n2=17)
-        sa = sup_abs(ha.residual(l), n1=101, n2=17)
+        sg = sup_abs(hg.residual(l), n1=101, n2=17, eps=1e-3)
+        sa = sup_abs(ha.residual(l), n1=101, n2=17, eps=1e-3)
         ratios.append(max(sg, sa) / min(sg, sa))
     ok = exact_equal and all(r <= 10.0 for r in ratios)
     _line(7, ok, f"cross-construction: level-1 first components identical="

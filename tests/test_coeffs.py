@@ -58,7 +58,7 @@ def test_corrector_coefficients_diff_property(cache, rng):
     # every coefficient of a built level differentiates consistently with a
     # central difference scaled by the local gap
     h = cache.get("asym-quadratic", 1e-2, 1, 2)
-    p = h.profile
+    p = cache.profile("asym-quadratic", 1e-2)
     xs = rng.uniform(-p.R, p.R, 100)
     step = 1e-6 * p.delta(xs)
     coeffs = list(h.residual(2).u1.coeffs) + list(h.level(2).v.u2.coeffs)
@@ -143,7 +143,7 @@ def _reference_eval(node, x, tol, eps, memo):
 
 def test_walk_matches_recursive_reference_bitwise(cache):
     h = cache.get("asym-quadratic", 1e-3, 2, 2)
-    r, eps = h.profile.R, h.profile.eps
+    r, eps = h.profile.R, 1e-3
     nodes = []
     for l in (1, 2):
         lev = h.level(l)
@@ -321,15 +321,17 @@ def test_eps_leaf_is_bound_at_evaluation():
     assert ca.coeff_eval(d, 0.2) == pytest.approx(0.01 + 1.5 * 0.04)
     assert ca.coeff_eval(d, 0.2, 1e-3) == pytest.approx(1e-3 + 1.5 * 0.04)
     want = ca.coeff_eval(g, 0.2)
-    q = p.at(1e-3)
-    assert ca.delta_coeff(q) is d
-    # once the shape is in use at another eps, an evaluation must name its eps
-    for call in (lambda: ca.coeff_eval(g, 0.2), lambda: d.eval(0.2),
-                 lambda: ca.eval_many([ca.X1, d], 0.2)):
-        with pytest.raises(ValueError, match="pass the eps"):
-            call()
     assert ca.coeff_eval(g, 0.2, 0.01) == want
     assert ca.coeff_eval(g, 0.2, 1e-3) > want  # a narrower gap
+    # a wall shape has no eps of its own: an evaluation must name one
+    shape = named_profile("asym-quadratic", eps=None)
+    ds = ca.delta_coeff(shape)
+    gs = ca.antideriv(0.0, ca.mul_pow([(ds, -1)]))
+    for call in (lambda: ca.coeff_eval(gs, 0.2), lambda: ds.eval(0.2),
+                 lambda: ca.eval_many([ca.X1, ds], 0.2)):
+        with pytest.raises(ValueError, match="pass the eps"):
+            call()
+    assert ca.coeff_eval(gs, 0.2, 0.01) == want
     assert ca.coeff_eval(ca.X1 * 2.0, 0.2) == 0.4  # profile-free nodes need none
 
 

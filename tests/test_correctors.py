@@ -87,12 +87,12 @@ def test_mode3_golden_pressure(cache):
     # (its integrand is 4y^2 - 4y^2), leaving
     # p(x1, 0) = 2 mu x1/delta^2 - mu x1 (eps - x1^2)/delta^2
     h = cache.get("sym-quadratic", 1e-2, 3, 1)
-    p = h.profile
+    p = cache.profile("sym-quadratic", 1e-2)
     pr = h.level(1).pressure
     for x1 in (0.1, 0.2):
         d = p.delta(x1)
         want = 2 * x1 / d**2 - x1 * (p.eps - x1**2) / d**2
-        assert float(pr.eval(np.asarray(x1), 0.0)) == pytest.approx(want, rel=1e-11)
+        assert float(pr.eval(np.asarray(x1), 0.0, p.eps)) == pytest.approx(want, rel=1e-11)
 
 
 def test_first_level_cancellation_identity(cache):
@@ -100,7 +100,7 @@ def test_first_level_cancellation_identity(cache):
     h = cache.get("asym-quadratic", 1e-2, 1, 1)
     lev = h.level(1)
     lhs = lev.v.u2.partial_x2(2).scale(h.profile.mu) - lev.pressure.partial_x2()
-    assert sup_abs(lhs, n1=51, n2=9) < 1e-8
+    assert sup_abs(lhs, n1=51, n2=9, eps=1e-2) < 1e-8
 
 
 GOLDEN_LEVEL2 = {
@@ -114,7 +114,7 @@ GOLDEN_LEVEL2 = {
 
 def test_level2_golden_coefficients(cache):
     h = cache.get("sym-quadratic", 1e-2, 1, 2)
-    p = h.profile
+    p = cache.profile("sym-quadratic", 1e-2)
     v2 = h.level(2).v
     # u1 = F12_1 x2 (k^2-1/4): x2^3 coefficient is F12_1/delta^2
     # u2 = (F22_2 x2^2 + F22_0)(k^2-1/4): x2^4 coeff F22_2/delta^2, x2^0 = -F22_0/4
@@ -134,14 +134,14 @@ def test_mode2_golden_rows(cache):
     # F11^2 = (18 x1 delta - 48 x1^3)/delta^3, F11^1 = 0, F11^0 = -4.5 x1;
     # the divergence closer integrates to F~11 = (3.6 eps x1 + 6 x1^3)/delta.
     h = cache.get("sym-quadratic", 1e-2, 2, 1)
-    p = h.profile
+    p = cache.profile("sym-quadratic", 1e-2)
     u1 = h.level(1).v.u1
     for x1 in (0.1, 0.2):
         d = p.delta(x1)
         f11_2 = float(ca.coeff_eval(u1.coeffs[4], x1, p.eps)) * d * d
         assert f11_2 == pytest.approx((18 * x1 * d - 48 * x1**3) / d**3, rel=1e-12)
         # at the midline k = 0: u1 = -(F + F11^0 + F~11)/4
-        u1_mid = float(u1.eval(np.asarray(x1), 0.0))
+        u1_mid = float(u1.eval(np.asarray(x1), 0.0, p.eps))
         want = -(6 * x1 / d - 4.5 * x1 + (3.6 * p.eps * x1 + 6 * x1**3) / d) / 4
         assert u1_mid == pytest.approx(want, rel=1e-9)
 
@@ -151,7 +151,7 @@ def test_mode2_golden_rows(cache):
 def test_level2_structure(cache, name, alpha):
     h = cache.get(name, 1e-2, alpha, 2)
     for l in (1, 2):
-        info = verify_level(h, l, n1=101, n2=17, n_trace=301)
+        info = verify_level(h, l, n1=101, n2=17, n_trace=301, eps=1e-2)
         assert info["div_sup"] < 1e-8
         assert info["trace_sup"] < 1e-10
         assert info["identity_rel"] < 1e-8
@@ -167,7 +167,7 @@ def test_quartic_profiles_build_cleanly(cache, name):
     for alpha in (1, 2, 3):
         h = cache.get(name, 1e-2, alpha, 3)
         for l in (2, 3):
-            info = verify_level(h, l, n1=101, n2=17, n_trace=301)
+            info = verify_level(h, l, n1=101, n2=17, n_trace=301, eps=1e-2)
             assert info["div_sup"] < 1e-8
             assert info["trace_sup"] < 1e-10
             assert info["identity_rel"] < 1e-8
@@ -175,12 +175,12 @@ def test_quartic_profiles_build_cleanly(cache, name):
 
 def test_green_first_level(cache):
     h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
-    p = h.profile
+    p = cache.profile("sym-quadratic", 1e-2)
     # (v1)^(1)(0, eps/2) = 1 on the top wall
-    assert float(h.level(1).v.u1.eval(np.asarray(0.0), p.eps / 2)) == pytest.approx(1.0)
+    assert float(h.level(1).v.u1.eval(np.asarray(0.0), p.eps / 2, p.eps)) == pytest.approx(1.0)
     # level 2 resolves the previous residual: mu d2/dx2^2 (v2)^(1) = -(f1)^(1)
     lhs = h.level(2).v.u1.partial_x2(2).scale(p.mu) + h.level(1).residual.u1
-    assert sup_abs(lhs, n1=101, n2=17) < 1e-8
+    assert sup_abs(lhs, n1=101, n2=17, eps=p.eps) < 1e-8
 
 
 def test_green_rejects_asymmetric():
@@ -193,12 +193,12 @@ def test_symmetric_consistency_of_constructions(cache):
     hg = cache.get("sym-quadratic", 1e-3, 1, 3, green=True)
     ha = cache.get("sym-quadratic", 1e-3, 1, 3)
     xs = np.linspace(-0.5, 0.5, 64)
-    a = hg.level(1).v.u1.eval(xs, 0.0)
-    b = ha.level(1).v.u1.eval(xs, 0.0)
+    a = hg.level(1).v.u1.eval(xs, 0.0, 1e-3)
+    b = ha.level(1).v.u1.eval(xs, 0.0, 1e-3)
     assert np.array_equal(a, b)  # both reduce to x2/delta + 1/2 exactly
     for l in (2, 3):
-        sg = sup_abs(hg.residual(l), n1=101, n2=17)
-        sa = sup_abs(ha.residual(l), n1=101, n2=17)
+        sg = sup_abs(hg.residual(l), n1=101, n2=17, eps=1e-3)
+        sa = sup_abs(ha.residual(l), n1=101, n2=17, eps=1e-3)
         ratio = max(sg, sa) / min(sg, sa)
         assert ratio < 10.0
 
@@ -208,7 +208,8 @@ def test_cumulative_sums_associative(cache):
     v = h.cumulative_v(2)
     direct = h.level(1).v + h.level(2).v
     xs = np.linspace(-0.4, 0.4, 9)
-    assert np.allclose(v.u1.eval(xs, 0.001), direct.u1.eval(xs, 0.001), rtol=0, atol=0)
+    assert np.allclose(v.u1.eval(xs, 0.001, 1e-2), direct.u1.eval(xs, 0.001, 1e-2),
+                       rtol=0, atol=0)
 
 
 def test_level_cap_enforced():
@@ -272,28 +273,27 @@ def test_dump_lists_each_node_once():
 
 
 def test_a_hierarchy_read_at_another_eps_is_the_build_at_that_eps():
-    # the construction sees eps only through the shape's eps leaf, so levels
-    # built at eps=1e-2 and read at 1e-3 are bytewise an eps=1e-3 build
-    def sample(hierarchies, x1, x2):
+    # the construction sees eps only through the eps leaf, so levels built
+    # at eps=1e-2 and read at 1e-3 are bytewise an eps=1e-3 build, and levels
+    # built on the wall shape read so too
+    def sample(hierarchies, x1, x2, eps=None):
         out = []
         for h in hierarchies:
             for lev in h.levels:
                 out += [a.tobytes() for a in eval_fields(
-                    [lev.v, lev.residual, lev.pressure], x1, x2)]
+                    [lev.v, lev.residual, lev.pressure], x1, x2, eps)]
         return out
 
     target = named_profile("asym-quadratic", eps=1e-3)
     x1 = np.linspace(-0.4, 0.4, 21)
     x2 = fiber_x2(target, x1, 5)
     expected = sample([build_hierarchy(target, alpha, 2) for alpha in (1, 2, 3)], x1, x2)
-
-    profile = named_profile("asym-quadratic", eps=1e-2)
-    built = [build_hierarchy(profile, alpha, 2) for alpha in (1, 2, 3)]
-    at = profile.at(1e-3)
-    views = [h.at(at) for h in built]
-    assert all(v.profile is at and v.levels[0].v.u1.coeffs == h.levels[0].v.u1.coeffs
-               for v, h in zip(views, built))
-    assert sample(views, x1, x2) == expected
+    for eps in (1e-2, None):
+        profile = named_profile("asym-quadratic", eps=eps)
+        built = [build_hierarchy(profile, alpha, 2) for alpha in (1, 2, 3)]
+        assert sample(built, x1, x2, 1e-3) == expected
+    with pytest.raises(ValueError, match="pass the eps"):
+        sample(built, x1, x2)
 
 
 def test_multi_eps_verify_equals_the_one_eps_calls_bitwise():
@@ -303,14 +303,15 @@ def test_multi_eps_verify_equals_the_one_eps_calls_bitwise():
     sizes = dict(n1=101, n2=17, n_trace=301)
     got, want = [], []
     for out in (got, want):
-        profile = named_profile("sym-quadratic", eps=eps[0])
+        profile = named_profile("sym-quadratic", eps=None)
         for h in [build_hierarchy(profile, alpha, 2) for alpha in (1, 2, 3)]:
             if out is got:
                 for l in (1, 2):
                     out += verify_level_many(h, l, eps, **sizes)
             else:
-                out += [verify_level(h.at(profile.at(e)), l, **sizes)
-                        for l in (1, 2) for e in eps]
+                out += [verify_level(h, l, **sizes, eps=e) for l in (1, 2) for e in eps]
     assert got == want
     assert [(d["alpha"], d["level"]) for d in got] == [
         (alpha, l) for alpha in (1, 2, 3) for l in (1, 2) for _ in eps]
+    with pytest.raises(ValueError, match="pass the eps"):
+        verify_level(h, 1, **sizes)

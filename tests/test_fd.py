@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neckflow import coeffs as ca
+from neckflow.correctors import build_symmetric_green
 from neckflow.fd import (
     DiscreteSolution,
     NeckGrid,
@@ -239,7 +240,7 @@ def test_windowed_second_derivative_slope(cache):
     # remainder flow for the level-2 residual: windowed |grad^2 w| decays no
     # worse than delta^{l+1-m} = delta^0 with l = m-1 = 0 (tolerance 0.5)
     h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
-    p = h.profile
+    p = cache.profile("sym-quadratic", 1e-2)
     g = NeckGrid(p, r=0.75, n1=385, n2=64)
     sol = solve_fields(g, h.residual(2))
     z1 = np.linspace(0.15, 0.45, 9)
@@ -260,3 +261,18 @@ def test_export_csv(tmp_path, mild_profile, manufactured):
     text = path.read_text().splitlines()
     assert text[0] == "x1,x2,w1,w2,q"
     assert len(text) == 1 + g.n1 * g.n2
+
+
+def test_solve_fields_samples_at_the_grid_eps():
+    # fields built at eps=1e-2 and solved on an eps=1e-3 grid are the
+    # eps=1e-3 build there; sampled at their own profile's eps instead, the
+    # forcing moved u by 4.3e-4 (max |u| 2.7e-3)
+    p = named_profile("sym-quadratic", eps=1e-3)
+    g = NeckGrid(p, r=0.75, n1=65, n2=32)
+    sols = []
+    for h in (build_symmetric_green(named_profile("sym-quadratic", eps=1e-2), 2),
+              build_symmetric_green(p, 2)):
+        sols += [solve_fields(g, h.residual(2)), solve_fields(g, h.residual(2), h.level(1).v)]
+    for a, b in ((sols[0], sols[2]), (sols[1], sols[3])):
+        for name in ("u_pad", "v_pad", "p"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

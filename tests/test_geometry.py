@@ -139,19 +139,33 @@ def test_profile_json_round_trip(tmp_path):
     assert p2.h1 == p.h1
 
 
-def test_at_rebinds_eps_and_shares_the_shape():
-    p = asym(0.01)
-    q = p.at(1e-3)
-    assert q.eps == 1e-3 and p.eps == 0.01
-    assert (q.h1, q.h2, q.R, q.mu, q.M, q.kappa, q.name) == (p.h1, p.h2, p.R, p.mu, p.M,
-                                                              p.kappa, p.name)
-    assert q._intern is p._intern and q._positive_ids is p._positive_ids
-    assert q.at(1e-4)._owner is p
-    assert q.delta(0.1) == pytest.approx(1e-3 + 1.5 * 0.01)
-    assert asym(0.01)._intern is not p._intern  # named_profile: a fresh shape
+def test_a_non_positive_kappa_is_rejected(tmp_path, capsys):
+    # kappa = -5 passed the convexity check (observed -1 >= -5) and gave
+    # concave walls, delta(0.9) = 1.19 at eps = 2, that fail only at a
+    # smaller eps
+    doc = {"eps": 2.0, "kappa": -5, "h1": {"poly": [0, 0, -1.0]}, "h2": {"poly": [0, 0, 0.0]}}
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        profile_from_json(doc)
+    for kappa in (0.0, -5.0):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            NeckProfile(eps=0.01, h1=ProfileFn([0, 0, 1.0]), h2=ProfileFn([]), kappa=kappa)
+    path = tmp_path / "concave.json"
+    path.write_text(json.dumps(doc))
+    from neckflow.cli import main
+    assert main(["corrector", "build", "--profile", str(path), "--eps", "2.0",
+                 "--out", str(tmp_path)]) == 2
+    assert "kappa must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-3])
-def test_at_rejects_a_non_positive_eps(eps):
+def test_a_wall_shape_has_every_positive_eps():
+    shape = named_profile("asym-quadratic", eps=None)
+    assert shape.eps is None and shape.kappa == asym().kappa
+    for read in (shape.eps_or, lambda: shape.delta(0.1), lambda: shape.top(0.1),
+                 lambda: shape.bottom(0.1)):
+        with pytest.raises(ValueError, match="pass the eps"):
+            read()
+    assert shape.eps_or(1e-3) == 1e-3 and asym(0.01).eps_or() == 0.01
     with pytest.raises(ValueError):
-        asym().at(eps)
+        named_profile("asym-quadratic", eps=0.0)
+    assert profile_from_json({"eps": None, "h1": {"poly": [0, 0, 1.0]},
+                              "h2": {"poly": [0, 0, 0.5]}}).eps is None

@@ -3,7 +3,7 @@ import pytest
 
 from neckflow import coeffs as ca
 from neckflow import verifier as vf
-from neckflow.correctors import build_symmetric_green
+from neckflow.correctors import build_hierarchy
 from neckflow.fields import PolyField, deriv_fields
 from neckflow.geometry import named_profile
 
@@ -40,42 +40,41 @@ def test_fit_preconditions():
 
 def test_residual_order_passes(cache):
     h = cache.get("asym-quadratic", 1e-4, 1, 2)
-    row = vf.residual_order(h, s=0, m=1)
+    row = vf.residual_order(h, s=0, m=1, eps=1e-4)
     assert row["passed"]
     assert row["fit"].slope >= row["predicted"] - row["tolerance"]
-    row1 = vf.residual_order(h, s=1, m=1)
+    row1 = vf.residual_order(h, s=1, m=1, eps=1e-4)
     assert row1["passed"]
     with pytest.raises(ValueError):
-        vf.residual_order(h, s=2, m=1)
+        vf.residual_order(h, s=2, m=1, eps=1e-4)
 
 
 def test_residual_order_symmetric_profile(cache):
     # identical walls give the same guaranteed orders (and usually better)
     h = cache.get("sym-quadratic", 1e-4, 1, 2)
-    assert vf.residual_order(h, s=0, m=1)["passed"]
+    assert vf.residual_order(h, s=0, m=1, eps=1e-4)["passed"]
     h2 = cache.get("asym-quadratic", 1e-4, 2, 2)
-    assert vf.residual_order(h2, s=0, m=1)["passed"]
+    assert vf.residual_order(h2, s=0, m=1, eps=1e-4)["passed"]
 
 
 def test_residual_window_requires_room():
-    h = cache_local = vf.HierarchyCache().get("sym-quadratic", 0.05, 1, 2, green=True)
-    with pytest.raises(ValueError):
-        vf.residual_order(h, s=0, m=1)  # 2 sqrt(0.05) > R/2
+    h = vf.HierarchyCache().get("sym-quadratic", 0.05, 1, 2, green=True)
+    with pytest.raises(ValueError, match="window"):
+        vf.residual_order(h, s=0, m=1, eps=0.05)  # 2 sqrt(0.05) > R/2
 
 
 def test_blowup_orders_exact(cache):
-    hs = [cache.get("sym-quadratic", e, 1, 1, green=True)
-          for e in vf.DEFAULT_EPS_SWEEP]
+    h = cache.get("sym-quadratic", vf.DEFAULT_EPS_SWEEP[0], 1, 1, green=True)
     for m in (0, 1, 2, 3):
-        row = vf.corrector_blowup_order(hs, m)
+        row = vf.corrector_blowup_order(h, vf.DEFAULT_EPS_SWEEP, m)
         assert row["predicted"] == pytest.approx(-(m + 2) / 2)
         assert abs(row["fit"].slope - row["predicted"]) < 0.05
 
 
 def test_blowup_point_inside_chart(cache):
-    hs = [cache.get("sym-quadratic", 1e-2, 1, 1, green=True)]
+    h = cache.get("sym-quadratic", 1e-2, 1, 1, green=True)
     with pytest.raises(ValueError):
-        vf.corrector_blowup_order(hs, 0, r_eval=20.0)
+        vf.corrector_blowup_order(h, [1e-2], 0, r_eval=20.0)
 
 
 def test_pressure_deriv_fields(cache):
@@ -100,20 +99,48 @@ def test_cache_builds_each_hierarchy_once_for_every_eps(monkeypatch):
         monkeypatch.setattr(vf, name, lambda profile, *a, real=real, name=name:
                             built.append((name, *a)) or real(profile, *a))
     cache = vf.HierarchyCache()
-    for eps in vf.DEFAULT_EPS_SWEEP:
-        for alpha, green in ((1, False), (2, False), (1, True)):
-            h = cache.get("sym-quadratic", eps, alpha, 1, green=green)
-            assert h.profile.eps == eps and h.alpha == alpha and h.green == green
-            assert cache.get("sym-quadratic", eps, alpha, 1, green=green) is h
+    for alpha, green in ((1, False), (2, False), (1, True)):
+        hs = [cache.get("sym-quadratic", eps, alpha, 1, green=green)
+              for eps in vf.DEFAULT_EPS_SWEEP]
+        assert all(h is hs[0] for h in hs)  # one object at every eps
+        h = hs[0]
+        assert h.profile.eps is None and h.alpha == alpha and h.green == green
     # (alpha, levels) of each build_hierarchy call, (levels,) of the Green one
     assert sorted(built) == [("build_hierarchy", 1, 1), ("build_hierarchy", 2, 1),
                              ("build_symmetric_green", 1)]
     # deeper levels extend the one shared hierarchy
     h = cache.get("sym-quadratic", 1e-4, 1, 2)
-    assert h.depth == 2 and h.profile.eps == 1e-4 and len(built) == 3
-    assert h.level(2).v.u1.coeffs == cache.get("sym-quadratic", 1e-2, 1, 2).level(2).v.u1.coeffs
-    assert len({id(cache.profile("sym-quadratic", e)._intern)
-                for e in vf.DEFAULT_EPS_SWEEP}) == 1
+    assert h.depth == 2 and len(built) == 3
+    assert cache.get("sym-quadratic", 1e-2, 1, 1) is h
+    # the eps is still checked, and the profile at an eps is its geometry
+    with pytest.raises(ValueError):
+        cache.get("sym-quadratic", -1e-3, 1, 1)
+    p = cache.profile("sym-quadratic", 1e-4)
+    assert p.eps == 1e-4 and p.delta(0.0) == 1e-4 and p._intern is not h.profile._intern
+
+
+def test_a_shared_coefficient_needs_its_eps_whatever_eps_was_served():
+    # a cache hierarchy's coefficients once read at the first eps served
+    # when none was named (1/delta(0.01) = 99.0099...), and raised once a
+    # second eps had been served; now they raise either way, and a named eps
+    # reads the build at that eps
+    cache = vf.HierarchyCache()
+    lev = cache.get("sym-quadratic", 1e-2, 1, 1).level(1)
+    coeffs = [c for f in (lev.v.u1, lev.v.u2, lev.residual.u1, lev.residual.u2,
+                          lev.pressure) for c in f.coeffs]
+    for served in (1e-2, 1e-3):
+        cache.get("sym-quadratic", served, 1, 1)
+        with pytest.raises(ValueError, match="pass the eps"):
+            coeffs[1].eval(0.01)
+        with pytest.raises(ValueError, match="pass the eps"):
+            ca.eval_many(coeffs, [0.01, 0.2])
+    xs = np.linspace(-0.4, 0.4, 9)
+    for eps in (1e-2, 1e-3):
+        own = build_hierarchy(named_profile("sym-quadratic", eps=eps), 1, 1).level(1)
+        want = [c for f in (own.v.u1, own.v.u2, own.residual.u1, own.residual.u2,
+                            own.pressure) for c in f.coeffs]
+        assert [v.tobytes() for v in ca.eval_many(coeffs, xs, eps)] == \
+            [v.tobytes() for v in ca.eval_many(want, xs)]
 
 
 @pytest.mark.parametrize("family", ["general", "symmetric"])
@@ -127,13 +154,3 @@ def test_batched_envelope_equals_the_one_point_calls(cache, family):
         for i in range(len(x1)):
             one = vf._envelope(cache, family, eps[i:i + 1], m, x1[i:i + 1])
             assert env[i:i + 1].tobytes() == one.tobytes()
-
-
-def test_blowup_order_of_separately_built_hierarchies(cache):
-    # eps views of one shared hierarchy and independent builds per eps give
-    # the same magnitudes, so the same fit
-    shared = [cache.get("sym-quadratic", e, 1, 1, green=True) for e in vf.DEFAULT_EPS_SWEEP]
-    own = [build_symmetric_green(named_profile("sym-quadratic", eps=e), 1)
-           for e in vf.DEFAULT_EPS_SWEEP]
-    for m in (0, 2):
-        assert vf.corrector_blowup_order(own, m)["fit"] == vf.corrector_blowup_order(shared, m)["fit"]
