@@ -19,14 +19,14 @@ when the DAG is evaluated, and each integral keeps one panel table per eps it
 has been evaluated at.  A DAG built on a wall shape (a profile with
 ``eps=None``) has no eps of its own, so each evaluation of it names one; a
 DAG built on a profile at an eps defaults to that eps.  eps is a
-coordinate of the evaluation point, like x1: an evaluation binds one float,
-or an array of x1's shape with one eps per point, so a single walk covers
-points of several eps.  The eps leaf is then that array, and an integral
-queries each distinct eps's table at the points of that eps.  The tables it
-lacks are refined in lockstep: each round evaluates the new panels of every
-such eps in one walk of the integrand, with one eps per point, and each
-table then decides its own splits, so it is bit for bit the table built at
-its eps alone.
+coordinate of the evaluation point, like x1: below ``eval_many``, which
+takes one float or one eps per point, eps has one form, an array of x1's
+shape, so a single walk covers points of several eps.  The eps leaf is that
+array, and an integral queries each distinct eps's table at the points of
+that eps.  The tables it lacks are refined in lockstep: each round
+evaluates the new panels of every such eps in one walk of the integrand,
+with one eps per point, and each table then decides its own splits, so it
+is bit for bit the table built at its eps alone.
 
 Storage: a sum ``c0 + sum(w * n)`` keeps its children and their weights in
 two parallel tuples, ``nodes`` and ``weights``; a product ``c * prod(n**e)``
@@ -56,8 +56,9 @@ memo, with its powers, once its last parent has read it; the roots stay.
 The results are bit for bit those of the node-by-node recursion they
 replace.  An integral is a leaf of the walk: its panel tables evaluate the
 integrand in walks of their own, one per refinement round over all the eps
-being tabulated, ten times tighter than the integral's own tolerance.  Public evaluation has one tolerance, ``QUAD_TOL``,
-and takes an optional eps, checked finite and positive (``eval_many``).
+being tabulated, ten times tighter than the integral's own tolerance.
+Public evaluation has one tolerance, ``QUAD_TOL``, and takes an optional
+eps, checked finite and positive (``eval_many``).
 """
 
 from __future__ import annotations
@@ -275,8 +276,7 @@ class _X1(Coeff):
 
 class _Eps(Coeff):
     """The gap parameter eps of a wall shape: one leaf per shape, valued at
-    each evaluation by the eps that evaluation binds (a float, or an array
-    with one eps per point)."""
+    each evaluation by the eps that evaluation binds, one eps per point."""
 
     __slots__ = ()
 
@@ -386,9 +386,9 @@ class _Prod(Coeff):
 
 class _Antideriv(Coeff):
     """int_lower^{x1} integrand(y) dy, evaluated by panelized quadrature:
-    one panel table per eps, kept in ``_tables``; an evaluation with one eps
-    per point queries each distinct eps's table at its own points, and the
-    tables it lacks are refined together (``_tabulate``)."""
+    one panel table per eps, kept in ``_tables``; an evaluation queries each
+    distinct eps's table at the points of that eps, and the tables it lacks
+    are refined together (``_tabulate``)."""
 
     __slots__ = ("lower", "integrand", "_tables")
 
@@ -396,13 +396,8 @@ class _Antideriv(Coeff):
         return self.integrand
 
     def _eval_impl(self, x, tol, eps):
-        if eps.__class__ is not np.ndarray:
-            return self._tables_at(tol, [eps])[0].value_at(x)
-        # one eps per point: each distinct eps through its own table
         vals, inv = np.unique(eps, return_inverse=True)
         tables = self._tables_at(tol, vals.tolist())
-        if len(tables) == 1:  # the value, and its type, of a float eps
-            return tables[0].value_at(x)
         inv = inv.reshape(eps.shape)
         out = np.empty(x.shape)
         for i, table in enumerate(tables):
@@ -689,9 +684,9 @@ def _post_order(roots, seen: dict, integrands: bool = False) -> list:
     return order
 
 
-def _walk(roots, x: np.ndarray, tol, eps) -> list:
-    """Values of ``roots`` at ``x`` and gap ``eps`` (a float, or an array of
-    x's shape with one eps per point) from one post-order walk with one memo;
+def _walk(roots, x: np.ndarray, tol, eps: np.ndarray) -> list:
+    """Values of ``roots`` at ``x`` and gap ``eps`` (an array of x's shape,
+    one eps per point) from one post-order walk with one memo;
     integrals are evaluated to quadrature tolerance ``tol``.  A value, and
     its powers, leave the memo once its last parent has read them; a root
     stays, as its appearance among the roots is a use no parent makes."""
@@ -757,36 +752,38 @@ def coeff_eval(c: Coeff, x1, eps=None):
     return c.eval(x1, eps)
 
 
-def _profile_eps(nodes):
+def _profile_eps(nodes) -> float:
     """The eps an evaluation without one binds: that of the profile the
-    nodes were built on, which a wall shape does not have."""
+    nodes were built on, which a wall shape does not have.  Profile-free
+    nodes read no eps; 0.0 stands in (their integrals keep one table)."""
     for n in nodes:
         if n.profile is not None:
             return n.profile.eps_or()
-    return None
+    return 0.0
 
 
 def _checked_eps(eps, shape):
-    """``eps`` as a float, or as an array of x1's ``shape`` with one eps per
-    point; every eps must be finite and positive."""
+    """``eps``, a float or an array of x1's ``shape`` with one eps per point;
+    every eps must be finite and positive."""
     e = np.asarray(eps, dtype=float)
     if e.ndim and e.shape != shape:
         raise ValueError(f"eps of shape {e.shape} does not match x1 of shape {shape}")
     if not np.all(np.isfinite(e) & (e > 0.0)):
         raise ValueError("eps must be finite and positive")
-    return e if e.ndim else float(e)
+    return e
 
 
 def eval_many(nodes, x1, eps=None) -> list:
     """Evaluate several nodes over one x1 array in one walk with one memo, at
     gap ``eps``: a float, or an array of x1's shape giving each point its own
     eps.  Without ``eps``, the eps of the profile the nodes were built on,
-    which must not be a wall shape."""
+    which must not be a wall shape.  The walk gets eps as an array of x1's
+    shape either way."""
     nodes = list(nodes)
     arr = np.asarray(x1, dtype=float)
     eps = _profile_eps(nodes) if eps is None else _checked_eps(eps, arr.shape)
     out = []
-    for v in _walk(nodes, arr, QUAD_TOL, eps):
+    for v in _walk(nodes, arr, QUAD_TOL, np.broadcast_to(eps, arr.shape)):
         v = np.broadcast_to(np.asarray(v, dtype=float), arr.shape)
         out.append(np.array(v) if arr.ndim else float(v))
     return out
@@ -905,18 +902,15 @@ def _tabulate(node: _Antideriv, tol: float, eps: list) -> list:
     """The tables of ``node`` at each eps of ``eps``, refined in lockstep.
     Each round evaluates the new panels of every table still refining in
     one walk of the integrand, ten times tighter than ``tol``, with one eps
-    per point (a float while one table refines); each table then reads its
-    own block of rows and decides its own splits, as it would alone."""
+    per point; each table then reads its own block of rows and decides its
+    own splits, as it would alone."""
     runs = [_refine(node, max(tol, _PanelTable.TOL_FLOOR)) for _ in eps]
     asks = {i: next(run) for i, run in enumerate(runs)}
     panels = [None] * len(eps)
     while asks:
         xs = np.concatenate(list(asks.values()))
-        if len(asks) == 1:
-            at = eps[next(iter(asks))]
-        else:
-            at = np.repeat([eps[i] for i in asks],
-                           [p.size for p in asks.values()]).reshape(xs.shape)
+        at = np.repeat([eps[i] for i in asks],
+                       [p.size for p in asks.values()]).reshape(xs.shape)
         ys = np.broadcast_to(_walk([node.integrand], xs, tol / 10.0, at)[0], xs.shape)
         start = 0
         for i, p in list(asks.items()):
@@ -973,11 +967,8 @@ class _PanelTable:
         left = -np.cumsum(panel_totals[:i0][::-1])[::-1]
         self.prefix = np.concatenate([left, right])  # integral from `lower`
 
-    def value_at(self, x):
-        """Integral from the node's lower limit to x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        shape = x.shape
-        x = x.ravel()
+    def value_at(self, x: np.ndarray) -> np.ndarray:
+        """Integral from the node's lower limit to each point of the 1-D ``x``."""
         lo_edge, hi_edge = self.edges[0], self.edges[-1]
         if np.any(x < lo_edge - 1e-12) or np.any(x > hi_edge + 1e-12):
             raise QuadratureError("integral query outside the tabulated chart")
@@ -990,6 +981,4 @@ class _PanelTable:
         for k in range(13, -1, -1):
             part = part * z + ac[:, k]
         part = part * z + self.aconst[idx]
-        out = self.prefix[idx] + part
-        out = out.reshape(shape)
-        return out if shape != (1,) else float(out[0])
+        return self.prefix[idx] + part

@@ -484,9 +484,9 @@ def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
 def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
                       n_trace: int = 1000) -> list[dict]:
     """``verify_level``'s dict at each eps of ``eps``, the hierarchy read at
-    that eps.  Each check is one walk over the points of every eps,
-    each point carrying its own eps (a float for a single eps), so the dicts
-    equal the one-eps calls bit for bit."""
+    that eps.  Each check is one walk over the points of every eps, each
+    point carrying its own eps, so the dicts equal the one-eps calls bit for
+    bit."""
     profile = h.profile
     lev = h.level(l)
     r = profile.R
@@ -494,7 +494,7 @@ def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int
 
     def tiled(x):
         """``x`` once per eps, and the eps of each point."""
-        return (x, eps[0]) if k == 1 else (np.tile(x, k), np.repeat(eps, len(x)))
+        return np.tile(x, k), np.repeat(eps, len(x))
 
     x1, at = tiled(cheb_nodes(n1, -r, r))
     div = fiber_sup(lev.v.divergence(), x1, n2, at).reshape(k, -1)

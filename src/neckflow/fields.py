@@ -236,8 +236,7 @@ def fiber_x2(profile: NeckProfile, x1: np.ndarray, n2: int = 33, eps=None) -> np
     walls sit at -eps/2 - h2 and eps/2 + h1, with ``eps`` a float or one eps
     per x1 entry, by default the profile's (``NeckProfile.eps_or``)."""
     eps = np.asarray(profile.eps_or(eps), dtype=float)
-    lo = -eps / 2 - profile.h2(x1)
-    hi = eps / 2 + profile.h1(x1)
+    lo, hi = profile.bottom(x1, eps), profile.top(x1, eps)
     s = np.linspace(0.0, 1.0, n2)
     return lo[:, None] + (hi - lo)[:, None] * s[None, :]
 

@@ -13,6 +13,7 @@ polynomials in ``x1``, so derivatives of every order are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -93,8 +94,10 @@ class NeckProfile:
     Each profile owns a coefficient intern table and the set of nodes known
     positive.  With ``eps=None`` it is a wall shape: the construction never
     reads eps, so hierarchies built on a shape serve every eps, and each read
-    of them names its eps (``eps_or``).  Every finite eps > 0 is a valid gap
-    of every valid shape: h1 + h2 is nonnegative and uniformly convex.
+    of them names its eps (``eps_or``), as do the geometry reads ``delta``,
+    ``top`` and ``bottom``.  Every finite eps > 0 is a valid gap of every
+    valid shape: h1 + h2 is nonnegative and uniformly convex.  eps (when
+    given), R and mu must be finite.
     """
 
     eps: float | None
@@ -111,8 +114,9 @@ class NeckProfile:
     _positive_ids: set = field(init=False, repr=False, default_factory=set)
 
     def __post_init__(self):
-        if not ((self.eps is None or self.eps > 0) and self.R > 0 and self.mu > 0):
-            raise ValueError("eps, R, mu must be positive")
+        if not ((self.eps is None or 0 < self.eps < math.inf)
+                and 0 < self.R < math.inf and 0 < self.mu < math.inf):
+            raise ValueError("eps, R, mu must be positive and finite")
         if self.kappa is not None and not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa!r}")
         if self.M < 1:
@@ -160,14 +164,14 @@ class NeckProfile:
             return self.h2
         raise ValueError("wall must be 1 or 2")
 
-    def delta(self, x1):
-        return self.eps_or() + self.h1(x1) + self.h2(x1)
+    def delta(self, x1, eps=None):
+        return self.eps_or(eps) + self.h1(x1) + self.h2(x1)
 
-    def top(self, x1):
-        return self.eps_or() / 2 + self.h1(x1)
+    def top(self, x1, eps=None):
+        return self.eps_or(eps) / 2 + self.h1(x1)
 
-    def bottom(self, x1):
-        return -self.eps_or() / 2 - self.h2(x1)
+    def bottom(self, x1, eps=None):
+        return -self.eps_or(eps) / 2 - self.h2(x1)
 
     def check_x1(self, x1):
         if np.any(np.abs(np.asarray(x1)) > 2 * self.R * (1 + 1e-12)):

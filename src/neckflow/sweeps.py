@@ -55,8 +55,6 @@ class RunConfig:
     alphas: tuple = (1, 2, 3)
     m_max: int = 2
     eps: tuple = vf.DEFAULT_EPS_SWEEP
-    grid: tuple = (257, 64)
-    quad_tol: float = 1e-10
     structural: bool = True
     decay: bool = True
     blowup: bool = True
@@ -92,11 +90,6 @@ class RunConfig:
             raise ConfigError(
                 f"insufficient eps span: need >= 5 values over >= 2 decades, "
                 f"got {len(eps)}")
-        # hashed into the digest, so kept as fields, but read by no check
-        for name in ("grid", "quad_tol"):
-            default = getattr(RunConfig, name)
-            if getattr(self, name) != default:
-                raise ConfigError(f"{name} has no effect; leave it at {default!r}")
         bad = [f for f in ("structural", "decay", "blowup", "envelopes", "fd_checks")
                if not isinstance(getattr(self, f), bool)]
         if bad:
@@ -126,7 +119,7 @@ class RunConfig:
             raise ConfigError(f"a run config is a JSON object, got {type(doc).__name__}")
         kwargs = dict(doc)
         try:
-            for key in ("alphas", "eps", "grid", "formats"):
+            for key in ("alphas", "eps", "formats"):
                 if key in kwargs:
                     kwargs[key] = tuple(kwargs[key])
             return RunConfig(**kwargs)
@@ -228,7 +221,7 @@ def _structural_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     eps_struct = [e for e in config.eps if e >= 1e-3] or [config.eps[0]]
     for alpha in sorted(config.alphas):
         # one hierarchy serves every eps, and one walk per check covers them all
-        h = cache.get(config.profile, eps_struct[0], alpha, levels)
+        h = cache.get(config.profile, alpha, levels)
         for l in range(1, levels + 1):
             infos = verify_level_many(h, l, eps_struct, n1=101, n2=17, n_trace=301)
             for eps, info in zip(eps_struct, infos):
@@ -252,7 +245,7 @@ def _decay_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     rows = []
     eps_fit = config.eps[-1]
     for alpha in sorted(config.alphas):
-        h = cache.get(config.profile, eps_fit, alpha, config.m_max + 1)
+        h = cache.get(config.profile, alpha, config.m_max + 1)
         for m in range(1, config.m_max + 1):
             for s in range(0, m + 1):
                 res = vf.residual_order(h, s, m, eps=eps_fit)
@@ -264,10 +257,9 @@ def _decay_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
 
 
 def _blowup_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
-    prof0 = cache.profile(config.profile, config.eps[0])
-    if not prof0.symmetric or 1 not in config.alphas:
+    if not cache.shape(config.profile).symmetric or 1 not in config.alphas:
         return []
-    h = cache.get(config.profile, config.eps[0], 1, 1, green=True)
+    h = cache.get(config.profile, 1, 1, green=True)
     rows = []
     for m in range(0, min(config.m_max, 3) + 1):
         res = vf.corrector_blowup_order(h, config.eps, m)
@@ -294,7 +286,7 @@ def _envelope_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
 def _fd_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     from . import fd
     rows = []
-    prof = cache.profile(config.profile, 0.05)
+    prof = config.load_profile(0.05)
     w, _q, f = fd.manufactured_solution(prof, 1.2 * prof.R)
     errs, hs = [], []
     for n in (32, 64, 128):

@@ -7,7 +7,7 @@ with a stated tolerance, never an absolute-constant claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,12 +74,14 @@ def fit_decay_order(samples, min_samples: int = 6, min_decades: float = 1.5) -> 
     return RateFit(float(slope), float(intercept), r2, len(pts))
 
 
-def decay_window(profile: NeckProfile, n: int = 20) -> np.ndarray:
-    """Geometric x1 samples on [2 sqrt(eps), R/2], outside the flat core."""
-    lo = WINDOW_CUTOFF * np.sqrt(profile.eps)
+def decay_window(profile: NeckProfile, n: int = 20, eps=None) -> np.ndarray:
+    """Geometric x1 samples on [2 sqrt(eps), R/2], outside the flat core, at
+    ``eps`` or the profile's own."""
+    eps = profile.eps_or(eps)
+    lo = WINDOW_CUTOFF * np.sqrt(eps)
     hi = profile.R / 2.0
     if lo >= hi:
-        raise ValueError(f"window [{lo:.3g}, {hi:.3g}] is empty at eps={profile.eps}")
+        raise ValueError(f"window [{lo:.3g}, {hi:.3g}] is empty at eps={eps}")
     return np.geomspace(lo, hi, n)
 
 
@@ -96,11 +98,11 @@ def residual_order(h: CorrectorHierarchy, s: int, m: int | None = None,
         raise ValueError("derivative order s must satisfy s <= m")
     if h.depth < m + 1:
         raise ValueError(f"hierarchy has {h.depth} levels, need {m + 1}")
-    profile = replace(h.profile, eps=h.profile.eps_or(eps))  # the geometry at eps
-    x1 = decay_window(profile, n_x1)
+    eps = h.profile.eps_or(eps)
+    x1 = decay_window(h.profile, n_x1, eps)
     f = h.residual(m + 1)
-    sup = fiber_sup(deriv_fields(f, s), x1, n2, profile.eps)
-    dlt = profile.delta(x1)
+    sup = fiber_sup(deriv_fields(f, s), x1, n2, eps)
+    dlt = h.profile.delta(x1, eps)
     fit = fit_decay_order(zip(dlt, sup))
     predicted = float(m - s - 1)
     return {
@@ -122,12 +124,14 @@ def corrector_blowup_order(h: CorrectorHierarchy, eps, m: int,
     The field is evaluated in one walk at every point x1 = r sqrt(eps) of
     the list ``eps``, each point at its own eps.
     """
-    eps = [float(e) for e in eps]
+    eps = np.array(eps, dtype=float)
+    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise ValueError("eps must be finite and positive")
     x_eval = r_eval * np.sqrt(eps)
     if np.any(x_eval > h.profile.R):
         raise ValueError("evaluation point outside the chart")
     g = h.level(1).v.u1.partial_x1(m).partial_x2(1)
-    vals = eval_fields(g, x_eval, np.zeros_like(x_eval), np.array(eps))[0]
+    vals = eval_fields(g, x_eval, np.zeros_like(x_eval), eps)[0]
     fit = fit_decay_order(zip(eps, np.abs(vals).tolist()), min_samples=5, min_decades=2.0)
     predicted = -(m + 2) / 2.0
     return {"fit": fit, "predicted": predicted, "tolerance": BLOWUP_SLOPE_TOL,
@@ -152,43 +156,31 @@ def load_profile(spec: str, eps: float | None) -> NeckProfile:
 
 
 class HierarchyCache:
-    """Build-once store of hierarchies.
+    """Build-once store of hierarchies, keyed by wall shape.
 
     The construction never reads eps, so one hierarchy per (profile, alpha,
-    green) serves every eps: it is built on the profile's wall shape, loaded
-    once with ``eps=None``, and extended to the deepest level asked for.
-    ``get`` checks its eps and returns that one hierarchy, so each read of it
-    names its eps.  ``profile`` gives the validated geometry at an eps
-    (windows, delta, walls, FD grids); coefficients built on it are not the
-    hierarchies'.
+    green) serves every eps: ``get`` builds it on the profile's wall shape
+    (``shape``, loaded once with ``eps=None``), extends it to the deepest
+    level asked for and returns it.  Every read of a hierarchy, and of its
+    shape's geometry (``delta``, walls, windows), names its eps.
     """
 
     def __init__(self):
         self._shapes: dict = {}
         self._hier: dict = {}
 
-    def _shape(self, name: str) -> NeckProfile:
+    def shape(self, name: str) -> NeckProfile:
         shape = self._shapes.get(name)
         if shape is None:
             shape = self._shapes[name] = load_profile(name, None)
         return shape
 
-    def profile(self, name: str, eps: float) -> NeckProfile:
-        shape = self._shape(name)
-        try:
-            return replace(shape, eps=eps)
-        except ValueError as exc:  # as load_profile: files give config errors
-            if name in NAMED_PROFILES:
-                raise
-            raise ConfigError(f"profile {name}: {exc}") from None
-
-    def get(self, name: str, eps: float, alpha: int, levels: int,
+    def get(self, name: str, alpha: int, levels: int,
             green: bool = False) -> CorrectorHierarchy:
-        self.profile(name, eps)
         key = (name, alpha, green)
         h = self._hier.get(key)
         if h is None:
-            shape = self._shape(name)
+            shape = self.shape(name)
             h = self._hier[key] = (build_symmetric_green(shape, levels) if green
                                    else build_hierarchy(shape, alpha, levels))
         return h.extend_to(levels)
@@ -232,7 +224,7 @@ def _envelope(cache: HierarchyCache, family: str, eps, m: int,
     eps = [float(e) for e in eps]
     e = np.zeros_like(x1)
     for alpha, green in members:
-        h = cache.get(name, eps[0], alpha, m + 1, green=green)
+        h = cache.get(name, alpha, m + 1, green=green)
         scale = np.array([ep**1.5 if alpha == 2 else np.sqrt(ep) for ep in eps])
         e = e + scale * _envelope_sups(h, m, x1, np.array(eps), n2, h.profile.R / 2.0)
     return e
@@ -264,13 +256,13 @@ def theorem_rate_table(eps_sweep=DEFAULT_EPS_SWEEP, m_values=(0, 1, 2),
         eps_d, cutoff = _DELTA_FIT[family]
         for m in m_values:
             pred_d = _envelope_exponent(family, m)
-            prof = cache.profile(name, eps_d)
-            x1 = np.geomspace(cutoff * np.sqrt(eps_d), prof.R / 2.0, n_x1)
+            shape = cache.shape(name)
+            x1 = np.geomspace(cutoff * np.sqrt(eps_d), shape.R / 2.0, n_x1)
             # the delta window at eps_d and the moving point of each sweep
             # eps, in one envelope
             env = _envelope(cache, family, [eps_d] * n_x1 + eps_sweep, m,
                             np.concatenate([x1, x_sweep]), n2)
-            fit_d = fit_decay_order(zip(prof.delta(x1), env[:n_x1]))
+            fit_d = fit_decay_order(zip(shape.delta(x1, eps_d), env[:n_x1]))
             pred_e = 0.5 + pred_d
             fit_e = fit_decay_order(zip(eps_sweep, env[n_x1:]), min_samples=5,
                                     min_decades=1.5)

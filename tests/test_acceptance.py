@@ -37,7 +37,7 @@ def test_criterion_1_structural_exactness(cache):
     for name in ("sym-quadratic", "asym-quadratic"):
         for eps in (1e-2, 1e-3):
             for alpha in (1, 2, 3):
-                h = cache.get(name, eps, alpha, 4)
+                h = cache.get(name, alpha, 4)
                 for l in range(1, 5):
                     info = verify_level(h, l, n1=201, n2=33, n_trace=1000, eps=eps)
                     worst["div"] = max(worst["div"], info["div_sup"])
@@ -56,7 +56,7 @@ def test_criterion_1_structural_exactness(cache):
 def test_criterion_2_residual_decay(cache):
     rows = []
     for alpha in (1, 2, 3):
-        h = cache.get("asym-quadratic", 1e-4, alpha, 4)
+        h = cache.get("asym-quadratic", alpha, 4)
         for m in (1, 2, 3):
             for s in range(0, m + 1):
                 rows.append(vf.residual_order(h, s, m, eps=1e-4))
@@ -67,7 +67,7 @@ def test_criterion_2_residual_decay(cache):
 
 
 def test_criterion_3_blowup_rates(cache):
-    h = cache.get("sym-quadratic", vf.DEFAULT_EPS_SWEEP[0], 1, 1, green=True)
+    h = cache.get("sym-quadratic", 1, 1, green=True)
     devs = []
     for m in (0, 1, 2, 3):
         row = vf.corrector_blowup_order(h, vf.DEFAULT_EPS_SWEEP, m)
@@ -127,8 +127,8 @@ def test_criterion_6_singularity_capture(cache):
     eps_list = (1e-2, 3e-3, 1e-3)
     sups, energies, v_grads = [], [], []
     for eps in eps_list:
-        h = cache.get("sym-quadratic", eps, 1, 2, green=True)
-        p = cache.profile("sym-quadratic", eps)
+        h = cache.get("sym-quadratic", 1, 2, green=True)
+        p = named_profile("sym-quadratic", eps=eps)
         g = NeckGrid(p, r=0.75, n1=257, n2=64)
         sol = solve_fields(g, h.residual(2))
         assert sol.residual_rel < 1e-10
@@ -141,8 +141,8 @@ def test_criterion_6_singularity_capture(cache):
     energy_ratio = max(energies) / min(energies)
     v_slope = float(np.polyfit(np.log(eps_list), np.log(v_grads), 1)[0])
 
-    h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
-    p = cache.profile("sym-quadratic", 1e-2)
+    h = cache.get("sym-quadratic", 1, 2, green=True)
+    p = named_profile("sym-quadratic", eps=1e-2)
     g = NeckGrid(p, r=0.75, n1=385, n2=64)
     sol = solve_fields(g, h.residual(2))
     z1 = np.linspace(0.15, 0.45, 9)
@@ -159,8 +159,8 @@ def test_criterion_6_singularity_capture(cache):
 
 
 def test_criterion_7_cross_construction(cache):
-    hg = cache.get("sym-quadratic", 1e-3, 1, 3, green=True)
-    ha = cache.get("sym-quadratic", 1e-3, 1, 3)
+    hg = cache.get("sym-quadratic", 1, 3, green=True)
+    ha = cache.get("sym-quadratic", 1, 3)
     xs = np.linspace(-0.5, 0.5, 101)
     exact_equal = np.array_equal(hg.level(1).v.u1.eval(xs, 0.0, 1e-3),
                                  ha.level(1).v.u1.eval(xs, 0.0, 1e-3))

@@ -57,8 +57,8 @@ def test_quotient_diff_matches_finite_difference(rng):
 def test_corrector_coefficients_diff_property(cache, rng):
     # every coefficient of a built level differentiates consistently with a
     # central difference scaled by the local gap
-    h = cache.get("asym-quadratic", 1e-2, 1, 2)
-    p = cache.profile("asym-quadratic", 1e-2)
+    h = cache.get("asym-quadratic", 1, 2)
+    p = named_profile("asym-quadratic", eps=1e-2)
     xs = rng.uniform(-p.R, p.R, 100)
     step = 1e-6 * p.delta(xs)
     coeffs = list(h.residual(2).u1.coeffs) + list(h.level(2).v.u2.coeffs)
@@ -124,7 +124,8 @@ def test_quadrature_failure_is_diagnosed(monkeypatch):
 
 def _reference_eval(node, x, tol, eps, memo):
     """The node-by-node recursion the evaluation walk replaced; leaves (the
-    eps leaf and integrals included) are evaluated at gap ``eps``."""
+    eps leaf and integrals included) are evaluated at gap ``eps``, an array
+    of x's shape."""
     v = memo.get(node._id)
     if v is None:
         if isinstance(node, ca._Sum):
@@ -142,7 +143,7 @@ def _reference_eval(node, x, tol, eps, memo):
 
 
 def test_walk_matches_recursive_reference_bitwise(cache):
-    h = cache.get("asym-quadratic", 1e-3, 2, 2)
+    h = cache.get("asym-quadratic", 2, 2)
     r, eps = h.profile.R, 1e-3
     nodes = []
     for l in (1, 2):
@@ -156,7 +157,8 @@ def test_walk_matches_recursive_reference_bitwise(cache):
              np.array([-0.5 * r, 0.0, 0.5 * r]), np.array([0.3 * r]), np.asarray(0.0))
     for xs in grids:
         memo: dict = {}
-        want = [_reference_eval(n, xs, ca.QUAD_TOL, eps, memo) for n in nodes]
+        want = [_reference_eval(n, xs, ca.QUAD_TOL, np.full(xs.shape, eps), memo)
+                for n in nodes]
         got = [np.asarray(v) for v in ca.eval_many(nodes, xs, eps)]
         one = [np.asarray(n.eval(xs, eps)) for n in nodes]
         for w, g, o in zip(want, got, one):
@@ -166,14 +168,15 @@ def test_walk_matches_recursive_reference_bitwise(cache):
 
 def test_walk_keeps_the_value_types_of_the_recursion():
     # numpy's ** takes fast paths for arrays (reciprocal, square) that pow on
-    # scalars does not; integrals return floats on a one-point grid, so a sum
-    # of them must still become an array there, as in the recursion
+    # scalars does not; a sum of integrals must be an array on a one-point
+    # grid and a float64 on a 0-d one, as in the recursion
     p = asym()
     s = ca.antideriv(0.0, ca.delta_coeff(p)) + ca.antideriv(0.0, ca.delta_coeff(p) * ca.X1)
     for xs, kind in ((np.array([0.3]), np.ndarray), (np.asarray(0.3), np.float64)):
-        vals = ca._walk([s, s**2], xs, ca.QUAD_TOL, p.eps)
+        eps = np.full(xs.shape, p.eps)
+        vals = ca._walk([s, s**2], xs, ca.QUAD_TOL, eps)
         assert [type(v) for v in vals] == [kind, kind]
-        want = _reference_eval(s**2, xs, ca.QUAD_TOL, p.eps, {})
+        want = _reference_eval(s**2, xs, ca.QUAD_TOL, eps, {})
         assert np.asarray(vals[1]).tobytes() == want.tobytes()
 
 
@@ -237,7 +240,7 @@ def test_hash_consing_shares_nodes():
 def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
     # the product rule builds term i from the stored factors; it must intern
     # the very node the rebuild mul_pow(rest + [(t, e-1), (t', 1)], c) gives
-    h = cache.get("asym-quadratic", 1e-3, 2, 2)
+    h = cache.get("asym-quadratic", 2, 2)
     roots = [c for l in (1, 2) for f in (h.residual(l).u1, h.residual(l).u2)
              for c in f.coeffs]
     prods = [n for n in ca._post_order(roots, {}, integrands=True)

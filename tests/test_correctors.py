@@ -86,8 +86,8 @@ def test_mode3_golden_pressure(cache):
     # on sym-quadratic the pure integral term vanishes identically
     # (its integrand is 4y^2 - 4y^2), leaving
     # p(x1, 0) = 2 mu x1/delta^2 - mu x1 (eps - x1^2)/delta^2
-    h = cache.get("sym-quadratic", 1e-2, 3, 1)
-    p = cache.profile("sym-quadratic", 1e-2)
+    h = cache.get("sym-quadratic", 3, 1)
+    p = named_profile("sym-quadratic", eps=1e-2)
     pr = h.level(1).pressure
     for x1 in (0.1, 0.2):
         d = p.delta(x1)
@@ -97,7 +97,7 @@ def test_mode3_golden_pressure(cache):
 
 def test_first_level_cancellation_identity(cache):
     # mu d2/dx2^2 (v1)^(2) - d/dx2 pbar1 == 0 by construction
-    h = cache.get("asym-quadratic", 1e-2, 1, 1)
+    h = cache.get("asym-quadratic", 1, 1)
     lev = h.level(1)
     lhs = lev.v.u2.partial_x2(2).scale(h.profile.mu) - lev.pressure.partial_x2()
     assert sup_abs(lhs, n1=51, n2=9, eps=1e-2) < 1e-8
@@ -113,8 +113,8 @@ GOLDEN_LEVEL2 = {
 
 
 def test_level2_golden_coefficients(cache):
-    h = cache.get("sym-quadratic", 1e-2, 1, 2)
-    p = cache.profile("sym-quadratic", 1e-2)
+    h = cache.get("sym-quadratic", 1, 2)
+    p = named_profile("sym-quadratic", eps=1e-2)
     v2 = h.level(2).v
     # u1 = F12_1 x2 (k^2-1/4): x2^3 coefficient is F12_1/delta^2
     # u2 = (F22_2 x2^2 + F22_0)(k^2-1/4): x2^4 coeff F22_2/delta^2, x2^0 = -F22_0/4
@@ -133,8 +133,8 @@ def test_mode2_golden_rows(cache):
     # hand-derived on sym-quadratic, eps = 0.01: the cancellation row gives
     # F11^2 = (18 x1 delta - 48 x1^3)/delta^3, F11^1 = 0, F11^0 = -4.5 x1;
     # the divergence closer integrates to F~11 = (3.6 eps x1 + 6 x1^3)/delta.
-    h = cache.get("sym-quadratic", 1e-2, 2, 1)
-    p = cache.profile("sym-quadratic", 1e-2)
+    h = cache.get("sym-quadratic", 2, 1)
+    p = named_profile("sym-quadratic", eps=1e-2)
     u1 = h.level(1).v.u1
     for x1 in (0.1, 0.2):
         d = p.delta(x1)
@@ -149,7 +149,7 @@ def test_mode2_golden_rows(cache):
 @pytest.mark.parametrize("name", ["sym-quadratic", "asym-quadratic"])
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_level2_structure(cache, name, alpha):
-    h = cache.get(name, 1e-2, alpha, 2)
+    h = cache.get(name, alpha, 2)
     for l in (1, 2):
         info = verify_level(h, l, n1=101, n2=17, n_trace=301, eps=1e-2)
         assert info["div_sup"] < 1e-8
@@ -165,7 +165,7 @@ def test_level2_structure(cache, name, alpha):
 def test_quartic_profiles_build_cleanly(cache, name):
     # quartic walls exercise wall-derivative orders the quadratics never reach
     for alpha in (1, 2, 3):
-        h = cache.get(name, 1e-2, alpha, 3)
+        h = cache.get(name, alpha, 3)
         for l in (2, 3):
             info = verify_level(h, l, n1=101, n2=17, n_trace=301, eps=1e-2)
             assert info["div_sup"] < 1e-8
@@ -174,8 +174,8 @@ def test_quartic_profiles_build_cleanly(cache, name):
 
 
 def test_green_first_level(cache):
-    h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
-    p = cache.profile("sym-quadratic", 1e-2)
+    h = cache.get("sym-quadratic", 1, 2, green=True)
+    p = named_profile("sym-quadratic", eps=1e-2)
     # (v1)^(1)(0, eps/2) = 1 on the top wall
     assert float(h.level(1).v.u1.eval(np.asarray(0.0), p.eps / 2, p.eps)) == pytest.approx(1.0)
     # level 2 resolves the previous residual: mu d2/dx2^2 (v2)^(1) = -(f1)^(1)
@@ -190,8 +190,8 @@ def test_green_rejects_asymmetric():
 
 
 def test_symmetric_consistency_of_constructions(cache):
-    hg = cache.get("sym-quadratic", 1e-3, 1, 3, green=True)
-    ha = cache.get("sym-quadratic", 1e-3, 1, 3)
+    hg = cache.get("sym-quadratic", 1, 3, green=True)
+    ha = cache.get("sym-quadratic", 1, 3)
     xs = np.linspace(-0.5, 0.5, 64)
     a = hg.level(1).v.u1.eval(xs, 0.0, 1e-3)
     b = ha.level(1).v.u1.eval(xs, 0.0, 1e-3)
@@ -204,7 +204,7 @@ def test_symmetric_consistency_of_constructions(cache):
 
 
 def test_cumulative_sums_associative(cache):
-    h = cache.get("asym-quadratic", 1e-2, 1, 2)
+    h = cache.get("asym-quadratic", 1, 2)
     v = h.cumulative_v(2)
     direct = h.level(1).v + h.level(2).v
     xs = np.linspace(-0.4, 0.4, 9)
@@ -234,7 +234,7 @@ def test_level_five_degrees():
 
 
 def test_sexp_dump_contains_structure(cache):
-    h = cache.get("sym-quadratic", 1e-2, 1, 2)
+    h = cache.get("sym-quadratic", 1, 2)
     s = h.dump_sexp()
     assert "(level 1" in s and "(level 2" in s and "  (p 0 #" in s
 

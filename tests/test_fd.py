@@ -239,8 +239,8 @@ def test_sup_high_deriv_resolution_guard(mild_profile):
 def test_windowed_second_derivative_slope(cache):
     # remainder flow for the level-2 residual: windowed |grad^2 w| decays no
     # worse than delta^{l+1-m} = delta^0 with l = m-1 = 0 (tolerance 0.5)
-    h = cache.get("sym-quadratic", 1e-2, 1, 2, green=True)
-    p = cache.profile("sym-quadratic", 1e-2)
+    h = cache.get("sym-quadratic", 1, 2, green=True)
+    p = named_profile("sym-quadratic", eps=1e-2)
     g = NeckGrid(p, r=0.75, n1=385, n2=64)
     sol = solve_fields(g, h.residual(2))
     z1 = np.linspace(0.15, 0.45, 9)

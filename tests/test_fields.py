@@ -72,8 +72,8 @@ def test_laplacian_and_pure_gradient():
 
 
 def test_laplacian_matches_five_point_stencil(cache, rng):
-    h = cache.get("asym-quadratic", 1e-2, 1, 1)
-    p = cache.profile("asym-quadratic", 1e-2)
+    h = cache.get("asym-quadratic", 1, 1)
+    p = named_profile("asym-quadratic", eps=1e-2)
     v = h.level(1).v
     lap = v.laplacian()
     x1 = rng.uniform(-0.3, 0.3, 100)
@@ -102,7 +102,7 @@ def test_traces():
 
 
 def test_mixed_partials_commute(cache, rng):
-    h = cache.get("asym-quadratic", 1e-2, 1, 1)
+    h = cache.get("asym-quadratic", 1, 1)
     f = h.level(1).v.u2
     a = f.partial_x1().partial_x2()
     b = f.partial_x2().partial_x1()

@@ -169,3 +169,22 @@ def test_a_wall_shape_has_every_positive_eps():
         named_profile("asym-quadratic", eps=0.0)
     assert profile_from_json({"eps": None, "h1": {"poly": [0, 0, 1.0]},
                               "h2": {"poly": [0, 0, 0.5]}}).eps is None
+
+
+def test_non_finite_profile_fields_are_rejected(tmp_path, capsys):
+    # JSON reads 1e999 as inf: "R": 1e999 made corrector build run for
+    # minutes, "mu": 1e999 printed nan residual sups and exited 0, and an
+    # infinite eps was a valid gap
+    doc = {"eps": 0.01, "h1": {"poly": [0, 0, 1.0]}, "h2": {"poly": [0, 0, 0.5]}}
+    for key, value in (("R", 1e999), ("mu", 1e999), ("eps", 1e999),
+                       ("R", float("nan")), ("mu", float("nan"))):
+        with pytest.raises(ValueError, match="positive and finite"):
+            profile_from_json({**doc, key: value})
+    with pytest.raises(ValueError, match="positive and finite"):
+        named_profile("sym-quadratic", eps=float("inf"))
+    path = tmp_path / "inf-mu.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "mu": 1e999}')
+    from neckflow.cli import main
+    assert main(["corrector", "build", "--profile", str(path), "--eps", "1e-2",
+                 "--m", "0", "--out", str(tmp_path)]) == 2
+    assert "positive and finite" in capsys.readouterr().err

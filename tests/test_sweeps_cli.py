@@ -195,6 +195,30 @@ def test_custom_profile_file_sweep(tmp_path):
     assert rep.rows and rep.all_passed
 
 
+def test_a_rate_sweep_validates_each_profile_once(tmp_path, monkeypatch):
+    # the cache's per-eps profiles, residual_order and theorem_rate_table
+    # each built and validated a NeckProfile per read: 32 validations in this
+    # sweep, where one per RunConfig.validate call plus one per wall shape
+    # (sym-quadratic, and asym-quadratic for the envelopes) will do
+    from neckflow.geometry import NeckProfile
+    calls = {"profile": 0, "config": 0}
+
+    def counted(cls, name, key):
+        real = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[key] += 1
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(NeckProfile, "_validate", "profile")
+    counted(RunConfig, "validate", "config")
+    assert main(["sweep", "rates", "--profile", "sym-quadratic", "--alpha", "1,2,3",
+                 "--m", "1", "--eps", "1e-2,3e-3,1e-3,3e-4,1e-4", "--envelopes",
+                 "--out", str(tmp_path)]) == 0
+    assert calls["profile"] <= calls["config"] + 2  # 4 = 2 + 2 here
+
+
 def test_config_json_load(tmp_path):
     doc = {"profile": "sym-quadratic", "alphas": [1], "m_max": 1,
            "eps": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4]}
@@ -229,8 +253,9 @@ def test_config_json_load(tmp_path):
 def test_malformed_json_inputs_are_config_errors(tmp_path, capsys, argv, text):
     # each of these ended in a traceback (JSONDecodeError, TypeError,
     # IsADirectoryError, ValueError) instead of exit code 2, or in a run that
-    # ignored grid and quad_tol, which no check reads, or wrote no report for
-    # an empty formats list; a None text makes the input path a directory
+    # ignored grid and quad_tol (fields no check read, now unknown ones), or
+    # wrote no report for an empty formats list; a None text makes the input
+    # path a directory
     path = tmp_path / "input.json"
     if text is None:
         path.mkdir()

@@ -39,7 +39,7 @@ def test_fit_preconditions():
 
 
 def test_residual_order_passes(cache):
-    h = cache.get("asym-quadratic", 1e-4, 1, 2)
+    h = cache.get("asym-quadratic", 1, 2)
     row = vf.residual_order(h, s=0, m=1, eps=1e-4)
     assert row["passed"]
     assert row["fit"].slope >= row["predicted"] - row["tolerance"]
@@ -51,20 +51,20 @@ def test_residual_order_passes(cache):
 
 def test_residual_order_symmetric_profile(cache):
     # identical walls give the same guaranteed orders (and usually better)
-    h = cache.get("sym-quadratic", 1e-4, 1, 2)
+    h = cache.get("sym-quadratic", 1, 2)
     assert vf.residual_order(h, s=0, m=1, eps=1e-4)["passed"]
-    h2 = cache.get("asym-quadratic", 1e-4, 2, 2)
+    h2 = cache.get("asym-quadratic", 2, 2)
     assert vf.residual_order(h2, s=0, m=1, eps=1e-4)["passed"]
 
 
 def test_residual_window_requires_room():
-    h = vf.HierarchyCache().get("sym-quadratic", 0.05, 1, 2, green=True)
+    h = vf.HierarchyCache().get("sym-quadratic", 1, 2, green=True)
     with pytest.raises(ValueError, match="window"):
         vf.residual_order(h, s=0, m=1, eps=0.05)  # 2 sqrt(0.05) > R/2
 
 
 def test_blowup_orders_exact(cache):
-    h = cache.get("sym-quadratic", vf.DEFAULT_EPS_SWEEP[0], 1, 1, green=True)
+    h = cache.get("sym-quadratic", 1, 1, green=True)
     for m in (0, 1, 2, 3):
         row = vf.corrector_blowup_order(h, vf.DEFAULT_EPS_SWEEP, m)
         assert row["predicted"] == pytest.approx(-(m + 2) / 2)
@@ -72,14 +72,23 @@ def test_blowup_orders_exact(cache):
 
 
 def test_blowup_point_inside_chart(cache):
-    h = cache.get("sym-quadratic", 1e-2, 1, 1, green=True)
+    h = cache.get("sym-quadratic", 1, 1, green=True)
     with pytest.raises(ValueError):
         vf.corrector_blowup_order(h, [1e-2], 0, r_eval=20.0)
 
 
+def test_blowup_eps_list_is_checked_before_the_square_root(cache):
+    # a negative eps reached np.sqrt and raised numpy's invalid-value warning
+    h = cache.get("sym-quadratic", 1, 1, green=True)
+    for bad in ([1e-2, -1e-3, 1e-3, 1e-4, 1e-5], [1e-2, np.nan, 1e-3, 1e-4, 1e-5],
+                [np.inf, 1e-2, 1e-3, 1e-4, 1e-5]):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            vf.corrector_blowup_order(h, bad, 1)
+
+
 def test_pressure_deriv_fields(cache):
     # the pressure is one field, so deriv_fields gives its mixed partials
-    h = cache.get("asym-quadratic", 1e-2, 1, 2)
+    h = cache.get("asym-quadratic", 1, 2)
     p = h.cumulative_pressure(2)
     assert deriv_fields(p, 0) == [p]
     fields2 = deriv_fields(p, 2)
@@ -100,36 +109,32 @@ def test_cache_builds_each_hierarchy_once_for_every_eps(monkeypatch):
                             built.append((name, *a)) or real(profile, *a))
     cache = vf.HierarchyCache()
     for alpha, green in ((1, False), (2, False), (1, True)):
-        hs = [cache.get("sym-quadratic", eps, alpha, 1, green=green)
-              for eps in vf.DEFAULT_EPS_SWEEP]
-        assert all(h is hs[0] for h in hs)  # one object at every eps
-        h = hs[0]
+        h = cache.get("sym-quadratic", alpha, 1, green=green)
+        assert cache.get("sym-quadratic", alpha, 1, green=green) is h  # one object
+        assert h.profile is cache.shape("sym-quadratic")  # on the eps-free shape
         assert h.profile.eps is None and h.alpha == alpha and h.green == green
     # (alpha, levels) of each build_hierarchy call, (levels,) of the Green one
     assert sorted(built) == [("build_hierarchy", 1, 1), ("build_hierarchy", 2, 1),
                              ("build_symmetric_green", 1)]
     # deeper levels extend the one shared hierarchy
-    h = cache.get("sym-quadratic", 1e-4, 1, 2)
+    h = cache.get("sym-quadratic", 1, 2)
     assert h.depth == 2 and len(built) == 3
-    assert cache.get("sym-quadratic", 1e-2, 1, 1) is h
-    # the eps is still checked, and the profile at an eps is its geometry
-    with pytest.raises(ValueError):
-        cache.get("sym-quadratic", -1e-3, 1, 1)
-    p = cache.profile("sym-quadratic", 1e-4)
-    assert p.eps == 1e-4 and p.delta(0.0) == 1e-4 and p._intern is not h.profile._intern
+    assert cache.get("sym-quadratic", 1, 1) is h
+    # the shape's geometry is read at a named eps, as its hierarchies are
+    assert cache.shape("sym-quadratic").delta(0.0, 1e-4) == 1e-4
 
 
 def test_a_shared_coefficient_needs_its_eps_whatever_eps_was_served():
     # a cache hierarchy's coefficients once read at the first eps served
     # when none was named (1/delta(0.01) = 99.0099...), and raised once a
-    # second eps had been served; now they raise either way, and a named eps
-    # reads the build at that eps
+    # second eps had been served; now they raise whatever eps they were read
+    # at before, and a named eps reads the build at that eps
     cache = vf.HierarchyCache()
-    lev = cache.get("sym-quadratic", 1e-2, 1, 1).level(1)
+    lev = cache.get("sym-quadratic", 1, 1).level(1)
     coeffs = [c for f in (lev.v.u1, lev.v.u2, lev.residual.u1, lev.residual.u2,
                           lev.pressure) for c in f.coeffs]
     for served in (1e-2, 1e-3):
-        cache.get("sym-quadratic", served, 1, 1)
+        ca.eval_many(coeffs, [0.01, 0.2], served)
         with pytest.raises(ValueError, match="pass the eps"):
             coeffs[1].eval(0.01)
         with pytest.raises(ValueError, match="pass the eps"):
