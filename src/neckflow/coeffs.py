@@ -56,9 +56,10 @@ memo, with its powers, once its last parent has read it; the roots stay.
 The results are bit for bit those of the node-by-node recursion they
 replace.  An integral is a leaf of the walk: its panel tables evaluate the
 integrand in walks of their own, one per refinement round over all the eps
-being tabulated, ten times tighter than the integral's own tolerance.
-Public evaluation has one tolerance, ``QUAD_TOL``, and takes an optional
-eps, checked finite and positive (``eval_many``).
+being tabulated.  Each (integral, eps) gets one table, built once to the
+one tolerance ``QUAD_TOL`` whatever asked for it first, so a value never
+depends on what was evaluated before.  Evaluation takes an optional eps,
+checked finite and positive (``eval_many``).
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ class _Const(Coeff):
     def _diff_impl(self):
         return const(0.0)
 
-    def _eval_impl(self, x, tol, eps):
+    def _eval_impl(self, x, eps):
         return self.value
 
     def _text(self):
@@ -267,7 +268,7 @@ class _X1(Coeff):
     def _diff_impl(self):
         return const(1.0)
 
-    def _eval_impl(self, x, tol, eps):
+    def _eval_impl(self, x, eps):
         return x
 
     def _text(self):
@@ -283,7 +284,7 @@ class _Eps(Coeff):
     def _diff_impl(self):
         return const(0.0)
 
-    def _eval_impl(self, x, tol, eps):
+    def _eval_impl(self, x, eps):
         return eps
 
     def _text(self):
@@ -296,7 +297,7 @@ class _ProfileDeriv(Coeff):
     def _diff_impl(self):
         return profile_deriv(self.profile, self.wall, self.order + 1)
 
-    def _eval_impl(self, x, tol, eps):
+    def _eval_impl(self, x, eps):
         if self.order > self.profile.M:
             raise CapabilityError(
                 f"wall derivative order {self.order} exceeds the profile cap M={self.profile.M}"
@@ -387,33 +388,26 @@ class _Prod(Coeff):
 class _Antideriv(Coeff):
     """int_lower^{x1} integrand(y) dy, evaluated by panelized quadrature:
     one panel table per eps, kept in ``_tables``; an evaluation queries each
-    distinct eps's table at the points of that eps, and the tables it lacks
-    are refined together (``_tabulate``)."""
+    distinct eps's table at the points of that eps, and builds the tables it
+    lacks, once and together (``_tabulate``)."""
 
     __slots__ = ("lower", "integrand", "_tables")
 
     def _diff_impl(self):
         return self.integrand
 
-    def _eval_impl(self, x, tol, eps):
+    def _eval_impl(self, x, eps):
         vals, inv = np.unique(eps, return_inverse=True)
-        tables = self._tables_at(tol, vals.tolist())
+        vals, tables = vals.tolist(), self._tables
+        missing = [e for e in vals if e not in tables]
+        if missing:
+            tables.update(zip(missing, _tabulate(self, missing)))
         inv = inv.reshape(eps.shape)
         out = np.empty(x.shape)
-        for i, table in enumerate(tables):
+        for i, e in enumerate(vals):
             at = inv == i
-            out[at] = table.value_at(x[at])
+            out[at] = tables[e].value_at(x[at])
         return out
-
-    def _tables_at(self, tol, eps: list) -> list:
-        """The table at each eps of ``eps``.  Those missing, or looser than
-        ``tol``, are replaced by new ones, all refined in one lockstep."""
-        tables = self._tables
-        floor = max(tol, _PanelTable.TOL_FLOOR)
-        stale = [e for e in eps if e not in tables or tables[e].tol > floor]
-        if stale:
-            tables.update(zip(stale, _tabulate(self, tol, stale)))
-        return [tables[e] for e in eps]
 
     def _sexp_steps(self, room):
         head = f"(int {self.lower!r} "
@@ -684,10 +678,9 @@ def _post_order(roots, seen: dict, integrands: bool = False) -> list:
     return order
 
 
-def _walk(roots, x: np.ndarray, tol, eps: np.ndarray) -> list:
+def _walk(roots, x: np.ndarray, eps: np.ndarray) -> list:
     """Values of ``roots`` at ``x`` and gap ``eps`` (an array of x's shape,
-    one eps per point) from one post-order walk with one memo;
-    integrals are evaluated to quadrature tolerance ``tol``.  A value, and
+    one eps per point) from one post-order walk with one memo.  A value, and
     its powers, leave the memo once its last parent has read them; a root
     stays, as its appearance among the roots is a use no parent makes."""
     roots = list(roots)
@@ -735,7 +728,7 @@ def _walk(roots, x: np.ndarray, tol, eps: np.ndarray) -> list:
                     del memo[t]
                     powers.pop(t, None)
         else:
-            memo[node] = node._eval_impl(x, tol, eps)
+            memo[node] = node._eval_impl(x, eps)
             continue
         if out.__class__ is not kind:
             out = np.full(shape, out) if shape else np.float64(out)
@@ -783,7 +776,7 @@ def eval_many(nodes, x1, eps=None) -> list:
     arr = np.asarray(x1, dtype=float)
     eps = _profile_eps(nodes) if eps is None else _checked_eps(eps, arr.shape)
     out = []
-    for v in _walk(nodes, arr, QUAD_TOL, np.broadcast_to(eps, arr.shape)):
+    for v in _walk(nodes, arr, np.broadcast_to(eps, arr.shape)):
         v = np.broadcast_to(np.asarray(v, dtype=float), arr.shape)
         out.append(np.array(v) if arr.ndim else float(v))
     return out
@@ -854,12 +847,12 @@ def _gauss_kronrod(lo, hi):
     return ik, err, ys
 
 
-def _refine(node: _Antideriv, tol: float):
+def _refine(node: _Antideriv):
     """Generator of one table's panels: yields the Kronrod points of each
     round's new panels, is sent the integrand's values there, and returns
     the panels' left and right edges and values, sorted.  Each round splits
     the panels whose Gauss/Kronrod error estimate is largest, until the
-    summed estimate meets ``tol``."""
+    summed estimate meets ``QUAD_TOL``."""
     prof = node.integrand.profile
     if prof is not None:
         a, b = -2.0 * prof.R, 2.0 * prof.R
@@ -875,14 +868,15 @@ def _refine(node: _Antideriv, tol: float):
         # scale by the prefix function's magnitude, not the signed total:
         # odd integrands cancel globally but their cumulative is large
         scale = float(np.sum(np.abs(val)))
-        target = max(1e-300, tol * max(1.0, scale))
-        if float(np.sum(err)) <= target:
+        target = max(1e-300, QUAD_TOL * max(1.0, scale))
+        total = float(np.sum(err))
+        if total <= target:
             break
-        if len(lo) >= _MAX_PANELS:
+        # a NaN estimate passes no split test below: stop as at the panel cap
+        if not np.isfinite(total) or len(lo) >= _MAX_PANELS:
             raise QuadratureError(
-                f"quadrature did not converge after {_MAX_PANELS} panels "
-                f"(err~{float(np.sum(err)):.2e}) on node {node._sexp(120)[:120]}"
-            )
+                f"quadrature did not converge after {len(lo)} panels "
+                f"(err~{total:.2e}) on node {node._sexp(120)[:120]}")
         split = err > target / (2.0 * len(lo))
         if not np.any(split):
             split = err >= np.max(err)
@@ -898,20 +892,20 @@ def _refine(node: _Antideriv, tol: float):
     return lo[order], hi[order], ys[order]
 
 
-def _tabulate(node: _Antideriv, tol: float, eps: list) -> list:
+def _tabulate(node: _Antideriv, eps: list) -> list:
     """The tables of ``node`` at each eps of ``eps``, refined in lockstep.
     Each round evaluates the new panels of every table still refining in
-    one walk of the integrand, ten times tighter than ``tol``, with one eps
-    per point; each table then reads its own block of rows and decides its
-    own splits, as it would alone."""
-    runs = [_refine(node, max(tol, _PanelTable.TOL_FLOOR)) for _ in eps]
+    one walk of the integrand, with one eps per point (an integral in it
+    reads its own tables); each table then reads its own block of rows and
+    decides its own splits, as it would alone."""
+    runs = [_refine(node) for _ in eps]
     asks = {i: next(run) for i, run in enumerate(runs)}
     panels = [None] * len(eps)
     while asks:
         xs = np.concatenate(list(asks.values()))
         at = np.repeat([eps[i] for i in asks],
                        [p.size for p in asks.values()]).reshape(xs.shape)
-        ys = np.broadcast_to(_walk([node.integrand], xs, tol / 10.0, at)[0], xs.shape)
+        ys = np.broadcast_to(_walk([node.integrand], xs, at)[0], xs.shape)
         start = 0
         for i, p in list(asks.items()):
             block, start = ys[start:start + len(p)], start + len(p)
@@ -924,7 +918,7 @@ def _tabulate(node: _Antideriv, tol: float, eps: list) -> list:
     for e, ps in zip(eps, panels):
         table = _PanelTable.__new__(_PanelTable)
         table.eps, table.panels = e, ps
-        table.__init__(node, tol)
+        table.__init__(node, QUAD_TOL)
         tables.append(table)
     return tables
 
@@ -934,22 +928,19 @@ class _PanelTable:
     one eps.
 
     Panels are refined where the Gauss/Kronrod error estimate is largest
-    until the summed estimate meets the tolerance (``_refine``); the tables
+    until the summed estimate meets ``QUAD_TOL`` (``_refine``); the tables
     of one node at several eps are refined in lockstep (``_tabulate``).
-    Each panel then stores the exact antiderivative of its degree-14
-    interpolant, so queries are a prefix sum plus one local polynomial
-    evaluation: after the build, no integrand evaluations happen at all.
+    Each table meets ``QUAD_TOL`` for the integrand values it is given, so
+    a nested integral's error adds up level by level.  Each panel then
+    stores the exact antiderivative of its degree-14 interpolant, so queries
+    are a prefix sum plus one local polynomial evaluation: after the build,
+    no integrand evaluations happen at all.
     """
 
-    # requests below the double-precision noise floor cannot be certified by
-    # the Gauss/Kronrod difference and would refine forever
-    TOL_FLOOR = 1e-13
-
     def __init__(self, node: _Antideriv, tol: float):
-        """The table from the panels ``_tabulate`` refined: it sets ``eps``
-        and ``panels`` (left edges, right edges, integrand values) before
-        this runs, so the signature stays (node, tol)."""
-        self.tol = max(tol, self.TOL_FLOOR)
+        """The table from the panels ``_tabulate`` refined to ``tol``, always
+        ``QUAD_TOL``: it sets ``eps`` and ``panels`` (left edges, right edges,
+        integrand values) before this runs, so the signature stays (node, tol)."""
         lo, hi, ys = self.panels
         del self.panels
         half = 0.5 * (hi - lo)

@@ -97,7 +97,7 @@ class NeckProfile:
     of them names its eps (``eps_or``), as do the geometry reads ``delta``,
     ``top`` and ``bottom``.  Every finite eps > 0 is a valid gap of every
     valid shape: h1 + h2 is nonnegative and uniformly convex.  eps (when
-    given), R and mu must be finite.
+    given), R, mu and the wall coefficients must be finite.
     """
 
     eps: float | None
@@ -117,6 +117,8 @@ class NeckProfile:
         if not ((self.eps is None or 0 < self.eps < math.inf)
                 and 0 < self.R < math.inf and 0 < self.mu < math.inf):
             raise ValueError("eps, R, mu must be positive and finite")
+        if not all(map(math.isfinite, self.h1.coefficients + self.h2.coefficients)):
+            raise ValueError("wall coefficients must be finite")
         if self.kappa is not None and not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa!r}")
         if self.M < 1:

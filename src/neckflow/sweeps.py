@@ -107,8 +107,10 @@ class RunConfig:
     def load_profile(self, eps: float):
         return vf.load_profile(self.profile, eps)
 
-    def canonical(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+    def canonical(self) -> str:  # the fields that choose the checks, not the output
+        doc = asdict(self)
+        del doc["out_dir"], doc["formats"]
+        return json.dumps(doc, sort_keys=True)
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]

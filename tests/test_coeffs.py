@@ -122,7 +122,7 @@ def test_quadrature_failure_is_diagnosed(monkeypatch):
     assert "int" in str(err.value)  # the offending node path is reported
 
 
-def _reference_eval(node, x, tol, eps, memo):
+def _reference_eval(node, x, eps, memo):
     """The node-by-node recursion the evaluation walk replaced; leaves (the
     eps leaf and integrals included) are evaluated at gap ``eps``, an array
     of x's shape."""
@@ -131,13 +131,13 @@ def _reference_eval(node, x, tol, eps, memo):
         if isinstance(node, ca._Sum):
             v = np.full(x.shape, node.c0)
             for t, c in zip(node.nodes, node.weights):
-                v = v + c * _reference_eval(t, x, tol, eps, memo)
+                v = v + c * _reference_eval(t, x, eps, memo)
         elif isinstance(node, ca._Prod):
             v = np.full(x.shape, node.c)
             for t, e in zip(node.nodes, node.exps):
-                v = v * _reference_eval(t, x, tol, eps, memo) ** e
+                v = v * _reference_eval(t, x, eps, memo) ** e
         else:
-            v = node._eval_impl(x, tol, eps)
+            v = node._eval_impl(x, eps)
         memo[node._id] = v
     return np.array(np.broadcast_to(np.asarray(v, dtype=float), x.shape))
 
@@ -157,7 +157,7 @@ def test_walk_matches_recursive_reference_bitwise(cache):
              np.array([-0.5 * r, 0.0, 0.5 * r]), np.array([0.3 * r]), np.asarray(0.0))
     for xs in grids:
         memo: dict = {}
-        want = [_reference_eval(n, xs, ca.QUAD_TOL, np.full(xs.shape, eps), memo)
+        want = [_reference_eval(n, xs, np.full(xs.shape, eps), memo)
                 for n in nodes]
         got = [np.asarray(v) for v in ca.eval_many(nodes, xs, eps)]
         one = [np.asarray(n.eval(xs, eps)) for n in nodes]
@@ -174,9 +174,9 @@ def test_walk_keeps_the_value_types_of_the_recursion():
     s = ca.antideriv(0.0, ca.delta_coeff(p)) + ca.antideriv(0.0, ca.delta_coeff(p) * ca.X1)
     for xs, kind in ((np.array([0.3]), np.ndarray), (np.asarray(0.3), np.float64)):
         eps = np.full(xs.shape, p.eps)
-        vals = ca._walk([s, s**2], xs, ca.QUAD_TOL, eps)
+        vals = ca._walk([s, s**2], xs, eps)
         assert [type(v) for v in vals] == [kind, kind]
-        want = _reference_eval(s**2, xs, ca.QUAD_TOL, eps, {})
+        want = _reference_eval(s**2, xs, eps, {})
         assert np.asarray(vals[1]).tobytes() == want.tobytes()
 
 
@@ -340,8 +340,8 @@ def test_eps_leaf_is_bound_at_evaluation():
 
 def test_per_point_eps_matches_the_scalar_calls_bitwise(monkeypatch):
     # one walk with an eps per point equals one-point walks at each eps; each
-    # integral builds one panel table per distinct eps and tolerance (inner
-    # is also evaluated ten times tighter inside outer's table)
+    # integral builds one panel table per distinct eps (inner's are built
+    # once, whether outer's table or the top-level walk asks first)
     p = named_profile("asym-quadratic", eps=1e-2)
     d = ca.delta_coeff(p)
     inner = ca.antideriv(0.0, ca.mul_pow([(d, -1)]))
@@ -354,22 +354,64 @@ def test_per_point_eps_matches_the_scalar_calls_bitwise(monkeypatch):
                         built.append((node, table.eps, tol)) or real(table, node, tol))
     xs = np.array([-0.4, -0.1, 0.0, 0.05, 0.2, 0.3, 0.45])
     eps = np.array([1e-2, 1e-3, 1e-2, 3e-4, 1e-3, 1e-2, 3e-4])
-    ca.eval_many(nodes, xs, eps)
-    assert len(built) == len(set(built)) == 4 * 3  # (inner twice, outer, g) x 3 eps
+    got = ca.eval_many(nodes, xs, eps)
+    assert len(built) == len(set(built)) == 3 * 3  # (inner, outer, g) x 3 eps
     for n in (inner, outer, g):
         assert sorted(n._tables) == [3e-4, 1e-3, 1e-2]
-    # inner's first tables gave way to the tighter ones of outer's build, so
-    # compare once every table is final
-    got = ca.eval_many(nodes, xs, eps)
     for i in range(len(xs)):
         one = ca.eval_many(nodes, xs[i:i + 1], float(eps[i]))
         for v, w in zip(got, one):
             assert v[i:i + 1].tobytes() == w.tobytes()
-    assert len(built) == 4 * 3  # the one-point calls reuse every table
+    assert len(built) == 3 * 3  # the one-point calls reuse every table
     # all points at one eps: the walk at that eps, bit for bit
     same = ca.eval_many(nodes, xs, np.full(xs.shape, 1e-3))
     for v, w in zip(same, ca.eval_many(nodes, xs, 1e-3)):
         assert v.tobytes() == w.tobytes()
+
+
+def test_an_integral_reads_one_value_whatever_was_evaluated_before():
+    # inner = int_0^x 1/delta at x=0.45, eps=3e-4: it read ...043 from its own
+    # table and ...046 once outer's build had re-tabulated it ten times
+    # tighter and replaced that table, in either order of first use
+    want = 72.56705492954043
+
+    def integrals():
+        p = named_profile("asym-quadratic", eps=None)  # a fresh shape each time
+        d = ca.delta_coeff(p)
+        inner = ca.antideriv(0.0, ca.mul_pow([(d, -1)]))
+        return inner, ca.antideriv(0.0, inner * ca.profile_deriv(p, 1, 1) * d)
+
+    inner, outer = integrals()
+    assert ca.coeff_eval(inner, 0.45, 3e-4) == want
+    ca.coeff_eval(outer, 0.45, 3e-4)
+    assert ca.coeff_eval(inner, 0.45, 3e-4) == want
+    inner, outer = integrals()
+    ca.coeff_eval(outer, 0.45, 3e-4)
+    assert ca.coeff_eval(inner, 0.45, 3e-4) == want
+    assert len(inner._tables) == len(outer._tables) == 1
+
+
+def test_a_non_finite_quadrature_estimate_is_diagnosed(src_env):
+    # h1^2 = 1e400 x1^4 overflows to inf, so the Gauss/Kronrod difference is
+    # NaN: no panel passed a split test and the refinement looped forever
+    code = (
+        "from neckflow import coeffs as ca\n"
+        "from neckflow.geometry import NeckProfile, ProfileFn\n"
+        "p = NeckProfile(eps=1e-3, h1=ProfileFn([0, 0, 1e200]), h2=ProfileFn([0, 0, 0.5]))\n"
+        "h1 = ca.profile_deriv(p, 1, 0)\n"
+        "try:\n"
+        "    ca.coeff_eval(ca.antideriv(0.0, ca.mul_pow([(h1, 2)])), 0.3)\n"
+        "except ca.QuadratureError as exc:\n"
+        "    print(exc)\n"
+    )
+    try:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=30, env=src_env)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the refinement did not stop on a NaN error estimate")
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert "did not converge after 8 panels (err~nan)" in out.stdout
+    assert "(int 0.0" in out.stdout  # the offending node is named
 
 
 def test_lockstep_tables_equal_the_one_eps_builds_bitwise(monkeypatch):

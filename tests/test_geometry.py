@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,3 +190,20 @@ def test_non_finite_profile_fields_are_rejected(tmp_path, capsys):
     assert main(["corrector", "build", "--profile", str(path), "--eps", "1e-2",
                  "--m", "0", "--out", str(tmp_path)]) == 2
     assert "positive and finite" in capsys.readouterr().err
+
+
+def test_non_finite_wall_coefficients_are_rejected(tmp_path, src_env):
+    # every comparison in _validate is false on NaN, so a NaN wall loaded
+    # with kappa = nan and corrector build on it never ended
+    for h1 in ([0, 0, float("nan")], [0, 0, float("inf")], [0, 0, 1.0, float("nan")]):
+        with pytest.raises(ValueError, match="wall coefficients must be finite"):
+            NeckProfile(eps=0.01, h1=ProfileFn(h1), h2=ProfileFn([0, 0, 0.5]))
+    path = tmp_path / "nan-wall.json"  # JSON as Python writes and reads it
+    path.write_text('{"h1": {"poly": [0, 0, NaN]}, "h2": {"poly": [0, 0, 0.5]}}')
+    out = subprocess.run(
+        [sys.executable, "-m", "neckflow.cli", "corrector", "build", "--profile",
+         str(path), "--eps", "1e-2", "--m", "0", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=src_env)
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: profile ")
+    assert "wall coefficients must be finite" in out.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -183,6 +184,32 @@ def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, bad):
                  "--n1", "33", "--n2", "32", "--out", str(tmp_path)] + bad)
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: stokes solve: ")
+
+
+def test_a_derivative_cap_below_the_construction_is_a_config_error(tmp_path, capsys):
+    # "M": 2 passes validate's m_max <= M - 1 at --m 1, but the construction
+    # reads the walls' third derivative: a CapabilityError traceback, exit 1
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"h1": {"poly": [0, 0, 1.0]},
+                                "h2": {"poly": [0, 0, 0.5]}, "M": 2}))
+    assert main(["corrector", "build", "--profile", str(path), "--eps", "1e-2",
+                 "--alpha", "1", "--m", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: wall derivative order 3 exceeds")
+
+
+def test_the_config_digest_names_the_checks_not_the_report_path(tmp_path):
+    # the digest hashed out_dir and formats: one sweep written to two
+    # directories got two config_digest values and two report names
+    stems = []
+    for out, fmt in ((tmp_path / "a", "csv"), (tmp_path / "b", "json,csv")):
+        assert main(["corrector", "verify", "--profile", "sym-quadratic", "--alpha", "1",
+                     "--m", "0", "--eps", "1e-2", "--format", fmt, "--out", str(out)]) == 0
+        stems.append({os.path.splitext(name)[0] for name in os.listdir(out)})
+    assert len(stems[0]) == 1 and stems[0] == stems[1]
+    moved = dataclasses.replace(SMALL, out_dir=str(tmp_path), formats=("json",))
+    assert moved.digest() == SMALL.digest()
+    assert dataclasses.replace(SMALL, m_max=2).digest() != SMALL.digest()
 
 
 def test_custom_profile_file_sweep(tmp_path):
