@@ -13,7 +13,6 @@ from .geometry import (
     profile_from_json,
 )
 from .coeffs import (
-    CapabilityError,
     Coeff,
     QuadratureError,
     coeff_diff,

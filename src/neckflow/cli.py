@@ -14,7 +14,6 @@ import sys
 
 from . import fd
 from . import sweeps
-from .coeffs import CapabilityError
 from .correctors import build_hierarchy, build_symmetric_green
 from .fields import sup_abs
 from .geometry import NAMED_PROFILES
@@ -251,7 +250,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapabilityError, OSError) as exc:  # bad values, a low M, bad paths
+    except (ConfigError, OSError) as exc:  # bad values, bad paths
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,8 @@ Every scalar coefficient produced by the corrector constructions lives in this
 algebra: constants, ``x1``, wall-profile derivatives, linear combinations,
 power products and definite integrals ``int_a^{x1} g``.  Differentiation is
 exact (integrals map to their integrands, profile derivatives bump their
-order) and evaluation is numeric, with adaptive Gauss-Kronrod quadrature on
-every integral node.
+order and are the literal zero above the wall's degree) and evaluation is
+numeric, with adaptive Gauss-Kronrod quadrature on every integral node.
 
 Nodes are immutable and hash-consed, so structurally equal expressions share
 one node.  Linear combinations collect identical subtrees, which is what makes
@@ -36,7 +36,10 @@ two parallel tuples, ``nodes`` and ``weights``; a product ``c * prod(n**e)``
 keeps ``nodes`` and ``exps``.  Both are sorted by node rank, with no
 constant, no nested product and no zero exponent among a product's factors.
 The tuples of floats and ints hold no object the cyclic GC has to track, so
-it tracks one tuple per node, the one of its children.
+it tracks one tuple per node, the one of its children.  Both are interned
+under one key rule (``_compound``): the class name, the constant, the
+children's ids and the node's own ``weights`` or ``exps`` tuple, shared with
+the key.
 
 Differentiation is one iterative walk (``Coeff.diff``) that drives a stack of
 ``_diff_steps`` generators: each yields a child whose derivative it needs and
@@ -78,7 +81,6 @@ from .geometry import NeckProfile, check_eps
 
 __all__ = [
     "Coeff",
-    "CapabilityError",
     "QuadratureError",
     "const",
     "X1",
@@ -104,10 +106,6 @@ _FREE_RANK = 1 << 62
 _POSITIVE = attrgetter("positive")  # all(map(...)) over children: no generator
 
 
-class CapabilityError(RuntimeError):
-    """A wall-profile derivative beyond the profile's declared order cap."""
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge on an integral node."""
 
@@ -128,7 +126,7 @@ def _merge_profile(nodes) -> NeckProfile | None:
 class Coeff:
     """Base node.  Use the module constructors, not subclass __init__ directly."""
 
-    __slots__ = ("_id", "_rank", "profile", "_diff", "positive", "__weakref__")
+    __slots__ = ("_id", "_rank", "profile", "_diff", "positive")
 
     def _register(self, profile):
         self.profile = profile
@@ -306,10 +304,6 @@ class _ProfileDeriv(Coeff):
         return profile_deriv(self.profile, self.wall, self.order + 1)
 
     def _eval_impl(self, x, eps):
-        if self.order > self.profile.M:
-            raise CapabilityError(
-                f"wall derivative order {self.order} exceeds the profile cap M={self.profile.M}"
-            )
         fn = self._fn
         if fn is None:
             fn = self.profile.h(self.wall).deriv(self.order)
@@ -453,7 +447,7 @@ X1 = _intern(None, ("x",), _X1)
 def profile_deriv(profile: NeckProfile, wall: int, order: int) -> Coeff:
     if wall == 2 and profile.symmetric:
         wall = 1  # identical walls share nodes so h1 - h2 cancels structurally
-    if order <= profile.M and order > profile.h(wall).degree:
+    if order > profile.h(wall).degree:
         return const(0.0)
     return _intern(profile, ("pd", wall, order), _ProfileDeriv,
                    wall=wall, order=order, _fn=None)
@@ -465,7 +459,7 @@ def lin(terms, c0: float = 0.0) -> Coeff:
     Sums are flattened depth first, each term in stored order."""
     acc: dict[int, list] = {}
     c0 = float(c0)
-    # term by term, as pushes may intern nodes (_unit_prod below): node ids
+    # term by term, as pushes may intern nodes (unit products below): node ids
     # then follow the same order however ``terms`` is produced
     for node, co in terms:
         todo = [(node, float(co))]
@@ -482,12 +476,12 @@ def lin(terms, c0: float = 0.0) -> Coeff:
                 todo.extend([(t, co * c) for t, c in
                              zip(reversed(node.nodes), reversed(node.weights))])
                 continue
-            if cls is _Prod and node.c != 1.0:
+            if cls is _Prod and node.c != 1.0:  # co * p = (co * c) * (p with c = 1)
                 co = co * node.c
-                node = _unit_prod(node)
-                if node.__class__ is not _Prod:
-                    todo.append((node, co))
+                if len(node.nodes) == 1 and node.exps[0] == 1:
+                    todo.append((node.nodes[0], co))
                     continue
+                node = _compound(_Prod, 1.0, node.nodes, node.exps, node.profile)
             slot = acc.get(node._rank)
             if slot is None:
                 acc[node._rank] = [node, co]
@@ -503,9 +497,7 @@ def lin(terms, c0: float = 0.0) -> Coeff:
             return n
         return mul_pow([(n, 1)], c)
     nodes, weights = zip(*kept)
-    key = ("s", c0, tuple([(n._id, c) for n, c in kept]))
-    return _intern(_merge_profile(nodes), key, _Sum,
-                   c0=c0, nodes=nodes, weights=weights)
+    return _compound(_Sum, c0, nodes, weights, _merge_profile(nodes))
 
 
 def mul_pow(factors, c: float = 1.0) -> Coeff:
@@ -554,17 +546,15 @@ def _make_prod(c: float, acc: dict) -> Coeff:
     if c == 1.0 and len(kept) == 1 and kept[0][1] == 1:
         return kept[0][0]
     nodes, exps = zip(*kept)
-    key = ("p", c, tuple([(n._id, e) for n, e in kept]))
-    return _intern(_merge_profile(nodes), key, _Prod, c=c, nodes=nodes, exps=exps)
+    return _compound(_Prod, c, nodes, exps, _merge_profile(nodes))
 
 
-def _unit_prod(p: _Prod) -> Coeff:
-    """``p`` with its constant set to 1, from its stored canonical factors."""
-    nodes, exps = p.nodes, p.exps
-    if len(nodes) == 1 and exps[0] == 1:
-        return nodes[0]
-    key = ("p", 1.0, tuple(zip([n._id for n in nodes], exps)))
-    return _intern(p.profile, key, _Prod, c=1.0, nodes=nodes, exps=exps)
+def _compound(cls, c: float, nodes: tuple, coefs: tuple, profile) -> Coeff:
+    """The sum or product ``cls`` (slots: constant, nodes, coefs), interned under
+    (class name, c, child ids, coefs): a key the cyclic GC does not track, which
+    shares the node's own ``coefs`` tuple of weights or exponents."""
+    key = (cls.__name__, c, tuple([n._id for n in nodes]), coefs)
+    return _intern(profile, key, cls, **dict(zip(cls.__slots__, (c, nodes, coefs))))
 
 
 def quotient(num, den) -> Coeff:

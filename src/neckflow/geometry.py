@@ -84,20 +84,16 @@ class ProfileFn:
 
 
 def check_eps(eps):
-    """``eps``, a float or an array of them, once each is finite and positive."""
+    """``eps`` once each value is finite and positive; a list or array as floats."""
     e = np.asarray(eps, dtype=float)
     if not np.all(np.isfinite(e) & (e > 0.0)):
         raise ValueError("eps must be finite and positive")
-    return eps
+    return e if e.ndim else eps
 
 
 @dataclass(eq=False)
 class NeckProfile:
     """Geometry and material data for one neck configuration.
-
-    ``M`` caps the wall-derivative order the coefficient algebra may request;
-    polynomial profiles are smooth, so the cap mirrors a declared regularity
-    rather than a computational limit.
 
     Each profile owns a coefficient intern table.  With ``eps=None`` it is a
     wall shape: the construction never reads eps, so hierarchies built on a
@@ -114,7 +110,6 @@ class NeckProfile:
     R: float = 0.5
     mu: float = 1.0
     kappa: float | None = None
-    M: int = 64
     name: str = "custom"
 
     symmetric: bool = field(init=False)
@@ -128,8 +123,6 @@ class NeckProfile:
             raise ValueError("wall coefficients must be finite")
         if self.kappa is not None and not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa!r}")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
         self.symmetric = self.h1 == self.h2
         if self.symmetric:
             self.h2 = self.h1  # share the object so both walls alias one profile
@@ -232,19 +225,22 @@ NAMED_PROFILES = {
 }
 
 
-def named_profile(name: str, eps: float | None, R: float = 0.5, mu: float = 1.0,
-                  M: int = 64) -> NeckProfile:
+def named_profile(name: str, eps: float | None, R: float = 0.5, mu: float = 1.0) -> NeckProfile:
     """A built-in profile at gap ``eps``, or its wall shape for ``eps=None``."""
     try:
         h1, h2 = NAMED_PROFILES[name]
     except KeyError:
         raise ValueError(f"unknown profile {name!r}; choices: {sorted(NAMED_PROFILES)}") from None
-    return NeckProfile(eps=eps, h1=h1, h2=h2, R=R, mu=mu, M=M, name=name)
+    return NeckProfile(eps=eps, h1=h1, h2=h2, R=R, mu=mu, name=name)
 
 
 def profile_from_json(doc: dict) -> NeckProfile:
     """Build a profile from ``{"eps":..,"R":..,"mu":..,"h1":{"poly":[...]},"h2":...}``;
-    an ``eps`` of None gives the wall shape."""
+    an ``eps`` of None gives the wall shape.  ``kappa`` and ``name`` are
+    optional too; any other field is an error."""
+    unknown = sorted(set(doc) - {"eps", "R", "mu", "kappa", "name", "h1", "h2"})
+    if unknown:
+        raise ValueError(f"profile document has unknown field(s) {', '.join(map(repr, unknown))}")
     try:
         h1 = ProfileFn(doc["h1"]["poly"])
         h2 = ProfileFn(doc["h2"]["poly"])
@@ -256,7 +252,6 @@ def profile_from_json(doc: dict) -> NeckProfile:
             R=float(doc.get("R", 0.5)),
             mu=float(doc.get("mu", 1.0)),
             kappa=doc.get("kappa"),
-            M=int(doc.get("M", 64)),
             name=str(doc.get("name", "custom")),
         )
     except KeyError as exc:

@@ -103,14 +103,12 @@ def test_positive_denominator_enforced():
     ca.quotient(ca.const(1.0), ca.delta_coeff(p) ** 2)  # fine
 
 
-def test_capability_error_beyond_order_cap():
-    p = NeckProfile(eps=0.01, h1=ProfileFn([0, 0, 0.5]), h2=ProfileFn([0, 0, 0.5]), M=2)
-    node = ca.profile_deriv(p, 1, 3)
-    with pytest.raises(ca.CapabilityError):
-        ca.coeff_eval(node, 0.1)
-    # below the cap the same order is exactly zero for a quadratic wall
-    p2 = NeckProfile(eps=0.01, h1=ProfileFn([0, 0, 0.5]), h2=ProfileFn([0, 0, 0.5]), M=8)
-    assert ca.is_zero(ca.profile_deriv(p2, 1, 3))
+def test_wall_derivatives_above_the_degree_are_zero():
+    # every order above a wall's degree is the literal zero; a declared
+    # order cap made one above it a node whose evaluation raised
+    p = NeckProfile(eps=0.01, h1=ProfileFn([0, 0, 0.5]), h2=ProfileFn([0, 0, 0.5]))
+    assert ca.is_zero(ca.profile_deriv(p, 1, 3))
+    assert ca.profile_deriv(p, 1, 100) is ca.const(0.0)
 
 
 def test_quadrature_failure_is_diagnosed(monkeypatch):
@@ -335,6 +333,30 @@ def test_nodes_store_children_in_one_tracked_tuple(src_env):
     nodes, tracked = map(int, out.stdout.split())
     assert nodes > 10_000
     assert tracked / nodes <= 2.5
+
+
+def test_interned_nodes_take_at_most_600_live_bytes_each(src_env):
+    # a sum or product key of (id, weight) pair tuples held 798 bytes per
+    # node after these builds; one of child ids and the node's own weights
+    # or exponents tuple holds about 520
+    code = (
+        "import gc, tracemalloc\n"
+        "from neckflow import coeffs as ca\n"
+        "from neckflow.correctors import build_hierarchy\n"
+        "from neckflow.geometry import named_profile\n"
+        "p = named_profile('asym-quadratic', eps=1e-3)\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "i0 = ca._NEXT_ID[0]\n"
+        "hs = [build_hierarchy(p, a, 3) for a in (1, 2, 3)]\n"
+        "gc.collect()\n"
+        "print(ca._NEXT_ID[0] - i0, tracemalloc.get_traced_memory()[0])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300, env=src_env, check=True)
+    nodes, live = map(int, out.stdout.split())
+    assert nodes > 30_000
+    assert live / nodes <= 600
 
 
 def test_positivity_check_is_linear_in_the_dag(src_env):

@@ -173,6 +173,14 @@ def test_a_wall_shape_has_every_positive_eps():
                               "h2": {"poly": [0, 0, 0.5]}}).eps is None
 
 
+def test_wall_reads_take_a_list_of_eps():
+    # top and bottom divided the eps as given, so a list raised TypeError
+    shape = named_profile("sym-quadratic", None)
+    x, eps = np.array([0.1, 0.2]), [1e-3, 2e-3]
+    for read in (shape.delta, shape.top, shape.bottom):
+        assert read(x, eps).tobytes() == read(x, np.array(eps)).tobytes()
+
+
 def test_non_finite_profile_fields_are_rejected(tmp_path, capsys):
     # JSON reads 1e999 as inf: "R": 1e999 made corrector build run for
     # minutes, "mu": 1e999 printed nan residual sups and exited 0, and an

@@ -236,18 +236,6 @@ def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, bad):
     assert capsys.readouterr().err.startswith("config error: stokes solve: ")
 
 
-def test_a_derivative_cap_below_the_construction_is_a_config_error(tmp_path, capsys):
-    # "M": 2 passes validate's m_max <= M - 1 at --m 1, but the construction
-    # reads the walls' third derivative: a CapabilityError traceback, exit 1
-    path = tmp_path / "m2.json"
-    path.write_text(json.dumps({"h1": {"poly": [0, 0, 1.0]},
-                                "h2": {"poly": [0, 0, 0.5]}, "M": 2}))
-    assert main(["corrector", "build", "--profile", str(path), "--eps", "1e-2",
-                 "--alpha", "1", "--m", "1", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: wall derivative order 3 exceeds")
-
-
 def test_the_config_digest_names_the_checks_not_the_report_path(tmp_path):
     # the digest hashed out_dir and formats: one sweep written to two
     # directories got two config_digest values and two report names
@@ -308,6 +296,10 @@ def test_config_json_load(tmp_path):
         RunConfig.from_json({"bogus_field": 1})
 
 
+_VERIFY_M1 = ["corrector", "verify", "--profile", "{path}", "--alpha", "1", "--m", "1",
+              "--eps", "1e-2", "--out", "{out}"]
+
+
 @pytest.mark.parametrize("argv, text", [
     (["sweep", "rates", "--config", "{path}", "--out", "{out}"], "{not json"),
     (["sweep", "rates", "--config", "{path}", "--out", "{out}"], "[1, 2]"),
@@ -324,15 +316,19 @@ def test_config_json_load(tmp_path):
      '{"quad_tol": 1e-6, "alphas": [1], "m_max": 1}'),
     (["sweep", "rates", "--config", "{path}", "--out", "{out}"],
      '{"formats": [], "alphas": [1], "m_max": 1}'),
+    (_VERIFY_M1, '{"h1": {"poly": [0, 0, 1.0]}, "h2": {"poly": [0, 0, 0.5]}, "M": 2}'),
+    (_VERIFY_M1, '{"h1": {"poly": [0, 0, 1.0]}, "h2": {"poly": [0, 0, 0.5]}, "kapa": 5}'),
 ], ids=["config-not-json", "config-list", "config-dir", "profile-no-h1",
         "profile-list", "report-list", "report-dir", "config-eps-strings",
-        "config-m-max-string", "config-grid", "config-quad-tol", "config-no-formats"])
+        "config-m-max-string", "config-grid", "config-quad-tol", "config-no-formats",
+        "profile-m", "profile-misspelt-kappa"])
 def test_malformed_json_inputs_are_config_errors(tmp_path, capsys, argv, text):
     # each of these ended in a traceback (JSONDecodeError, TypeError,
     # IsADirectoryError, ValueError) instead of exit code 2, or in a run that
-    # ignored grid and quad_tol (fields no check read, now unknown ones), or
-    # wrote no report for an empty formats list; a None text makes the input
-    # path a directory
+    # ignored grid and quad_tol or kapa (fields no check read, now unknown
+    # ones), or wrote no report for an empty formats list, or ("M", a
+    # wall-derivative cap now deleted) in a CapabilityError row and exit 1;
+    # a None text makes the input path a directory
     path = tmp_path / "input.json"
     if text is None:
         path.mkdir()
