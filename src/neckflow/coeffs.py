@@ -422,12 +422,14 @@ class _Antideriv(Coeff):
 # -- smart constructors ----------------------------------------------------
 
 
-def _intern(profile, key, cls, **fields):
+def _intern(profile, key, cls, *values):
+    """The node of ``key``; on a miss a new ``cls`` whose first slots take
+    ``values`` in order, so a hit builds nothing."""
     table = _GLOBAL_INTERN if profile is None else profile._intern
     node = table.get(key)
     if node is None:
         node = cls.__new__(cls)
-        for name, value in fields.items():
+        for name, value in zip(cls.__slots__, values):
             setattr(node, name, value)
         node._register(profile)
         table[key] = node
@@ -438,7 +440,7 @@ def const(v: float) -> Coeff:
     v = float(v)
     if v == 0.0:
         v = 0.0  # normalize -0.0
-    return _intern(None, ("c", v), _Const, value=v)
+    return _intern(None, ("c", v), _Const, v)
 
 
 X1 = _intern(None, ("x",), _X1)
@@ -449,8 +451,7 @@ def profile_deriv(profile: NeckProfile, wall: int, order: int) -> Coeff:
         wall = 1  # identical walls share nodes so h1 - h2 cancels structurally
     if order > profile.h(wall).degree:
         return const(0.0)
-    return _intern(profile, ("pd", wall, order), _ProfileDeriv,
-                   wall=wall, order=order, _fn=None)
+    return _intern(profile, ("pd", wall, order), _ProfileDeriv, wall, order, None)
 
 
 def lin(terms, c0: float = 0.0) -> Coeff:
@@ -554,7 +555,7 @@ def _compound(cls, c: float, nodes: tuple, coefs: tuple, profile) -> Coeff:
     (class name, c, child ids, coefs): a key the cyclic GC does not track, which
     shares the node's own ``coefs`` tuple of weights or exponents."""
     key = (cls.__name__, c, tuple([n._id for n in nodes]), coefs)
-    return _intern(profile, key, cls, **dict(zip(cls.__slots__, (c, nodes, coefs))))
+    return _intern(profile, key, cls, c, nodes, coefs)
 
 
 def quotient(num, den) -> Coeff:
@@ -569,7 +570,7 @@ def antideriv(lower: float, integrand) -> Coeff:
         # exact: int_a^x c dy = c*(x - a)
         return lin([(X1, integrand.value)], -integrand.value * lower)
     return _intern(integrand.profile, ("a", lower, integrand._id), _Antideriv,
-                   lower=lower, integrand=integrand, _tables={})
+                   lower, integrand, {})
 
 
 def delta_coeff(profile: NeckProfile) -> Coeff:

@@ -24,6 +24,11 @@ zero, but each pressure is reached after its own faces have filled in its
 pivot, and no eliminated region is left with a free pressure constant, so
 the factorization keeps the diagonal pivots of this order and does no
 numeric pivoting.
+
+Outside SuperLU the solve calls no BLAS: its norms are numpy reductions
+(``_norm``).  ``np.linalg.norm`` of a long vector is a BLAS dot product, which
+OpenBLAS splits over its worker threads, and those threads keep spinning after
+it returns, through the next solve and whatever the caller does next.
 """
 
 from __future__ import annotations
@@ -357,6 +362,12 @@ class DiscreteSolution:
         return uc, vc
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array without BLAS (see the module docstring);
+    it overflows exactly where ``np.linalg.norm``'s ``x.dot(x)`` does."""
+    return float(np.sqrt(np.sum(x * x)))
+
+
 def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     """Solve -mu Lap w + grad q = f, div w = 0 on the mapped neck.
 
@@ -366,6 +377,9 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     omitted means homogeneous (the w-problem).  It is called once, with 1-D
     arrays holding every boundary and wall-flux point, and returns the two
     arrays of data values there.
+
+    ``residual_rel`` is ||A s - b|| / ||b|| after one refinement pass, with
+    both norms numpy reductions, so the solve wakes no BLAS worker thread.
     """
     lu, (A, order, int_u, int_v, D, vol_c) = grid.solver()
     n1, n2 = grid.n1, grid.n2
@@ -392,8 +406,7 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     bo = b[order]
     so = lu.solve(bo)
     so += lu.solve(bo - A @ so)  # one refinement pass tightens the residual
-    scale = float(np.linalg.norm(b)) or 1.0
-    residual_rel = float(np.linalg.norm(A @ so - bo)) / scale
+    residual_rel = _norm(A @ so - bo) / (_norm(b) or 1.0)
     sol = np.empty_like(so)
     sol[order] = so
 

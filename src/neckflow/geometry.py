@@ -234,14 +234,22 @@ def named_profile(name: str, eps: float | None, R: float = 0.5, mu: float = 1.0)
     return NeckProfile(eps=eps, h1=h1, h2=h2, R=R, mu=mu, name=name)
 
 
+def _only_fields(doc: dict, known: set, what: str):
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
+
+
 def profile_from_json(doc: dict) -> NeckProfile:
     """Build a profile from ``{"eps":..,"R":..,"mu":..,"h1":{"poly":[...]},"h2":...}``;
     an ``eps`` of None gives the wall shape.  ``kappa`` and ``name`` are
-    optional too; any other field is an error."""
-    unknown = sorted(set(doc) - {"eps", "R", "mu", "kappa", "name", "h1", "h2"})
-    if unknown:
-        raise ValueError(f"profile document has unknown field(s) {', '.join(map(repr, unknown))}")
+    optional too; any other field, in the document or in a wall, is an error."""
+    _only_fields(doc, {"eps", "R", "mu", "kappa", "name", "h1", "h2"}, "profile document")
     try:
+        for wall in ("h1", "h2"):
+            if not isinstance(doc[wall], dict):
+                raise ValueError(f'wall {wall!r} must be an object {{"poly": [...]}}')
+            _only_fields(doc[wall], {"poly"}, f"wall {wall!r}")
         h1 = ProfileFn(doc["h1"]["poly"])
         h2 = ProfileFn(doc["h2"]["poly"])
         eps = doc["eps"]

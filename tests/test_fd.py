@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -276,3 +280,35 @@ def test_solve_fields_samples_at_the_grid_eps():
     for a, b in ((sols[0], sols[2]), (sols[1], sols[3])):
         for name in ("u_pad", "v_pad", "p"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times")
+def test_solves_wake_no_other_thread(src_env):
+    # np.linalg.norm's BLAS dot product on the ~25k unknowns woke OpenBLAS's
+    # worker threads, which then spun: 0.08-0.23 s of their CPU over these
+    # 8 solves on a 2-core host.  Summed over every thread but the main one.
+    code = (
+        "import glob, os\n"
+        "import numpy as np\n"
+        "from neckflow.fd import NeckGrid, solve_w\n"
+        "from neckflow.geometry import named_profile\n"
+        "def others():\n"
+        "    ticks = 0\n"
+        "    for path in glob.glob('/proc/self/task/*/stat'):\n"
+        "        if path.split('/')[-2] != str(os.getpid()):\n"
+        "            with open(path) as fh:\n"
+        "                fields = fh.read().rsplit(')', 1)[1].split()\n"
+        "            ticks += int(fields[11]) + int(fields[12])  # utime + stime\n"
+        "    return ticks / os.sysconf('SC_CLK_TCK')\n"
+        "g = NeckGrid(named_profile('asym-quadratic', eps=0.05), r=0.6, n1=128, n2=64)\n"
+        "g.solver()\n"
+        "rng = np.random.default_rng(0)\n"
+        "before = others()\n"
+        "for _ in range(8):\n"
+        "    solve_w(g, rng.standard_normal((127, 64)), rng.standard_normal((128, 63)))\n"
+        "print(others() - before)\n"
+    )
+    env = dict(src_env, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=env, check=True)
+    assert float(out.stdout) <= 0.02
