@@ -16,6 +16,12 @@ adjoint of the discrete divergence, which pins the saddle structure down to
 one gauge cell, fixed by a single pressure pin.  One sparse LU per grid
 serves any number of right-hand sides.
 
+The matrix is assembled from stencil arrays, with no sparse product: each
+flux term is a coefficient array times a shifted slice of the unknown
+numbers, terms on one slice are summed in numpy, and the pressure gradient
+is the divergence's (row, column, value) arrays swapped and volume-scaled.
+Rows and columns are renumbered once, into one CSC compression per grid.
+
 The LU eliminates the unknowns in cell blocks (a cell's west u face, its
 south v face, then its pressure) with the cells in nested-dissection order
 (A. George, SIAM J. Numer. Anal. 10, 1973), which about halves the fill of a
@@ -57,21 +63,60 @@ __all__ = [
 ]
 
 
-def _diff(n: int) -> sp.csr_matrix:
-    return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n)).tocsr()
+def _flux(idx, axis, k_n, h_n, k_s, h_s):
+    """Stencil of the flux k_n dw/dn + k_s dw/ds through the faces between
+    neighbours of ``idx`` along ``axis`` (n), away from both ends of the other
+    axis (s): (coefficient, column) pairs on the face grid.
+
+    dw/ds is the mean of the four s differences around a face; their middle
+    terms cancel.
+    """
+    idx = np.moveaxis(idx, axis, 0)
+    lo, hi = idx[:-1], idx[1:]
+    c_n = np.moveaxis(k_n, axis, 0) * (1.0 / h_n)
+    c_s = np.moveaxis(k_s, axis, 0) * (0.25 / h_s)
+    terms = [(c_n, hi[:, 1:-1]), (-c_n, lo[:, 1:-1]),
+             (c_s, lo[:, 2:]), (-c_s, lo[:, :-2]), (c_s, hi[:, 2:]), (-c_s, hi[:, :-2])]
+    return [(np.moveaxis(c, 0, axis), np.moveaxis(i, 0, axis)) for c, i in terms]
 
 
-def _avg2(n: int) -> sp.csr_matrix:
-    return sp.diags([0.5 * np.ones(n - 1), 0.5 * np.ones(n - 1)], [0, 1],
-                    shape=(n - 1, n)).tocsr()
+def _div(flux, axis, h):
+    """(F[k+1] - F[k]) / h along ``axis`` for the flux terms F, like terms
+    summed by _stencil."""
+    hi = (slice(None),) * axis + (slice(1, None),)
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    out = []
+    for c, i in flux:
+        c = np.broadcast_to(c, i.shape)
+        out += [(c[hi] * (1.0 / h), i[hi]), (c[lo] * (-1.0 / h), i[lo])]
+    return _stencil(out)
 
 
-def _sel(n: int, rows) -> sp.csr_matrix:
-    return sp.eye(n, format="csr")[rows]
+def _stencil(terms):
+    """The stencil terms with those on one column slice (the same first
+    column) summed, so that no column repeats in a row."""
+    merged = {}
+    for c, i in terms:
+        k = i.flat[0] if i.size else None
+        merged[k] = (merged[k][0] + c, i) if k in merged else (c, i)
+    return list(merged.values())
 
 
-def _dia(arr) -> sp.dia_matrix:
-    return sp.diags(np.asarray(arr).ravel())
+def _flat(pieces, pos):
+    """(rows, columns, values) of all the pieces as three 1-D arrays, rows
+    and columns renumbered by ``pos``.  Each piece broadcasts its three
+    arrays together and is written in place."""
+    pieces = [np.broadcast_arrays(*piece) for piece in pieces]
+    n = sum(i.size for _, i, _ in pieces)
+    rows, cols, vals = np.empty(n, pos.dtype), np.empty(n, pos.dtype), np.empty(n)
+    end = 0
+    for r, i, c in pieces:
+        s = slice(end, end + i.size)
+        end = s.stop
+        np.take(pos, r, out=rows[s].reshape(i.shape), mode="clip")
+        np.take(pos, i, out=cols[s].reshape(i.shape), mode="clip")
+        vals[s].reshape(i.shape)[...] = c
+    return rows, cols, vals
 
 
 _LEAF_CELLS = 16
@@ -123,6 +168,10 @@ class NeckGrid:
     n2: int = 64
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.n1, self.n2)):
+            raise ValueError("n1 and n2 must be integers")
+        if not (np.isfinite(self.r) and self.r > 0):
+            raise ValueError("r must be finite and positive")
         if self.n1 < 1:
             raise ValueError("n1 must be at least 1")
         if self.n2 < 32:
@@ -178,107 +227,61 @@ class NeckGrid:
 
     # -- operator assembly ------------------------------------------------
 
-    def _operators(self):
-        n1, n2 = self.n1, self.n2
-        dx, dt = self.dx, self.dt
-        I = sp.eye
-
-        # u lives on padded (n1+1, n2+2); v on padded (n1+2, n2+1)
-        gx_u = sp.kron(_diff(n1 + 1) / dx, I(n2 + 2))          # -> (n1, n2+2)
-        gt_u = sp.kron(I(n1 + 1), _diff(n2 + 2) / dt)          # -> (n1+1, n2+1)
-        gx_v = sp.kron(_diff(n1 + 2) / dx, I(n2 + 1))          # -> (n1+1, n2+1)
-        gt_v = sp.kron(I(n1 + 2), _diff(n2 + 1) / dt)          # -> (n1+2, n2)
-
+    def _assemble(self):
+        """The saddle-point matrix in elimination order, plus what a solve
+        reads: (A, order, int_u, int_v, D, vol_c)."""
+        n1, n2, dx, dt = self.n1, self.n2, self.dx, self.dt
+        n_u, n_v, n_p = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1), n1 * n2
+        # unknown numbers, int32 as scipy.sparse stores them
+        ids = np.arange(n_u + n_v + n_p, dtype=np.int32)
+        iu = ids[:n_u].reshape(n1 + 1, n2 + 2)             # u on padded x-faces
+        iv = ids[n_u:n_u + n_v].reshape(n1 + 2, n2 + 1)    # v on padded t-faces
+        ip = ids[n_u + n_v:].reshape(n1, n2)
+        int_u, int_v = iu[1:-1, 1:-1], iv[1:-1, 1:-1]
+        d_f = self._delta(self.xf)[:, None]
+        d_c = self._delta(self.xc)[:, None]
         K11c, K12c, K22c = self.K(self.xc, self.tc)
         K11k, K12k, K22k = self.K(self.xf, self.tf)
 
-        # viscous operator for u at interior nodes (i=1..n1-1, all j)
-        sel_tc = sp.kron(I(n1), _sel(n2 + 2, range(1, n2 + 1)))
-        fx_u = (_dia(K11c) @ sel_tc @ gx_u
-                + _dia(K12c) @ sp.kron(_avg2(n1 + 1), _avg2(n2 + 1)) @ gt_u)
-        ft_u = (_dia(K22k[1:-1]) @ sp.kron(_sel(n1 + 1, range(1, n1)), I(n2 + 1)) @ gt_u
-                + _dia(K12k[1:-1]) @ sp.kron(_avg2(n1), _avg2(n2 + 2)) @ gx_u)
-        div_x = sp.kron(_diff(n1) / dx, I(n2))                 # cells -> interior u
-        div_t = sp.kron(I(n1 - 1), _diff(n2 + 1) / dt)         # corners -> interior u
-        lap_u = _dia(1.0 / np.broadcast_to(self._delta(self.xf[1:-1])[:, None],
-                                           (n1 - 1, n2))) @ (div_x @ fx_u + div_t @ ft_u)
-
-        # viscous operator for v at interior nodes (all i, j=1..n2-1)
-        sel_xc = sp.kron(_sel(n1 + 2, range(1, n1 + 1)), I(n2))
-        ft_v = (_dia(K22c) @ sel_xc @ gt_v
-                + _dia(K12c) @ sp.kron(_avg2(n1 + 1), _avg2(n2 + 1)) @ gx_v)
-        fx_v = (_dia(K11k[:, 1:-1]) @ sp.kron(I(n1 + 1), _sel(n2 + 1, range(1, n2))) @ gx_v
-                + _dia(K12k[:, 1:-1]) @ sp.kron(_avg2(n1 + 2), _avg2(n2)) @ gt_v)
-        div_x_v = sp.kron(_diff(n1 + 1) / dx, I(n2 - 1))       # corners -> interior v
-        div_t_v = sp.kron(I(n1), _diff(n2) / dt)               # cells -> interior v
-        lap_v = _dia(1.0 / np.broadcast_to(self._delta(self.xc)[:, None],
-                                           (n1, n2 - 1))) @ (div_x_v @ fx_v + div_t_v @ ft_v)
+        # momentum at interior nodes: -mu/delta times the divergence of the
+        # metric fluxes, u's through cells and interior corners, v's through
+        # interior corners and cells.  The rounding order is part of the
+        # result: each direction's two flux differences are summed, then the
+        # two directions, then the sum is scaled.  SuperLU drops fill that
+        # cancels exactly, so the LU's fill reads A's last bits.
+        mu = self.profile.mu
+        lap_u = [(-mu * (1.0 / d_f[1:-1] * c), i) for c, i in _stencil(
+            _div(_flux(iu, 0, K11c, dx, K12c, dt), 0, dx)
+            + _div(_flux(iu, 1, K22k[1:-1], dt, K12k[1:-1], dx), 1, dt))]
+        lap_v = [(-mu * (1.0 / d_c * c), i) for c, i in _stencil(
+            _div(_flux(iv, 0, K11k[:, 1:-1], dx, K12k[:, 1:-1], dt), 0, dx)
+            + _div(_flux(iv, 1, K22c, dt, K12c, dx), 1, dt))]
 
         # divergence at cells: (1/delta)[d/dx(delta u) + d/dt(delta a ubar + v)].
         # The metric flux through the walls uses the wall data itself (moved to
         # the right-hand side), never ghost-averaged unknowns: this keeps the
-        # transposed pressure gradient consistent up to the walls.
-        sel_u = sp.kron(I(n1 + 1), _sel(n2 + 2, range(1, n2 + 1)))
-        dxu = sp.kron(_diff(n1 + 1) / dx, I(n2)) @ _dia(
-            np.broadcast_to(self._delta(self.xf)[:, None], (n1 + 1, n2))) @ sel_u
-        da_v = self._delta(self.xc)[:, None] * self.a_of(self.xc, self.tf)
-        avg_t = _avg2(n2 + 2).tolil()
-        avg_t[0] = 0.0
-        avg_t[-1] = 0.0
-        phi_u = _dia(da_v) @ sp.kron(_avg2(n1 + 1), avg_t.tocsr())
-        sel_v = sp.kron(_sel(n1 + 2, range(1, n1 + 1)), I(n2 + 1))
-        dtv = sp.kron(I(n1), _diff(n2 + 1) / dt)
-        inv_dc = _dia(1.0 / np.broadcast_to(self._delta(self.xc)[:, None], (n1, n2)))
-        div_u = inv_dc @ (dxu + dtv @ phi_u)
-        div_v = inv_dc @ (dtv @ sel_v)
-        return lap_u, lap_v, div_u, div_v
+        # pressure gradient consistent up to the walls.  D stores every cell's
+        # terms in one fixed-width row, zeros included.
+        da = 0.25 * d_c * self.a_of(self.xc, self.tf)
+        da[:, [0, -1]] = 0.0
+        ubar = [(da, i) for i in (iu[:-1, :-1], iu[:-1, 1:], iu[1:, :-1], iu[1:, 1:])]
+        terms = _stencil(_div([(d_f, iu[:, 1:-1])], 0, dx)
+                         + _div(ubar + [(1.0, iv[1:-1])], 1, dt))
+        div = 1.0 / d_c[..., None] * np.stack([c for c, _ in terms], axis=-1)
+        cols_d = np.stack([i for _, i in terms], axis=-1)
+        D = sp.csr_matrix((div.ravel(), cols_d.ravel(),
+                           np.arange(0, div.size + 1, div.shape[-1], dtype=np.int32)),
+                          shape=(n_p, n_u + n_v))
 
-    def _volumes(self):
-        n1, n2 = self.n1, self.n2
-        w = self.dx * self.dt
-        vol_u = np.zeros((n1 + 1, n2 + 2))
-        vol_u[:, 1:-1] = self._delta(self.xf)[:, None] * w
-        vol_u[:, 0] = vol_u[:, 1]
-        vol_u[:, -1] = vol_u[:, -2]
-        vol_v = np.zeros((n1 + 2, n2 + 1))
-        vol_v[1:-1] = self._delta(self.xc)[:, None] * w
-        vol_v[0] = vol_v[1]
-        vol_v[-1] = vol_v[-2]
-        vol_c = self._delta(self.xc)[:, None] * np.ones((n1, n2)) * w
-        return vol_u, vol_v, vol_c
-
-    def _assemble(self):
-        n1, n2 = self.n1, self.n2
-        mu = self.profile.mu
-        lap_u, lap_v, div_u, div_v = self._operators()
-        vol_u, vol_v, vol_c = self._volumes()
-        n_u = (n1 + 1) * (n2 + 2)
-        n_v = (n1 + 2) * (n2 + 1)
-        n_p = n1 * n2
-        D = sp.hstack([div_u, div_v]).tocsr()
-        G = (-_dia(1.0 / np.concatenate([vol_u.ravel(), vol_v.ravel()]))
-             @ D.T @ _dia(vol_c)).tocsr()
-        G_u, G_v = G[:n_u], G[n_u:]
-
-        rows_a, cols_a, vals_a = [], [], []
-
-        def add_block(row_ids, mat, col_off):
-            mat = mat.tocoo()
-            rows_a.append(row_ids[mat.row])
-            cols_a.append(mat.col + col_off)
-            vals_a.append(mat.data)
-
-        # momentum u at interior nodes
-        iu = np.arange(n_u).reshape(n1 + 1, n2 + 2)
-        int_u = iu[1:-1, 1:-1].ravel()
-        add_block(int_u, -mu * lap_u, 0)
-        add_block(int_u, G_u.tocsr()[int_u], n_u + n_v)
-
-        # momentum v at interior nodes
-        iv = n_u + np.arange(n_v).reshape(n1 + 2, n2 + 1)
-        int_v = iv[1:-1, 1:-1].ravel()
-        add_block(int_v, -mu * lap_v, n_u)
-        add_block(int_v, G_v.tocsr()[int_v - n_u], n_u + n_v)
+        # pressure gradient at interior nodes: the negative volume-weighted
+        # adjoint of the divergence, -V^-1 D^T V_c; boundary unknowns take an
+        # infinite volume, so their rows get zeros, dropped below
+        w = dx * dt
+        vol = np.full(n_u + n_v, np.inf)
+        vol[int_u] = d_f[1:-1] * w
+        vol[int_v] = d_c * w
+        vol_c = d_c * w * np.ones((n1, n2))
+        grad = -1.0 / vol[cols_d] * div * vol_c[..., None]
 
         # boundary rows as one table: row, mapped sample point (x, t), data
         # component and weight.  Dirichlet rows (weight 1) take the data;
@@ -289,13 +292,12 @@ class NeckGrid:
         ends_x, ends_t = self.xf[[0, -1]], self.tf[[0, -1]]
         flux = self.a_of(self.xc, ends_t) * np.array([1.0, -1.0]) / self.dt
         ghost_u, ghost_v = iu[:, [0, -1]], iv[[0, -1]].T
-        wall_cells = n_u + n_v + np.arange(n_p).reshape(n1, n2)[:, [0, -1]]
         table = (
             (iu[[0, -1], 1:-1], ends_x[:, None], self.tc, 0, 1.0),     # u at the sides
             (ghost_u, self.xf[:, None], ends_t, 0, 2.0),               # u ghosts, walls
             (iv[1:-1, [0, -1]], self.xc[:, None], ends_t, 1, 1.0),     # v at the walls
             (ghost_v, ends_x, self.tf[:, None], 1, 2.0),               # v ghosts, sides
-            (wall_cells, self.xc[:, None], ends_t, 0, flux),           # wall fluxes
+            (ip[:, [0, -1]], self.xc[:, None], ends_t, 0, flux),       # wall fluxes
         )
         self._bc_rows = tuple(
             np.concatenate([np.broadcast_to(g[k], g[0].shape).ravel() for g in table])
@@ -303,39 +305,32 @@ class NeckGrid:
         bnd = np.concatenate([g[0].ravel() for g in table[:4]])
         ghost = np.concatenate([ghost_u.ravel(), ghost_v.ravel()])
         first = np.concatenate([iu[:, [1, -2]].ravel(), iv[[1, -2]].T.ravel()])
-        rows_a += [bnd, ghost]
-        cols_a += [bnd, first]
-        vals_a += [np.ones(bnd.size), np.ones(ghost.size)]
 
         # continuity at cells, one interior cell pinned for the pressure gauge
-        pin = (n1 // 2) * n2 + n2 // 2
-        p_rows = np.arange(n_p) + n_u + n_v
-        Dk = D.tocoo()
-        keep = Dk.row != pin
-        rows_a.append(p_rows[Dk.row[keep]])
-        cols_a.append(Dk.col[keep])
-        vals_a.append(Dk.data[keep])
-        rows_a.append(np.array([n_u + n_v + pin]))
-        cols_a.append(np.array([n_u + n_v + pin]))
-        vals_a.append(np.array([1.0]))
-        self._pin = pin
+        self._pin = (n1 // 2) * n2 + n2 // 2
+        cont = div.copy()
+        cont.reshape(n_p, -1)[self._pin] = 0.0
+        pin = ip.flat[self._pin]
 
-        # every pressure follows its own cell's velocity faces, so its pivot
-        # has filled in when it is reached: diagonal pivots keep the order
         order = self.unknown_order()
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        A = sp.csc_matrix(
-            (np.concatenate(vals_a),
-             (pos[np.concatenate(rows_a)], pos[np.concatenate(cols_a)])),
-            shape=(order.size, order.size),
-        )
-        self._parts = (A, order, int_u, int_v, D, vol_c)
-        self._lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        pos = np.empty_like(ids)
+        pos[order] = ids
+        rows, cols, vals = _flat(
+            [(int_u, i, c) for c, i in lap_u] + [(int_v, i, c) for c, i in lap_v]
+            + [(cols_d, ip[..., None], grad), (ip[..., None], cols_d, cont), (pin, pin, 1.0),
+               (bnd, bnd, 1.0), (ghost, first, 1.0)], pos)
+        A = sp.csc_matrix((vals, (rows, cols)), shape=(order.size, order.size))
+        A.eliminate_zeros()
+        return A, order, int_u.ravel(), int_v.ravel(), D, vol_c
 
     def solver(self):
         if self._lu is None:
-            self._assemble()
+            # the assembly's arrays are freed before the factorization; every
+            # pressure follows its own cell's velocity faces, so its pivot has
+            # filled in when it is reached: diagonal pivots keep the order
+            self._parts = self._assemble()
+            self._lu = spla.splu(self._parts[0], permc_spec="NATURAL",
+                                 diag_pivot_thresh=0.0)
         return self._lu, self._parts
 
 
@@ -344,7 +339,7 @@ class DiscreteSolution:
     grid: NeckGrid
     u_pad: np.ndarray        # (n1+1, n2+2): ghost rows encode the wall data
     v_pad: np.ndarray        # (n1+2, n2+1): ghost columns encode the side data
-    p: np.ndarray            # (n1, n2) zero-mean
+    p: np.ndarray            # (n1, n2) volume-weighted zero mean
     residual_rel: float
     div_max: float
 
@@ -376,7 +371,7 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     ValueError.  ``bc`` maps (x1, x2) -> (w1, w2) for the boundary data;
     omitted means homogeneous (the w-problem).  It is called once, with 1-D
     arrays holding every boundary and wall-flux point, and returns the two
-    arrays of data values there.
+    arrays of data values there; a value that is not finite is a ValueError.
 
     ``residual_rel`` is ||A s - b|| / ||b|| after one refinement pass, with
     both norms numpy reductions, so the solve wakes no BLAS worker thread.
@@ -401,7 +396,10 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     if bc is not None:
         rows, x, t, comp, weight = grid._bc_rows
         w1, w2 = bc(x, grid.x2_of(x, t))
-        b[rows] = weight * np.where(comp == 0, w1, w2)
+        data = np.where(comp == 0, w1, w2)
+        if not np.all(np.isfinite(data)):
+            raise ValueError("boundary data must be finite")
+        b[rows] = weight * data
 
     bo = b[order]
     so = lu.solve(bo)

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from neckflow import coeffs as ca
 from neckflow.correctors import build_symmetric_green
@@ -44,6 +45,78 @@ def _exact_at_nodes(grid, w):
     return ue, ve
 
 
+def _reference_matrix(g):
+    """The saddle-point matrix built as the solver once built it, from sparse
+    kron, diagonal and selection products, then one COO assembly."""
+    def diff(n, h):
+        return sp.diags([-np.ones(n - 1) / h, np.ones(n - 1) / h], [0, 1], shape=(n - 1, n))
+
+    def avg(n):
+        return sp.diags([0.5 * np.ones(n - 1)] * 2, [0, 1], shape=(n - 1, n))
+
+    def sel(n, rows):
+        return sp.eye(n, format="csr")[rows]
+
+    def dia(arr, shape=None):
+        return sp.diags(np.broadcast_to(arr, shape or np.shape(arr)).ravel())
+
+    I, kron = sp.eye, sp.kron
+    n1, n2, dx, dt, mu = g.n1, g.n2, g.dx, g.dt, g.profile.mu
+    gx_u, gt_u = kron(diff(n1 + 1, dx), I(n2 + 2)), kron(I(n1 + 1), diff(n2 + 2, dt))
+    gx_v, gt_v = kron(diff(n1 + 2, dx), I(n2 + 1)), kron(I(n1 + 2), diff(n2 + 1, dt))
+    K11c, K12c, K22c = g.K(g.xc, g.tc)
+    K11k, K12k, K22k = g.K(g.xf, g.tf)
+    d_f, d_c = g.profile.delta(g.xf)[:, None], g.profile.delta(g.xc)[:, None]
+    fx_u = (dia(K11c) @ kron(I(n1), sel(n2 + 2, range(1, n2 + 1))) @ gx_u
+            + dia(K12c) @ kron(avg(n1 + 1), avg(n2 + 1)) @ gt_u)
+    ft_u = (dia(K22k[1:-1]) @ kron(sel(n1 + 1, range(1, n1)), I(n2 + 1)) @ gt_u
+            + dia(K12k[1:-1]) @ kron(avg(n1), avg(n2 + 2)) @ gx_u)
+    lap_u = dia(1.0 / d_f[1:-1], (n1 - 1, n2)) @ (
+        kron(diff(n1, dx), I(n2)) @ fx_u + kron(I(n1 - 1), diff(n2 + 1, dt)) @ ft_u)
+    ft_v = (dia(K22c) @ kron(sel(n1 + 2, range(1, n1 + 1)), I(n2)) @ gt_v
+            + dia(K12c) @ kron(avg(n1 + 1), avg(n2 + 1)) @ gx_v)
+    fx_v = (dia(K11k[:, 1:-1]) @ kron(I(n1 + 1), sel(n2 + 1, range(1, n2))) @ gx_v
+            + dia(K12k[:, 1:-1]) @ kron(avg(n1 + 2), avg(n2)) @ gt_v)
+    lap_v = dia(1.0 / d_c, (n1, n2 - 1)) @ (
+        kron(diff(n1 + 1, dx), I(n2 - 1)) @ fx_v + kron(I(n1), diff(n2, dt)) @ ft_v)
+    avg_t = avg(n2 + 2).tolil()
+    avg_t[0], avg_t[-1] = 0.0, 0.0
+    dtv = kron(I(n1), diff(n2 + 1, dt))
+    div_u = (kron(diff(n1 + 1, dx), I(n2)) @ dia(d_f, (n1 + 1, n2))
+             @ kron(I(n1 + 1), sel(n2 + 2, range(1, n2 + 1)))
+             + dtv @ (dia(d_c * g.a_of(g.xc, g.tf)) @ kron(avg(n1 + 1), avg_t.tocsr())))
+    div_v = dtv @ kron(sel(n1 + 2, range(1, n1 + 1)), I(n2 + 1))
+    D = dia(1.0 / d_c, (n1, n2)) @ sp.hstack([div_u, div_v])
+    w = dx * dt
+    vol = np.concatenate([np.broadcast_to(d_f * w, (n1 + 1, n2 + 2)).ravel(),
+                          np.pad(np.broadcast_to(d_c * w, (n1, n2 + 1)),
+                                 ((1, 1), (0, 0)), mode="edge").ravel()])
+    G = (-dia(1.0 / vol) @ D.T @ dia(d_c * w, (n1, n2))).tocsr()
+
+    n_u, n_v = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1)
+    iu = np.arange(n_u).reshape(n1 + 1, n2 + 2)
+    iv = n_u + np.arange(n_v).reshape(n1 + 2, n2 + 1)
+    int_u, int_v = iu[1:-1, 1:-1].ravel(), iv[1:-1, 1:-1].ravel()
+    pin = (n1 // 2) * n2 + n2 // 2
+    keep = np.arange(n1 * n2) != pin
+    bnd = np.concatenate([iu[[0, -1], 1:-1].ravel(), iu[:, [0, -1]].ravel(),
+                          iv[1:-1, [0, -1]].ravel(), iv[[0, -1]].ravel()])
+    ghost = np.concatenate([iu[:, [0, -1]].ravel(), iv[[0, -1]].T.ravel()])
+    first = np.concatenate([iu[:, [1, -2]].ravel(), iv[[1, -2]].T.ravel()])
+    pieces = [(int_u, -mu * lap_u, 0), (int_u, G[int_u], n_u + n_v),
+              (int_v, -mu * lap_v, n_u), (int_v, G[int_v], n_u + n_v),
+              (n_u + n_v + np.flatnonzero(keep), D.tocsr()[keep], 0)]
+    rows = [r[m.tocoo().row] for r, m, _ in pieces] + [bnd, ghost, [n_u + n_v + pin]]
+    cols = [m.tocoo().col + off for _, m, off in pieces] + [bnd, first, [n_u + n_v + pin]]
+    vals = [m.tocoo().data for _, m, _ in pieces] + [np.ones(bnd.size), np.ones(ghost.size), [1.0]]
+    order = g.unknown_order()
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    return sp.csc_matrix((np.concatenate(vals), (pos[np.concatenate(rows)],
+                                                 pos[np.concatenate(cols)])),
+                         shape=(order.size, order.size))
+
+
 def test_grid_validation(mild_profile):
     with pytest.raises(ValueError):
         NeckGrid(mild_profile, r=0.6, n1=64, n2=16)  # gap under-resolved
@@ -51,6 +124,28 @@ def test_grid_validation(mild_profile):
         NeckGrid(mild_profile, r=1.5, n1=64, n2=32)  # beyond the chart
     with pytest.raises(ValueError):
         NeckGrid(mild_profile, r=0.6, n1=0, n2=32)  # no cell across the gap
+    # a negative r solved on a mirrored grid, r=0 divided by zero, a NaN r
+    # reached a singular factorization, and n1=2.5 failed inside numpy
+    for bad in ({"r": -0.3}, {"r": 0.0}, {"r": np.nan}, {"r": np.inf},
+                {"n1": 2.5}, {"n2": 32.0}):
+        with pytest.raises(ValueError):
+            NeckGrid(mild_profile, **{"r": 0.6, "n1": 32, "n2": 32, **bad})
+
+
+@pytest.mark.parametrize("name, eps, n1, n2", [("sym-quadratic", 0.05, 48, 32),
+                                               ("asym-quadratic", 1e-4, 33, 32),
+                                               ("sym-quadratic", 0.05, 65, 32)])
+def test_assembly_matches_the_kron_reference(name, eps, n1, n2):
+    # the stencil-array assembly stores exactly the reference's entries, with
+    # values within 4 ulp of their row's largest entry
+    g = NeckGrid(named_profile(name, eps=eps), r=0.6, n1=n1, n2=n2)
+    want = _reference_matrix(g).tocsr()
+    got = g.solver()[1][0].tocsr()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    row_max = np.maximum.reduceat(np.abs(want.data), want.indptr[:-1])
+    ulp = np.repeat(np.spacing(row_max), np.diff(want.indptr))
+    assert np.all(np.abs(got.data - want.data) <= 4 * ulp)
 
 
 @pytest.mark.parametrize("n1, n2", [(33, 32), (257, 64)])
@@ -101,6 +196,20 @@ def test_nonfinite_forcing_rejected(mild_profile):
     f1[0, 0] = np.nan
     with pytest.raises(ValueError):
         solve_w(g, f1, np.zeros((g.n1, g.n2 - 1)))
+
+
+def test_nonfinite_boundary_data_rejected(mild_profile):
+    # a NaN boundary datum used to come back as a solution with 995 NaN
+    # entries and residual_rel = nan
+    g = NeckGrid(mild_profile, r=0.6, n1=32, n2=32)
+
+    def bc(x1, x2):
+        w1 = np.zeros_like(x1)
+        w1[0] = np.nan  # u at the west side
+        return w1, np.zeros_like(x1)
+
+    with pytest.raises(ValueError, match="boundary data must be finite"):
+        solve_w(g, np.zeros((g.n1 - 1, g.n2)), np.zeros((g.n1, g.n2 - 1)), bc=bc)
 
 
 def test_full_node_forcing_shapes_rejected(mild_profile):
