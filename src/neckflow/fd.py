@@ -25,11 +25,15 @@ Rows and columns are renumbered once, into one CSC compression per grid.
 The LU eliminates the unknowns in cell blocks (a cell's west u face, its
 south v face, then its pressure) with the cells in nested-dissection order
 (A. George, SIAM J. Numer. Anal. 10, 1973), which about halves the fill of a
-fill-reducing column order with partial pivoting.  The pressure block is
-zero, but each pressure is reached after its own faces have filled in its
-pivot, and no eliminated region is left with a free pressure constant, so
-the factorization keeps the diagonal pivots of this order and does no
-numeric pivoting.
+fill-reducing column order with partial pivoting.  Vertical separators are
+thin: they keep their cells' u and v faces but one pressure, the bottom
+cell's (the anchor); each other pressure is eliminated in the block of its
+east neighbour.  That takes 19% off the fill of full cell-line separators
+(6.96 against 8.58 million at 128 x 128, 6.42 against 7.95 million at
+257 x 64).  The pressure block is zero, but each pressure is reached after
+a u face of its own cell has filled in its pivot, and no eliminated region
+is left with a free pressure constant, so the factorization keeps the
+diagonal pivots of this order and does no numeric pivoting.
 
 Outside SuperLU the solve calls no BLAS: its norms are numpy reductions
 (``_norm``).  ``np.linalg.norm`` of a long vector is a BLAS dot product, which
@@ -122,18 +126,27 @@ def _flat(pieces, pos):
 _LEAF_CELLS = 16
 
 
-def _cell_ranks(n1: int, n2: int) -> np.ndarray:
-    """Elimination rank of each cell of the n1 x n2 cell rectangle.
+def _cell_ranks(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elimination rank of each cell of the n1 x n2 cell rectangle, and the
+    cell whose block holds each cell's pressure (raveled).
 
     Nested dissection: a rectangle is cut across its longer side by one cell
     line, the separator, ranked after both halves; rectangles of at most
     _LEAF_CELLS cells are ranked row by row.  Every stencil reaches one cell
-    in each direction, so the halves never couple directly.  The corner cell
-    (0, 0) goes last: it is the one cell whose west and south faces are both
+    in each direction, so the halves never couple directly.  A vertical
+    separator (a cell column) is thin: only its bottom cell, the anchor,
+    keeps its pressure; every other pressure of the column joins the block
+    of its east neighbour, which lies in the right half, reaches no cell left
+    of the column, and has filled that pressure's pivot with its own west u
+    face.  The anchor keeps the right half from a free pressure constant.  A
+    horizontal separator stays whole: the metric term delta*a*ubar ties a
+    cell's pressure to the u faces of the row below.  The corner cell (0, 0)
+    goes last: it is the one cell whose west and south faces are both
     boundary faces, so any eliminated region holding it would couple to no
     pressure outside, leaving its pressure constant free and a zero pivot.
     """
     ids = np.arange(n1 * n2).reshape(n1, n2)
+    host = ids.ravel().copy()
     order = []
 
     def visit(block):
@@ -144,6 +157,7 @@ def _cell_ranks(n1: int, n2: int) -> np.ndarray:
             visit(block[:m])
             visit(block[m + 1:])
             order.append(block[m])
+            host[block[m, 1:]] = block[m + 1, 1:]
         else:
             m = block.shape[1] // 2
             visit(block[:, :m])
@@ -155,7 +169,7 @@ def _cell_ranks(n1: int, n2: int) -> np.ndarray:
     rank = np.empty(n1 * n2, dtype=np.intp)
     rank[cells[cells != 0]] = np.arange(n1 * n2 - 1)
     rank[0] = n1 * n2 - 1
-    return rank.reshape(n1, n2)
+    return rank.reshape(n1, n2), host
 
 
 @dataclass
@@ -213,16 +227,19 @@ class NeckGrid:
         """Elimination order of the unknowns (u_pad, v_pad, p, raveled).
 
         Each unknown joins one cell block: the cell's west u face, its south
-        v face, then its pressure; ghosts and last faces join the nearest
-        edge cell.  The blocks follow _cell_ranks.
+        v face, its pressure, then the pressure of its west neighbour when
+        that neighbour lies on a thin vertical separator (_cell_ranks);
+        ghosts and last faces join the nearest edge cell.  The blocks follow
+        _cell_ranks.
         """
         n1, n2 = self.n1, self.n2
-        rank = _cell_ranks(n1, n2)
+        rank, host = _cell_ranks(n1, n2)
         i, j = np.indices((n1 + 1, n2 + 2))
-        key_u = 3 * rank[np.minimum(i, n1 - 1), np.clip(j - 1, 0, n2 - 1)]
+        key_u = 4 * rank[np.minimum(i, n1 - 1), np.clip(j - 1, 0, n2 - 1)]
         i, j = np.indices((n1 + 2, n2 + 1))
-        key_v = 3 * rank[np.clip(i - 1, 0, n1 - 1), np.minimum(j, n2 - 1)] + 1
-        key = np.concatenate([key_u.ravel(), key_v.ravel(), 3 * rank.ravel() + 2])
+        key_v = 4 * rank[np.clip(i - 1, 0, n1 - 1), np.minimum(j, n2 - 1)] + 1
+        key_p = 4 * rank.ravel()[host] + np.where(host == np.arange(n1 * n2), 2, 3)
+        key = np.concatenate([key_u.ravel(), key_v.ravel(), key_p])
         return np.argsort(key, kind="stable")
 
     # -- operator assembly ------------------------------------------------
@@ -326,7 +343,7 @@ class NeckGrid:
     def solver(self):
         if self._lu is None:
             # the assembly's arrays are freed before the factorization; every
-            # pressure follows its own cell's velocity faces, so its pivot has
+            # pressure follows a u face of its own cell, so its pivot has
             # filled in when it is reached: diagonal pivots keep the order
             self._parts = self._assemble()
             self._lu = spla.splu(self._parts[0], permc_spec="NATURAL",
@@ -456,10 +473,13 @@ def _cell_grad(sol: DiscreteSolution):
             v_xh + a_c * v_th, v_th / d_c)
 
 
-def _energy(sol: DiscreteSolution, mask: np.ndarray) -> float:
+def _energy(sol: DiscreteSolution, mask: np.ndarray, window: str) -> float:
     """Quadrature of |grad w|^2 with the mapped area element delta dx dt over
-    the cell columns selected by ``mask``."""
+    the cell columns selected by ``mask``; a window holding no cell center
+    (named by ``window``) is a ValueError, not an energy of zero."""
     g = sol.grid
+    if not np.any(mask):
+        raise ValueError(f"no cell center within {window}")
     e = sum(c**2 for c in _cell_grad(sol))
     vol = g._delta(g.xc)[:, None] * g.dx * g.dt
     return float(np.sum((e * vol)[mask]))
@@ -468,7 +488,8 @@ def _energy(sol: DiscreteSolution, mask: np.ndarray) -> float:
 def global_energy(sol: DiscreteSolution, r: float | None = None) -> float:
     """Energy over |x1| <= r (the whole grid by default)."""
     g = sol.grid
-    return _energy(sol, np.abs(g.xc) <= (r if r is not None else g.r))
+    r = g.r if r is None else r
+    return _energy(sol, np.abs(g.xc) <= r, f"|x1| <= {r:g}")
 
 
 def local_energy(sol: DiscreteSolution, z1: float) -> float:
@@ -477,7 +498,7 @@ def local_energy(sol: DiscreteSolution, z1: float) -> float:
     width = g.profile.delta(z1)
     if abs(z1) + width > g.r:
         raise ValueError("local window reaches outside the grid")
-    return _energy(sol, np.abs(g.xc - z1) < width)
+    return _energy(sol, np.abs(g.xc - z1) < width, f"|x1 - {z1:g}| < {width:g}")
 
 
 def sup_grad(sol: DiscreteSolution, r: float) -> float:

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from neckflow import coeffs as ca
 from neckflow.correctors import build_symmetric_green
 from neckflow.fd import (
+    _LEAF_CELLS,
     DiscreteSolution,
     NeckGrid,
     export_csv,
@@ -148,11 +149,42 @@ def test_assembly_matches_the_kron_reference(name, eps, n1, n2):
     assert np.all(np.abs(got.data - want.data) <= 4 * ulp)
 
 
-@pytest.mark.parametrize("n1, n2", [(33, 32), (257, 64)])
-def test_unknown_order_puts_each_pressure_after_its_faces(mild_profile, n1, n2):
+def _vertical_separators(n1, n2):
+    """(column, rows) of every vertical separator of the cell dissection:
+    a block is cut across its longer side through its middle cell line until
+    it holds at most _LEAF_CELLS cells."""
+    out = []
+
+    def visit(i0, i1, j0, j1):
+        if (i1 - i0) * (j1 - j0) <= _LEAF_CELLS:
+            return
+        if i1 - i0 >= j1 - j0:
+            m = i0 + (i1 - i0) // 2
+            visit(i0, m, j0, j1)
+            visit(m + 1, i1, j0, j1)
+            out.append((m, np.arange(j0, j1)))
+        else:
+            m = j0 + (j1 - j0) // 2
+            visit(i0, i1, j0, m)
+            visit(i0, i1, m + 1, j1)
+
+    visit(0, n1, 0, n2)
+    return out
+
+
+_ORDER_GRIDS = [(33, 32), (257, 64), (5, 32), (17, 32), (100, 37), (64, 128)]
+
+
+@pytest.mark.parametrize("n1, n2", _ORDER_GRIDS)
+def test_unknown_order_puts_each_pressure_after_a_u_face(mild_profile, n1, n2):
     # the pressure block of the saddle system is zero; a pressure eliminated
-    # after its cell's west u and south v faces has a filled-in pivot, which
-    # is why the factorization may keep every diagonal pivot
+    # after one of its cell's u faces has a filled-in pivot, which is why the
+    # factorization may keep every diagonal pivot.  A vertical separator
+    # keeps one pressure, its bottom cell's (the anchor); each other one
+    # comes right after its east neighbour's pressure, past that cell's west
+    # u face, and every pressure off a vertical separator follows its own
+    # cell's west u and south v faces.  5x32 and 100x37 have right halves
+    # two cells wide.
     order = NeckGrid(mild_profile, r=0.6, n1=n1, n2=n2).unknown_order()
     n_u, n_v, n_p = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1), n1 * n2
     assert np.array_equal(np.sort(order), np.arange(n_u + n_v + n_p))
@@ -160,18 +192,35 @@ def test_unknown_order_puts_each_pressure_after_its_faces(mild_profile, n1, n2):
     pos[order] = np.arange(order.size)
     ci, cj = np.indices((n1, n2))
     p_pos = pos[n_u + n_v + ci * n2 + cj]
-    assert np.all(p_pos > pos[ci * (n2 + 2) + cj + 1])                  # west u
-    assert np.all(p_pos > pos[n_u + (ci + 1) * (n2 + 1) + cj])          # south v
+    west = pos[ci * (n2 + 2) + cj + 1]
+    east = pos[(ci + 1) * (n2 + 2) + cj + 1]
+    south = pos[n_u + (ci + 1) * (n2 + 1) + cj]
+    assert np.all((p_pos > west) | (p_pos > east))
+    moved = np.zeros((n1, n2), dtype=bool)
+    seps = _vertical_separators(n1, n2)
+    assert seps
+    for m, rows in seps:
+        kept = p_pos[m, rows] > west[m, rows]
+        assert np.array_equal(np.flatnonzero(kept), [0]), (m, rows[0])
+        moved[m, rows[1:]] = True
+        assert np.array_equal(p_pos[m, rows[1:]], p_pos[m + 1, rows[1:]] + 1)
+    assert np.all(p_pos[~moved] > west[~moved])
+    assert np.all(p_pos[~moved] > south[~moved])
 
 
 def test_lu_fill_and_diagonal_pivots(mild_profile):
+    # thin vertical separators give about 1.40 million (1.68 with full ones)
     g = NeckGrid(mild_profile, r=0.6, n1=64, n2=64)
     lu, _ = g.solver()
-    assert lu.L.nnz + lu.U.nnz <= 2_000_000
+    assert lu.L.nnz + lu.U.nnz <= 1_500_000
     grids = [g] + [NeckGrid(named_profile(name, eps=eps), r=0.6, n1=n1, n2=n2)
                    for name, eps, n1, n2 in [("asym-quadratic", 1e-4, 64, 64),
                                              ("asym-quadratic", 1e-4, 33, 32),
-                                             ("sym-quadratic", 3e-3, 4, 32)]]
+                                             ("sym-quadratic", 3e-3, 4, 32),
+                                             ("sym-quadratic", 0.05, 5, 32),
+                                             ("asym-quadratic", 1e-4, 17, 32),
+                                             ("asym-quadratic", 1e-4, 100, 37),
+                                             ("sym-quadratic", 3e-3, 64, 128)]]
     for grid in grids:
         n1, n2 = grid.n1, grid.n2
         case = (grid.profile.name, grid.profile.eps, n1, n2)
@@ -325,6 +374,20 @@ def test_local_energy_window_checks(mild_profile):
     assert local_energy(sol, 0.2) == 0.0
     with pytest.raises(ValueError):
         local_energy(sol, 0.58)
+
+
+def test_energy_of_a_window_without_cells_is_an_error():
+    # at eps=1e-4 the slab |x1| < delta(0) = 1e-4 holds no cell center of a
+    # 64-cell row over [-0.6, 0.6]; local_energy used to read 0.0 there for a
+    # flow whose global energy is 3.2e-9
+    p = named_profile("sym-quadratic", eps=1e-4)
+    g = NeckGrid(p, r=0.6, n1=64, n2=32)
+    sol = solve_w(g, np.ones((g.n1 - 1, g.n2)), np.ones((g.n1, g.n2 - 1)))
+    assert global_energy(sol) > 0.0
+    with pytest.raises(ValueError, match=r"\|x1 - 0\| < 0.0001"):
+        local_energy(sol, 0.0)
+    with pytest.raises(ValueError, match=r"\|x1\| <= 0.001"):
+        global_energy(sol, r=1e-3)
 
 
 def test_synthetic_local_energy_slope(mild_profile):
