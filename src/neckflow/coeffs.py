@@ -47,20 +47,24 @@ is sent that derivative back, in the order a recursion would ask for them, so
 nodes are interned in the same order and get the same ids.  A product's
 derivative is built from its stored factors: term i lowers factor i's
 exponent by one and merges in that factor's derivative, without re-flattening
-or re-sorting the rest.
+or re-sorting the rest, and goes to ``lin`` as a unit product (constant 1)
+with its weight, so no scaled copy is interned only to be rescaled.
 
 Evaluation is one iterative walk (``_walk``) over a list of roots at 1-D x1
 and eps, so each value but a constant's is a 1-D array (``eval_many``
 reshapes): the nodes not yet evaluated are listed children first, in the
 order a recursive walk would finish them (``_post_order``), and then
 computed in that order into one memo, so a DAG of any depth needs no deep
-Python recursion.  A sum is ``c0 + c*v`` term by term and a product
-``c * v1**e1 * v2**e2 ...`` factor by factor, both in stored order, with
-only exact identities skipped (no ``*1.0`` and no ``**1``).  Each distinct
-power ``v**e`` (e != 1) is computed once per walk and kept in a power table
-per node.  The walk frees as it goes: the listing pass counts how often each
-node is reached, and a value leaves the memo, with its powers, once its last
-parent has read it; the roots stay.  The results are bit for bit those of
+Python recursion.  A sum stacks its terms ``c*v`` as rows, in stored order,
+adds c0 to the first row and then the rows one after the other down the slow
+axis, in blocks of at most ``_SUM_BLOCK`` values: so it rounds as ``c0 +
+c*v`` term by term does, with a few numpy calls per block, not two per term.
+A product is ``c * v1**e1 * v2**e2 ...`` factor by factor in stored order,
+with only exact identities skipped (no ``*1.0`` and no ``**1``).  Each
+distinct power ``v**e`` (e != 1) is computed once per walk and kept in a
+power table per node.  The walk frees as it goes: the listing pass counts
+how often each node is reached, and a value leaves the memo, with its
+powers, once its last parent has read it; the roots stay.  The results are bit for bit those of
 the node-by-node recursion they replace.  An integral is a leaf of the walk:
 its panel tables evaluate the integrand in walks of their own, one per
 refinement round over all the eps being tabulated.  Each (integral, eps)
@@ -354,7 +358,11 @@ class _Prod(Coeff):
 
     def _diff_steps(self):
         # product rule from the stored factors: term i is this product with
-        # factor i's exponent lowered by one, times that factor's derivative
+        # factor i's exponent lowered by one, times that factor's derivative:
+        # k times a unit product, handed to lin with weight e*k.  Unit products
+        # with k != 1 are built after the loop, in term order, where lin built
+        # them when it rescaled k-products, so every node keeps its id order;
+        # a term with k == 0 adds nothing and is dropped
         c, nodes, exps = self.c, self.nodes, self.exps
         base = {n._rank: (n, e) for n, e in zip(nodes, exps)}
         terms = []
@@ -376,8 +384,9 @@ class _Prod(Coeff):
                 acc[d._rank] = (d, 1 if slot is None else slot[1] + 1)
             # no positivity check: a negative exponent here is one of this
             # product's or of d's, on a node whose fixed ``positive`` is True
-            terms.append((_make_prod(k, acc), float(e)))
-        return lin(terms)
+            if k:
+                terms.append((_make_prod(1.0, acc) if k == 1.0 else acc, e * k))
+        return lin([(_make_prod(1.0, t) if t.__class__ is dict else t, w) for t, w in terms])
 
     def _sexp_steps(self, room):
         parts = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
@@ -596,6 +605,7 @@ def q4_coeff(profile: NeckProfile) -> Coeff:
 # -- the evaluation walk -------------------------------------------------------
 
 _DONE = object()
+_SUM_BLOCK = 32768  # values of the term rows a sum stacks at once
 
 
 def _post_order(roots, seen: dict, integrands: bool = False) -> list:
@@ -642,6 +652,9 @@ def _walk(roots, x: np.ndarray, eps: np.ndarray) -> list:
     memo: dict = {}
     powers: dict = {}  # node -> {exponent: value}
     uses: dict = {}
+    step = max(1, _SUM_BLOCK // max(1, x.size))  # term rows per block
+    # np.add.reduce sums a single column pairwise, not row after row
+    add = np.add.reduce if x.size > 1 else lambda rows: np.add.accumulate(rows)[-1]
     for node in _post_order(roots, uses):
         cls = node.__class__
         if cls is _Prod:
@@ -664,16 +677,25 @@ def _walk(roots, x: np.ndarray, eps: np.ndarray) -> list:
                     del memo[t]
                     powers.pop(t, None)
         elif cls is _Sum:
-            out = node.c0  # added even when 0.0, which turns -0.0 into +0.0
-            for t, c in zip(node.nodes, node.weights):
-                v = memo[t]
-                out = out + (v if c == 1.0 else c * v)
-                left = uses[t] - 1
-                if left:
-                    uses[t] = left
-                else:
-                    del memo[t]
-                    powers.pop(t, None)
+            # rows w1*v1, w2*v2, ..., with c0 (then the sum so far) added to
+            # the first, summed down the slow axis one row after the other, a
+            # block of rows at a time; c0 is added even when 0.0, which turns
+            # -0.0 into +0.0
+            nodes, weights = node.nodes, node.weights
+            out = node.c0
+            for lo in range(0, len(nodes), step):
+                block = nodes[lo:lo + step]
+                rows = np.array([memo[t] for t in block])
+                rows *= np.array(weights[lo:lo + step])[:, None]
+                rows[0] += out
+                out = add(rows)
+                for t in block:
+                    left = uses[t] - 1
+                    if left:
+                        uses[t] = left
+                    else:
+                        del memo[t]
+                        powers.pop(t, None)
         else:
             out = node._eval_impl(x, eps)
         memo[node] = out

@@ -28,12 +28,16 @@ south v face, then its pressure) with the cells in nested-dissection order
 fill-reducing column order with partial pivoting.  Vertical separators are
 thin: they keep their cells' u and v faces but one pressure, the bottom
 cell's (the anchor); each other pressure is eliminated in the block of its
-east neighbour.  That takes 19% off the fill of full cell-line separators
-(6.96 against 8.58 million at 128 x 128, 6.42 against 7.95 million at
-257 x 64).  The pressure block is zero, but each pressure is reached after
-a u face of its own cell has filled in its pivot, and no eliminated region
-is left with a free pressure constant, so the factorization keeps the
-diagonal pivots of this order and does no numeric pivoting.
+east neighbour.  A vertical separator thus holds about 2 unknowns a cell and
+a horizontal one 3, and each block is cut across the side whose separator
+is cheaper (3 n1 >= 2 n2 cuts vertically), down to blocks of at most 2 x 2
+cells.  Fill: 6.52 million at 128 x 128 and 5.93 million at 257 x 64, against
+6.96 and 6.42 million with 16-cell leaves cut across the longer side and
+8.58 and 7.95 million with full cell-line separators as well.  The pressure
+block is zero, but each pressure is reached after a u face of its own cell
+has filled in its pivot, and no eliminated region is left with a free
+pressure constant, so the factorization keeps the diagonal pivots of this
+order and does no numeric pivoting.
 
 Outside SuperLU the solve calls no BLAS: its norms are numpy reductions
 (``_norm``).  ``np.linalg.norm`` of a long vector is a BLAS dot product, which
@@ -50,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import coeffs as ca
-from .fields import PolyField, VectorField2, eval_fields, keller_plus_half
+from .fields import PolyField, VectorField2, eval_fields, horner_x2, keller_plus_half
 from .geometry import NeckProfile
 
 __all__ = [
@@ -123,22 +127,23 @@ def _flat(pieces, pos):
     return rows, cols, vals
 
 
-_LEAF_CELLS = 16
-
-
 def _cell_ranks(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Elimination rank of each cell of the n1 x n2 cell rectangle, and the
     cell whose block holds each cell's pressure (raveled).
 
-    Nested dissection: a rectangle is cut across its longer side by one cell
-    line, the separator, ranked after both halves; rectangles of at most
-    _LEAF_CELLS cells are ranked row by row.  Every stencil reaches one cell
-    in each direction, so the halves never couple directly.  A vertical
-    separator (a cell column) is thin: only its bottom cell, the anchor,
-    keeps its pressure; every other pressure of the column joins the block
-    of its east neighbour, which lies in the right half, reaches no cell left
-    of the column, and has filled that pressure's pivot with its own west u
-    face.  The anchor keeps the right half from a free pressure constant.  A
+    Nested dissection down to the smallest blocks: a rectangle is cut by one
+    middle cell line, the separator, ranked after both halves, until neither
+    side has 3 cells; those blocks of at most 2 x 2 cells are ranked row by
+    row.  Every stencil reaches one cell in each direction, so the halves
+    never couple directly.  The cut goes across the side whose separator
+    holds fewer unknowns: a vertical separator (a cell column) is thin, about
+    2 unknowns a cell, and a horizontal one (a cell row) whole, 3, so an
+    n1 x n2 block is cut vertically when 3 n1 >= 2 n2 and n1 >= 3.  In a
+    vertical separator only the bottom cell, the anchor, keeps its pressure;
+    every other pressure of the column joins the block of its east
+    neighbour, which lies in the right half, reaches no cell left of the
+    column, and has filled that pressure's pivot with its own west u face.
+    The anchor keeps the right half from a free pressure constant.  A
     horizontal separator stays whole: the metric term delta*a*ubar ties a
     cell's pressure to the u faces of the row below.  The corner cell (0, 0)
     goes last: it is the one cell whose west and south faces are both
@@ -150,19 +155,20 @@ def _cell_ranks(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     order = []
 
     def visit(block):
-        if block.size <= _LEAF_CELLS:
-            order.append(block.ravel())
-        elif block.shape[0] >= block.shape[1]:
-            m = block.shape[0] // 2
+        b1, b2 = block.shape
+        if b1 >= 3 and 3 * b1 >= 2 * b2:
+            m = b1 // 2
             visit(block[:m])
             visit(block[m + 1:])
             order.append(block[m])
             host[block[m, 1:]] = block[m + 1, 1:]
-        else:
-            m = block.shape[1] // 2
+        elif b2 >= 3:
+            m = b2 // 2
             visit(block[:, :m])
             visit(block[:, m + 1:])
             order.append(block[:, m])
+        else:
+            order.append(block.ravel())
 
     visit(ids)
     cells = np.concatenate(order)
@@ -438,11 +444,17 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
 def solve_fields(grid: NeckGrid, f: VectorField2,
                  bc_field: VectorField2 | None = None) -> DiscreteSolution:
     """Sample an exact forcing field (and optional boundary field) at the
-    grid's eps and solve."""
+    grid's eps and solve.  The coefficients of both components are read in
+    one walk, at the u nodes' x then the v nodes'; each component's Horner
+    loop in x2 reads its own slice, as ``PolyField.eval`` would."""
     eps = grid.profile.eps
     xf_i = grid.xf[1:-1]
-    f1 = f.u1.eval(xf_i, grid.x2_of(xf_i[:, None], grid.tc[None, :]), eps)
-    f2 = f.u2.eval(grid.xc, grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]), eps)
+    nu, c1, c2 = xf_i.size, f.u1.coeffs, f.u2.coeffs
+    vals = ca.eval_many(c1 + c2, np.concatenate([xf_i, grid.xc]), eps)
+    f1 = horner_x2([v[:nu] for v in vals[:len(c1)]], xf_i,
+                   grid.x2_of(xf_i[:, None], grid.tc[None, :]))
+    f2 = horner_x2([v[nu:] for v in vals[len(c1):]], grid.xc,
+                   grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]))
     bc = None
     if bc_field is not None:
         def bc(x, x2):

@@ -33,6 +33,7 @@ __all__ = [
     "fiber_sup",
     "fiber_max",
     "deriv_fields",
+    "horner_x2",
 ]
 
 
@@ -264,24 +265,25 @@ def eval_fields(fields, x1, x2, eps=None) -> list[np.ndarray]:
     fields = _flatten(fields)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    expand = x2.ndim > x1.ndim
     all_coeffs: list[Coeff] = []
     spans = []
     for f in fields:
         spans.append((len(all_coeffs), len(f.coeffs)))
         all_coeffs.extend(f.coeffs)
     vals = ca.eval_many(all_coeffs, x1, eps)
-    shape = np.broadcast_shapes(np.shape(x1[..., None] if expand else x1), x2.shape)
-    out = []
-    for start, n in spans:
-        cols = [np.asarray(v) for v in vals[start:start + n]]
-        if expand:
-            cols = [c[..., None] for c in cols]
-        acc = np.zeros(shape)
-        for c in reversed(cols):
-            acc = acc * x2 + c
-        out.append(acc)
-    return out
+    return [horner_x2(vals[start:start + n], x1, x2) for start, n in spans]
+
+
+def horner_x2(cols, x1, x2) -> np.ndarray:
+    """sum_j cols[j] * x2**j by Horner's rule from zero, ``cols`` being the
+    coefficient values at ``x1``; ``x2`` with one more trailing axis than
+    ``x1`` holds one fiber per x1 entry."""
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    expand = x2.ndim > x1.ndim
+    acc = np.zeros(np.broadcast_shapes(np.shape(x1[..., None] if expand else x1), x2.shape))
+    for c in reversed(cols):
+        acc = acc * x2 + (np.asarray(c)[..., None] if expand else c)
+    return acc
 
 
 def sup_abs(field, r: float | None = None, n1: int = 201, n2: int = 33,

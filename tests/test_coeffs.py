@@ -150,6 +150,12 @@ def test_walk_matches_recursive_reference_bitwise(cache):
         for f in (lev.residual.u1, lev.residual.u2, lev.v.u1, lev.v.u2):
             nodes += f.coeffs
         nodes += [trace(f, side) for f in (lev.v.u1, lev.v.u2) for side in ("top", "bottom")]
+    # a sum of 79 terms of spread magnitudes: at 1000 points its rows span
+    # three blocks, and at one point a pairwise sum would move its last bits
+    d = ca.delta_coeff(h.profile)
+    wide = ca.lin([(ca.mul_pow([(ca.X1, k), (d, -1)]), (-3.0) ** k / k) for k in range(1, 80)])
+    assert len(wide.nodes) * 1000 > ca._SUM_BLOCK
+    nodes.append(wide)
     # exact zeros of x1 (signed-zero products) and 0-d and one-point grids
     # (scalar leaf values) included
     grids = (cheb_nodes(41, -r, r), np.linspace(-r, r, 1000),
@@ -282,9 +288,20 @@ def test_hash_consing_shares_nodes():
     assert a is b
 
 
+def _unit_and_weight(node):
+    """``node`` as (unit product, constant): the product with its constant
+    c taken out, and c."""
+    if isinstance(node, ca._Const):
+        return ca.const(1.0), node.value
+    if isinstance(node, ca._Prod):
+        return ca.mul_pow(list(zip(node.nodes, node.exps))), node.c
+    return node, 1.0
+
+
 def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
-    # the product rule builds term i from the stored factors; it must intern
-    # the very node the rebuild mul_pow(rest + [(t, e-1), (t', 1)], c) gives
+    # the product rule builds term i from the stored factors; it must hand
+    # lin the unit product of the rebuild mul_pow(rest + [(t, e-1), (t', 1)], c)
+    # with weight e times the rebuild's constant, and no term that is zero
     h = cache.get("asym-quadratic", 2, 2)
     roots = [c for l in (1, 2) for f in (h.residual(l).u1, h.residual(l).u2)
              for c in f.coeffs]
@@ -298,6 +315,8 @@ def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
         factors = list(zip(p.nodes, p.exps))
         want = [(ca.mul_pow(factors[:i] + factors[i + 1:] + [(t, e - 1), (t.diff(), 1)],
                             p.c), float(e)) for i, (t, e) in enumerate(factors)]
+        units = [(u, e * c) for u, c, e in
+                 [(*_unit_and_weight(r), e) for r, e in want] if c != 0.0]
         got = []
         monkeypatch.setattr(ca, "lin", lambda terms, c0=0.0: got.append(terms)
                             or real_lin(terms, c0))
@@ -308,8 +327,8 @@ def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
         except StopIteration as done:
             result = done.value
         monkeypatch.setattr(ca, "lin", real_lin)
-        assert len(got) == 1 and len(got[0]) == len(want)
-        assert all(g is w and gc == wc for (g, gc), (w, wc) in zip(got[0], want))
+        assert len(got) == 1 and len(got[0]) == len(units)
+        assert all(g is u and gc == uc for (g, gc), (u, uc) in zip(got[0], units))
         assert result is p.diff() is real_lin(want)
 
 

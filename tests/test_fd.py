@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from neckflow import coeffs as ca
+from neckflow import fd
 from neckflow.correctors import build_symmetric_green
 from neckflow.fd import (
-    _LEAF_CELLS,
     DiscreteSolution,
     NeckGrid,
     export_csv,
@@ -151,20 +151,20 @@ def test_assembly_matches_the_kron_reference(name, eps, n1, n2):
 
 def _vertical_separators(n1, n2):
     """(column, rows) of every vertical separator of the cell dissection:
-    a block is cut across its longer side through its middle cell line until
-    it holds at most _LEAF_CELLS cells."""
+    a block of b1 x b2 cells is cut through its middle cell line, across x
+    when 3 b1 >= 2 b2 and b1 >= 3, else across t when b2 >= 3, until
+    neither side has 3 cells."""
     out = []
 
     def visit(i0, i1, j0, j1):
-        if (i1 - i0) * (j1 - j0) <= _LEAF_CELLS:
-            return
-        if i1 - i0 >= j1 - j0:
-            m = i0 + (i1 - i0) // 2
+        b1, b2 = i1 - i0, j1 - j0
+        if b1 >= 3 and 3 * b1 >= 2 * b2:
+            m = i0 + b1 // 2
             visit(i0, m, j0, j1)
             visit(m + 1, i1, j0, j1)
             out.append((m, np.arange(j0, j1)))
-        else:
-            m = j0 + (j1 - j0) // 2
+        elif b2 >= 3:
+            m = j0 + b2 // 2
             visit(i0, i1, j0, m)
             visit(i0, i1, m + 1, j1)
 
@@ -209,10 +209,12 @@ def test_unknown_order_puts_each_pressure_after_a_u_face(mild_profile, n1, n2):
 
 
 def test_lu_fill_and_diagonal_pivots(mild_profile):
-    # thin vertical separators give about 1.40 million (1.68 with full ones)
+    # dissected down to 2 x 2 blocks across the cheaper separator, about 1.30
+    # million (1.40 with 16-cell leaves cut across the longer side, 1.68
+    # with full vertical separators too)
     g = NeckGrid(mild_profile, r=0.6, n1=64, n2=64)
     lu, _ = g.solver()
-    assert lu.L.nnz + lu.U.nnz <= 1_500_000
+    assert lu.L.nnz + lu.U.nnz <= 1_350_000
     grids = [g] + [NeckGrid(named_profile(name, eps=eps), r=0.6, n1=n1, n2=n2)
                    for name, eps, n1, n2 in [("asym-quadratic", 1e-4, 64, 64),
                                              ("asym-quadratic", 1e-4, 33, 32),
@@ -229,6 +231,22 @@ def test_lu_fill_and_diagonal_pivots(mild_profile):
         assert sol.div_max < 1e-10, case
         lu, _ = grid.solver()
         assert np.array_equal(lu.perm_r, lu.perm_c), case  # no row swaps
+
+
+def test_small_shapes_keep_their_order_and_diagonal_pivots():
+    # every narrow grid, where the dissection reaches its 2 x 2 blocks and
+    # its one- and two-cell halves soonest
+    p = named_profile("asym-quadratic", eps=1e-4)
+    for n1 in range(1, 26):
+        for n2 in (32, 33, 35, 37):
+            g = NeckGrid(p, r=0.6, n1=n1, n2=n2)
+            n = (n1 + 1) * (n2 + 2) + (n1 + 2) * (n2 + 1) + n1 * n2
+            assert np.array_equal(np.sort(g.unknown_order()), np.arange(n)), (n1, n2)
+            sol = solve_w(g, np.ones((n1 - 1, n2)), np.ones((n1, n2 - 1)))
+            assert sol.residual_rel < 1e-10, (n1, n2)
+            assert sol.div_max < 1e-10, (n1, n2)
+            lu, _ = g.solver()
+            assert np.array_equal(lu.perm_r, lu.perm_c), (n1, n2)
 
 
 def test_zero_forcing_gives_zero(mild_profile):
@@ -452,6 +470,26 @@ def test_solve_fields_samples_at_the_grid_eps():
     for a, b in ((sols[0], sols[2]), (sols[1], sols[3])):
         for name in ("u_pad", "v_pad", "p"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_solve_fields_samples_both_components_in_one_walk(monkeypatch):
+    # the forcing's two components share one coefficient walk, and their
+    # samples are bit for bit those of two separate evaluations
+    p = named_profile("sym-quadratic", eps=3e-3)
+    g = NeckGrid(p, r=0.75, n1=65, n2=32)
+    f = build_symmetric_green(p, 2).residual(2)
+    walks, solved = [], []
+    eval_many = ca.eval_many
+    monkeypatch.setattr(ca, "eval_many", lambda *a: walks.append(a) or eval_many(*a))
+    monkeypatch.setattr(fd, "solve_w", lambda grid, f1, f2, bc: solved.append((f1, f2)))
+    solve_fields(g, f)
+    monkeypatch.undo()
+    assert len(walks) == 1
+    xf = g.xf[1:-1]
+    want = (f.u1.eval(xf, g.x2_of(xf[:, None], g.tc[None, :]), p.eps),
+            f.u2.eval(g.xc, g.x2_of(g.xc[:, None], g.tf[None, 1:-1]), p.eps))
+    for got, w in zip(solved[0], want):
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times")
