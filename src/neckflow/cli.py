@@ -1,6 +1,7 @@
 """Command-line surface: build correctors, verify them, run solves and sweeps.
 
-Exit codes: 0 all checks pass, 1 check failures, 2 configuration errors.
+Exit codes: 0 all checks pass, 1 check failures or integrals that do not
+converge, 2 configuration errors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 from . import fd
 from . import sweeps
+from .coeffs import QuadratureError
 from .correctors import build_hierarchy, build_symmetric_green
 from .fields import sup_abs
 from .geometry import NAMED_PROFILES
@@ -161,7 +163,7 @@ def cmd_stokes_solve(args) -> int:
         raise ConfigError(f"stokes solve: {exc}") from None
     lu, (A, *_) = grid.solver()
     print(f"solved {args.n1}x{args.n2}: unknowns={A.shape[0]} "
-          f"lu_fill={lu.L.nnz + lu.U.nnz} residual={sol.residual_rel:.2e} "
+          f"lu_fill={lu.nnz} residual={sol.residual_rel:.2e} "
           f"div={sol.div_max:.2e} sup|grad w|={sup:.4f} "
           f"energy={fd.global_energy(sol):.5e}")
     if args.csv:
@@ -253,6 +255,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:  # bad values, bad paths
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:  # a valid profile whose integrals do not converge
+        print(f"error: QuadratureError: {str(exc)[:200]}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

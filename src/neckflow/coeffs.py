@@ -41,10 +41,12 @@ under one key rule (``_compound``): the class name, the constant, the
 children's ids and the node's own ``weights`` or ``exps`` tuple, shared with
 the key.
 
-Differentiation is one iterative walk (``Coeff.diff``) that drives a stack of
-``_diff_steps`` generators: each yields a child whose derivative it needs and
-is sent that derivative back, in the order a recursion would ask for them, so
-nodes are interned in the same order and get the same ids.  A product's
+Differentiation (``Coeff.diff``) is one loop over ``_post_order``, the
+children-first listing the evaluation walk uses, with integrals as leaves
+(an integral's derivative is its integrand) and stopping at nodes already
+differentiated: each listed node's ``_diff`` is set from its children's
+(``_diff_impl``), so a DAG of any depth needs no deep recursion, and a
+node's derivative is interned after all of its children's.  A product's
 derivative is built from its stored factors: term i lowers factor i's
 exponent by one and merges in that factor's derivative, without re-flattening
 or re-sorting the rest, and goes to ``lin`` as a unit product (constant 1)
@@ -180,32 +182,12 @@ class Coeff:
     # -- calculus ----------------------------------------------------------
 
     def diff(self) -> "Coeff":
-        d = self._diff
-        if d is not None:
-            return d
-        # each frame is a node's _diff_steps generator, sent the derivative
-        # of the child it last yielded; a frame's return value is its node's
-        # derivative, sent on to the frame below
-        stack = [(self, self._diff_steps())]
-        sent = None
-        while stack:
-            node, steps = stack[-1]
-            try:
-                child = steps.send(sent)
-            except StopIteration as done:
-                node._diff = sent = done.value
-                stack.pop()
-                continue
-            sent = child._diff
-            if sent is None:
-                stack.append((child, child._diff_steps()))
+        # children first: each listed node's derivative reads its children's,
+        # set earlier in the same loop or by an earlier diff
+        if self._diff is None:
+            for node in _post_order([self], {}, diffs=True):
+                node._diff = node._diff_impl()
         return self._diff
-
-    def _diff_steps(self):
-        """Generator of the derivative: yields each child whose derivative it
-        needs, is sent that derivative, and returns the node's derivative."""
-        return self._diff_impl()
-        yield  # never reached: makes this a generator that needs no child
 
     def eval(self, x1, eps=None):
         return eval_many([self], x1, eps)[0]
@@ -326,11 +308,8 @@ class _Sum(Coeff):
     def _positive(self):
         return self.c0 >= 0.0 and min(self.weights) > 0.0 and all(map(_POSITIVE, self.nodes))
 
-    def _diff_steps(self):
-        ds = []
-        for t in self.nodes:
-            ds.append((yield t))
-        return lin(zip(ds, self.weights))
+    def _diff_impl(self):
+        return lin(zip([t._diff for t in self.nodes], self.weights))
 
     def _sexp_steps(self, room):
         parts = [f"(+ {self.c0!r}" if self.c0 else "(+"]
@@ -356,18 +335,17 @@ class _Prod(Coeff):
     def _positive(self):
         return self.c > 0.0 and all(map(_POSITIVE, self.nodes))
 
-    def _diff_steps(self):
+    def _diff_impl(self):
         # product rule from the stored factors: term i is this product with
         # factor i's exponent lowered by one, times that factor's derivative:
-        # k times a unit product, handed to lin with weight e*k.  Unit products
-        # with k != 1 are built after the loop, in term order, where lin built
-        # them when it rescaled k-products, so every node keeps its id order;
-        # a term with k == 0 adds nothing and is dropped
+        # k times a unit product, handed to lin with weight e*k, so no scaled
+        # product is interned only to be rescaled; a term with k == 0 adds
+        # nothing and is dropped
         c, nodes, exps = self.c, self.nodes, self.exps
         base = {n._rank: (n, e) for n, e in zip(nodes, exps)}
         terms = []
         for t, e in zip(nodes, exps):
-            d = yield t
+            d = t._diff
             acc = base.copy()
             acc[t._rank] = (t, e - 1)
             cls = d.__class__
@@ -385,8 +363,8 @@ class _Prod(Coeff):
             # no positivity check: a negative exponent here is one of this
             # product's or of d's, on a node whose fixed ``positive`` is True
             if k:
-                terms.append((_make_prod(1.0, acc) if k == 1.0 else acc, e * k))
-        return lin([(_make_prod(1.0, t) if t.__class__ is dict else t, w) for t, w in terms])
+                terms.append((_make_prod(1.0, acc), e * k))
+        return lin(terms)
 
     def _sexp_steps(self, room):
         parts = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
@@ -608,13 +586,14 @@ _DONE = object()
 _SUM_BLOCK = 32768  # values of the term rows a sum stacks at once
 
 
-def _post_order(roots, seen: dict, integrands: bool = False) -> list:
+def _post_order(roots, seen: dict, integrands: bool = False, diffs: bool = False) -> list:
     """The nodes reachable from ``roots`` and not in ``seen``, each once,
     children before parents: the order in which a recursive walk visiting
     children in stored order would finish them.  ``seen`` maps each node
     reached to the number of times it was reached: once per parent, plus
     once per appearance among ``roots``.  An integral's integrand counts as
-    its child only with ``integrands``."""
+    its child only with ``integrands``.  With ``diffs`` a node whose
+    derivative is already set is neither listed nor gone below."""
     order = []
     # a node sits below _DONE once its children are pushed above it
     stack = list(reversed(roots))
@@ -628,6 +607,8 @@ def _post_order(roots, seen: dict, integrands: bool = False) -> list:
             seen[node] = n + 1
             continue
         seen[node] = 1
+        if diffs and node._diff is not None:
+            continue
         cls = node.__class__
         if cls is _Prod or cls is _Sum:
             kids = node.nodes
@@ -670,12 +651,6 @@ def _walk(roots, x: np.ndarray, eps: np.ndarray) -> list:
                         p = table[e] = v**e
                     v = p
                 out = v if out is None else out * v
-                left = uses[t] - 1
-                if left:
-                    uses[t] = left
-                else:
-                    del memo[t]
-                    powers.pop(t, None)
         elif cls is _Sum:
             # rows w1*v1, w2*v2, ..., with c0 (then the sum so far) added to
             # the first, summed down the slow axis one row after the other, a
@@ -684,21 +659,21 @@ def _walk(roots, x: np.ndarray, eps: np.ndarray) -> list:
             nodes, weights = node.nodes, node.weights
             out = node.c0
             for lo in range(0, len(nodes), step):
-                block = nodes[lo:lo + step]
-                rows = np.array([memo[t] for t in block])
+                rows = np.array([memo[t] for t in nodes[lo:lo + step]])
                 rows *= np.array(weights[lo:lo + step])[:, None]
                 rows[0] += out
                 out = add(rows)
-                for t in block:
-                    left = uses[t] - 1
-                    if left:
-                        uses[t] = left
-                    else:
-                        del memo[t]
-                        powers.pop(t, None)
         else:
-            out = node._eval_impl(x, eps)
+            memo[node] = node._eval_impl(x, eps)
+            continue
         memo[node] = out
+        for t in node.nodes:  # this parent's use of each child is spent
+            left = uses[t] - 1
+            if left:
+                uses[t] = left
+            else:
+                del memo[t]
+                powers.pop(t, None)
     return [memo[r] for r in roots]
 
 

@@ -249,6 +249,38 @@ def test_small_shapes_keep_their_order_and_diagonal_pivots():
             assert np.array_equal(lu.perm_r, lu.perm_c), (n1, n2)
 
 
+def test_the_refinement_pass_corrects_little_and_converges():
+    """The growth guard on the diagonal-pivot order: with no numeric
+    pivoting, the first solve's accuracy depends on the elimination order
+    alone, and solve_w's one refinement pass carries the rest.  This is the
+    bound a later ordering change must meet: the pass corrects at most a
+    tenth of the solution (about 1.4e-2 with the thin-separator order), and
+    what solve_w returns is within 1e-5 of four passes (about 1.6e-6)."""
+    g = NeckGrid(named_profile("asym-quadratic", eps=1e-4), r=0.6, n1=129, n2=32)
+    n1, n2 = g.n1, g.n2
+    sol = solve_w(g, np.zeros((n1 - 1, n2)), np.zeros((n1, n2 - 1)),
+                  bc=lambda x, x2: (np.zeros_like(x), np.ones_like(x)))
+    # solve_w's right-hand side for data (0, 1) and no forcing, in its order
+    lu, (A, order, *_, vol_c) = g.solver()
+    rows, _, _, comp, weight = g._bc_rows
+    b = np.zeros(A.shape[0])
+    b[rows] = weight * (comp == 1)
+    bo = b[order]
+    first = lu.solve(bo)
+    step = lu.solve(bo - A @ first)
+    assert np.abs(step).max() <= 1e-1 * np.abs(first + step).max()
+    ref = first + step
+    for _ in range(3):
+        ref += lu.solve(bo - A @ ref)
+    out = np.empty_like(ref)
+    out[order] = ref
+    n_w = (n1 + 1) * (n2 + 2) + (n1 + 2) * (n2 + 1)
+    p = out[n_w:] - np.sum(out[n_w:] * vol_c.ravel()) / np.sum(vol_c)
+    want = np.concatenate([out[:n_w], p])
+    got = np.concatenate([sol.u_pad.ravel(), sol.v_pad.ravel(), sol.p.ravel()])
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
 def test_zero_forcing_gives_zero(mild_profile):
     g = NeckGrid(mild_profile, r=0.6, n1=48, n2=32)
     sol = solve_w(g, np.zeros((g.n1 - 1, g.n2)), np.zeros((g.n1, g.n2 - 1)))

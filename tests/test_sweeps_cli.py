@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from neckflow.cli import main
+from neckflow.fd import NeckGrid
+from neckflow.geometry import named_profile
 from neckflow.sweeps import (
     ConfigError,
     RateReport,
@@ -208,6 +210,26 @@ def test_cli_stokes_solve(tmp_path, capsys):
     assert (tmp_path / "cloud.csv").exists()
     out = capsys.readouterr().out
     assert f"unknowns={66 * 34 + 67 * 33 + 65 * 32} lu_fill=" in out
+    # SuperLU's own count: reading lu.L and lu.U copied both factors to count them
+    grid = NeckGrid(named_profile("sym-quadratic", eps=1e-2), r=0.75, n1=65, n2=32)
+    assert f" lu_fill={grid.solver()[0].nnz} " in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["corrector", "build", "--m", "1", "--alpha", "1"],
+    ["stokes", "solve", "--n1", "64", "--n2", "32", "--level", "2"],
+], ids=["corrector-build", "stokes-solve"])
+def test_integrals_that_do_not_converge_end_in_one_error_line(tmp_path, capsys, argv):
+    # a valid profile on a chart so wide that the gap's integrals cannot meet
+    # QUAD_TOL: both commands ended in a QuadratureError traceback
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"h1": {"poly": [0, 0, 1.0]}, "h2": {"poly": [0, 0, 0.5]},
+                                "R": 1e6}))
+    code = main(argv + ["--profile", str(path), "--eps", "1e-8", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: QuadratureError: quadrature did not converge")
+    assert err.count("\n") == 1 and len(err) <= 240
 
 
 @pytest.mark.parametrize("flag", [["--m", "1"], ["--alpha", "1"], ["--format", "csv"]])
