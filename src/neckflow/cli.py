@@ -164,6 +164,7 @@ def cmd_stokes_solve(args) -> int:
     lu, (A, *_) = grid.solver()
     print(f"solved {args.n1}x{args.n2}: unknowns={A.shape[0]} "
           f"lu_fill={lu.nnz} residual={sol.residual_rel:.2e} "
+          f"correction={sol.correction_rel:.2e} "
           f"div={sol.div_max:.2e} sup|grad w|={sup:.4f} "
           f"energy={fd.global_energy(sol):.5e}")
     if args.csv:

@@ -26,10 +26,11 @@ coordinate of the evaluation point, like x1: below ``eval_many``, which
 takes one float or one eps per point, eps has one form, an array of x1's
 shape, so a single walk covers points of several eps.  The eps leaf is that
 array, and an integral queries each distinct eps's table at the points of
-that eps.  The tables it lacks are refined in lockstep: each round
-evaluates the new panels of every such eps in one walk of the integrand,
-with one eps per point, and each table then decides its own splits, so it
-is bit for bit the table built at its eps alone.
+that eps.  The tables it lacks are refined in lockstep, in one loop
+(``_tabulate``): each round evaluates the new panels of every such eps in
+one walk of the integrand, with one eps per point, and each table then
+appends them after its kept panels and decides its own splits, so it is bit
+for bit the table built at its eps alone.
 
 Storage: a sum ``c0 + sum(w * n)`` keeps its children and their weights in
 two parallel tuples, ``nodes`` and ``weights``; a product ``c * prod(n**e)``
@@ -74,6 +75,11 @@ gets one table, built once to the one tolerance ``QUAD_TOL`` whatever asked
 for it first, so a value never depends on what was evaluated before.
 Evaluation takes an optional eps, checked finite and positive
 (``eval_many``).
+
+Printing (``Coeff._sexp``) pops one stack of tokens: each node lists its
+text as strings with its children between them (``_tokens``), and a child is
+opened only when the stack reaches it, so a cut-short text such as ``repr``
+opens only the nodes it prints, however deep the DAG.
 """
 
 from __future__ import annotations
@@ -197,33 +203,23 @@ class Coeff:
 
     def _sexp(self, room, by_id: bool = False) -> str:
         """sexp() cut short once past ``room`` characters: the full text, or
-        one whose first room+1 characters are those of the full text.  A
-        node prints no further child once its text is past ``room``, so the
-        cost follows the length printed.  With ``by_id`` each child prints
-        as ``#id``.  One iterative walk over a stack of ``_sexp_steps``
-        generators, so a DAG of any depth needs no deep recursion."""
-        stack = [self._sexp_steps(room)]
-        sent = None
-        while True:
-            try:
-                child, child_room = stack[-1].send(sent)
-            except StopIteration as done:
-                stack.pop()
-                if not stack:
-                    return done.value
-                sent = done.value
-                continue
-            if by_id:
-                sent = f"#{child._id}"
-            else:
-                stack.append(child._sexp_steps(child_room))
-                sent = None
-
-    def _sexp_steps(self, room):
-        """Generator of the text: yields (child, room) for each child it
-        prints, is sent that child's text, and returns the node's text."""
-        return self._text()
-        yield  # never reached: makes this a generator that prints no child
+        one whose first room+1 characters are those of the full text.  One
+        stack of strings and nodes: a node is opened into its ``_tokens()``,
+        its strings with its children between them, only when the stack
+        reaches it.  With ``by_id`` each child prints as ``#id``."""
+        out, used = [], 0
+        stack = self._tokens()
+        stack.reverse()
+        while stack and used <= room:
+            tok = stack.pop()
+            if tok.__class__ is not str:
+                if not by_id:
+                    stack.extend(reversed(tok._tokens()))
+                    continue
+                tok = f"#{tok._id}"
+            out.append(tok)
+            used += len(tok)
+        return "".join(out)
 
     def __repr__(self):
         s = self._sexp(80)
@@ -250,8 +246,8 @@ class _Const(Coeff):
     def _eval_impl(self, x, eps):
         return self.value
 
-    def _text(self):
-        return repr(self.value)
+    def _tokens(self):
+        return [repr(self.value)]
 
 
 class _X1(Coeff):
@@ -263,8 +259,8 @@ class _X1(Coeff):
     def _eval_impl(self, x, eps):
         return x
 
-    def _text(self):
-        return "x1"
+    def _tokens(self):
+        return ["x1"]
 
 
 class _Eps(Coeff):
@@ -279,8 +275,8 @@ class _Eps(Coeff):
     def _eval_impl(self, x, eps):
         return eps
 
-    def _text(self):
-        return "eps"
+    def _tokens(self):
+        return ["eps"]
 
 
 class _ProfileDeriv(Coeff):
@@ -296,8 +292,8 @@ class _ProfileDeriv(Coeff):
             self._fn = fn
         return fn(x)
 
-    def _text(self):
-        return f"(d{self.order} h{self.wall})"
+    def _tokens(self):
+        return [f"(d{self.order} h{self.wall})"]
 
 
 class _Sum(Coeff):
@@ -311,20 +307,12 @@ class _Sum(Coeff):
     def _diff_impl(self):
         return lin(zip([t._diff for t in self.nodes], self.weights))
 
-    def _sexp_steps(self, room):
-        parts = [f"(+ {self.c0!r}" if self.c0 else "(+"]
-        used = len(parts[0])
+    def _tokens(self):
+        out = [f"(+ {self.c0!r}" if self.c0 else "(+"]
         for t, c in zip(self.nodes, self.weights):
-            if used > room:
-                break
-            if c == 1.0:
-                s = yield t, room - used - 1
-            else:
-                pre = f"(* {c!r} "
-                s = f"{pre}{(yield t, room - used - 1 - len(pre))})"
-            parts.append(s)
-            used += 1 + len(s)
-        return " ".join(parts) + ")"
+            out += (" ", t) if c == 1.0 else (f" (* {c!r} ", t, ")")
+        out.append(")")
+        return out
 
 
 class _Prod(Coeff):
@@ -366,16 +354,12 @@ class _Prod(Coeff):
                 terms.append((_make_prod(1.0, acc), e * k))
         return lin(terms)
 
-    def _sexp_steps(self, room):
-        parts = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
-        used = len(parts[0])
+    def _tokens(self):
+        out = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]
         for t, e in zip(self.nodes, self.exps):
-            if used > room:
-                break
-            s = (yield t, room - used - 1) if e == 1 else f"(^ {(yield t, room - used - 4)} {e})"
-            parts.append(s)
-            used += 1 + len(s)
-        return " ".join(parts) + ")"
+            out += (" ", t) if e == 1 else (" (^ ", t, f" {e})")
+        out.append(")")
+        return out
 
 
 class _Antideriv(Coeff):
@@ -401,9 +385,8 @@ class _Antideriv(Coeff):
             out[at] = tables[e].value_at(x[at])
         return out
 
-    def _sexp_steps(self, room):
-        head = f"(int {self.lower!r} "
-        return f"{head}{(yield self.integrand, room - len(head))})"
+    def _tokens(self):
+        return [f"(int {self.lower!r} ", self.integrand, ")"]
 
 
 # -- smart constructors ----------------------------------------------------
@@ -768,25 +751,16 @@ _GK_WG = np.array([
 _GK_VINV = np.linalg.inv(np.vander(_GK_NODES, increasing=True))
 
 
-def _gauss_kronrod(lo, hi):
-    """Generator of the 15-point rule on the panels [lo, hi]: yields their
-    Kronrod points, (npanels, 15), is sent the integrand's values there, and
-    returns the Kronrod integrals, their error estimates and the values."""
-    half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES[None, :]
-    ys = np.broadcast_to((yield xs), xs.shape)
-    ik = half * (ys @ _GK_WK)
-    ig = half * (ys @ _GK_WG)
-    err = (200.0 * np.abs(ik - ig)) ** 1.5
-    return ik, err, ys
-
-
-def _refine(node: _Antideriv):
-    """Generator of one table's panels: yields the Kronrod points of each
-    round's new panels, is sent the integrand's values there, and returns
-    the panels' left and right edges and values, sorted.  Each round splits
-    the panels whose Gauss/Kronrod error estimate is largest, until the
-    summed estimate meets ``QUAD_TOL``."""
+def _tabulate(node: _Antideriv, eps: list) -> list:
+    """The tables of ``node`` at each eps of ``eps``, refined in lockstep.
+    Each table keeps its panels from earlier rounds, as (left edges, right
+    edges, Kronrod integrals, error estimates, integrand values), and the
+    edges of the panels still to evaluate.  Each round evaluates the new
+    panels of every table still refining in one walk of the integrand, with
+    one eps per point (an integral in it reads its own tables).  Each table
+    then appends its new panels after the kept ones and either meets
+    ``QUAD_TOL`` or splits the panels whose Gauss/Kronrod error estimate is
+    largest, as it would alone."""
     prof = node.integrand.profile
     if prof is not None:
         a, b = -2.0 * prof.R, 2.0 * prof.R
@@ -796,57 +770,47 @@ def _refine(node: _Antideriv):
     # anchored there, so values near the limit sum only nearby panels and
     # never cancel the far mass of the chart
     edges = np.unique(np.concatenate([np.linspace(a, b, 9), [node.lower]]))
-    lo, hi = edges[:-1], edges[1:]
-    val, err, ys = yield from _gauss_kronrod(lo, hi)
-    while True:
-        # scale by the prefix function's magnitude, not the signed total:
-        # odd integrands cancel globally but their cumulative is large
-        scale = float(np.sum(np.abs(val)))
-        target = max(1e-300, QUAD_TOL * max(1.0, scale))
-        total = float(np.sum(err))
-        if total <= target:
-            break
-        # a NaN estimate passes no split test below: stop as at the panel cap
-        if not np.isfinite(total) or len(lo) >= _MAX_PANELS:
-            raise QuadratureError(
-                f"quadrature did not converge after {len(lo)} panels "
-                f"(err~{total:.2e}) on node {node._sexp(120)[:120]}")
-        split = err > target / (2.0 * len(lo))
-        if not np.any(split):
-            split = err >= np.max(err)
-        mid = 0.5 * (lo[split] + hi[split])
-        nv, ne, nys = yield from _gauss_kronrod(np.concatenate([lo[split], mid]),
-                                                np.concatenate([mid, hi[split]]))
-        lo = np.concatenate([lo[~split], lo[split], mid])
-        hi = np.concatenate([hi[~split], mid, hi[split]])
-        val = np.concatenate([val[~split], nv])
-        err = np.concatenate([err[~split], ne])
-        ys = np.concatenate([ys[~split], nys])
-    order = np.argsort(lo)
-    return lo[order], hi[order], ys[order]
-
-
-def _tabulate(node: _Antideriv, eps: list) -> list:
-    """The tables of ``node`` at each eps of ``eps``, refined in lockstep.
-    Each round evaluates the new panels of every table still refining in
-    one walk of the integrand, with one eps per point (an integral in it
-    reads its own tables); each table then reads its own block of rows and
-    decides its own splits, as it would alone."""
-    runs = [_refine(node) for _ in eps]
-    asks = {i: next(run) for i, run in enumerate(runs)}
+    empty = np.empty(0)
+    kept = [(empty, empty, empty, empty, np.empty((0, 15)))] * len(eps)
+    todo = dict.fromkeys(range(len(eps)), (edges[:-1], edges[1:]))
     panels = [None] * len(eps)
-    while asks:
-        xs = np.concatenate(list(asks.values()))
-        at = np.repeat([eps[i] for i in asks], [p.size for p in asks.values()])
+    while todo:
+        lo, hi = (np.concatenate(edge) for edge in zip(*todo.values()))
+        half = 0.5 * (hi - lo)
+        xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES[None, :]
+        at = np.repeat([eps[i] for i in todo], [15 * len(new_lo) for new_lo, _ in todo.values()])
         ys = _walk([node.integrand], xs.reshape(-1), at)[0].reshape(xs.shape)
         start = 0
-        for i, p in list(asks.items()):
-            block, start = ys[start:start + len(p)], start + len(p)
-            try:
-                asks[i] = runs[i].send(block)
-            except StopIteration as done:
-                del asks[i]
-                panels[i] = done.value
+        for i, (new_lo, new_hi) in list(todo.items()):
+            # the 15-point rule on this table's own block of rows
+            stop = start + len(new_lo)
+            block, h = ys[start:stop], half[start:stop]
+            start = stop
+            ik, ig = h * (block @ _GK_WK), h * (block @ _GK_WG)
+            new = (new_lo, new_hi, ik, (200.0 * np.abs(ik - ig)) ** 1.5, block)
+            t_lo, t_hi, val, err, t_ys = [np.concatenate(both) for both in zip(kept[i], new)]
+            # scale by the prefix function's magnitude, not the signed total:
+            # odd integrands cancel globally but their cumulative is large
+            scale = float(np.sum(np.abs(val)))
+            target = max(1e-300, QUAD_TOL * max(1.0, scale))
+            total = float(np.sum(err))
+            if total <= target:
+                del todo[i]
+                order = np.argsort(t_lo)
+                panels[i] = t_lo[order], t_hi[order], t_ys[order]
+                continue
+            split = err > target / (2.0 * len(t_lo))
+            if not np.any(split):
+                split = err >= np.max(err)
+            # a NaN estimate passes no split test: stop as at the panel cap,
+            # which no split may pass
+            if not np.isfinite(total) or len(t_lo) + np.count_nonzero(split) > _MAX_PANELS:
+                raise QuadratureError(
+                    f"quadrature did not converge after {len(t_lo)} panels "
+                    f"(err~{total:.2e}) on node {node._sexp(120)[:120]}")
+            kept[i] = [part[~split] for part in (t_lo, t_hi, val, err, t_ys)]
+            mid = 0.5 * (t_lo[split] + t_hi[split])
+            todo[i] = np.concatenate([t_lo[split], mid]), np.concatenate([mid, t_hi[split]])
     tables = []
     for e, ps in zip(eps, panels):
         table = _PanelTable.__new__(_PanelTable)
@@ -861,8 +825,9 @@ class _PanelTable:
     one eps.
 
     Panels are refined where the Gauss/Kronrod error estimate is largest
-    until the summed estimate meets ``QUAD_TOL`` (``_refine``); the tables
-    of one node at several eps are refined in lockstep (``_tabulate``).
+    until the summed estimate meets ``QUAD_TOL``; a split that would pass
+    ``_MAX_PANELS`` panels is a ``QuadratureError``.  The tables of one node
+    at several eps are refined in lockstep (``_tabulate``).
     Each table meets ``QUAD_TOL`` for the integrand values it is given, so
     a nested integral's error adds up level by level.  Each panel then
     stores the exact antiderivative of its degree-14 interpolant, so queries

@@ -365,6 +365,7 @@ class DiscreteSolution:
     p: np.ndarray            # (n1, n2) volume-weighted zero mean
     residual_rel: float
     div_max: float
+    correction_rel: float
 
     @property
     def u(self):
@@ -398,6 +399,8 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
 
     ``residual_rel`` is ||A s - b|| / ||b|| after one refinement pass, with
     both norms numpy reductions, so the solve wakes no BLAS worker thread.
+    ``correction_rel`` is that pass's max |step| over the refined solution's
+    max |s| (or 1.0 where s is zero): how far off the first solve was.
     """
     lu, (A, order, int_u, int_v, D, vol_c) = grid.solver()
     n1, n2 = grid.n1, grid.n2
@@ -426,8 +429,10 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
 
     bo = b[order]
     so = lu.solve(bo)
-    so += lu.solve(bo - A @ so)  # one refinement pass tightens the residual
+    step = lu.solve(bo - A @ so)  # one refinement pass tightens the residual
+    so += step
     residual_rel = _norm(A @ so - bo) / (_norm(b) or 1.0)
+    correction_rel = float(np.max(np.abs(step))) / (float(np.max(np.abs(so))) or 1.0)
     sol = np.empty_like(so)
     sol[order] = so
 
@@ -437,8 +442,8 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     p = p - float(np.sum(p * vol_c) / np.sum(vol_c))
     div = D @ sol[:n_u + n_v] - b[n_u + n_v:]
     div[grid._pin] = 0.0  # gauge cell carries no continuity equation
-    return DiscreteSolution(grid, u_pad, v_pad, p,
-                            residual_rel, float(np.max(np.abs(div))))
+    return DiscreteSolution(grid, u_pad, v_pad, p, residual_rel,
+                            float(np.max(np.abs(div))), correction_rel)
 
 
 def solve_fields(grid: NeckGrid, f: VectorField2,

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -119,6 +120,20 @@ def test_quadrature_failure_is_diagnosed(monkeypatch):
     with pytest.raises(ca.QuadratureError) as err:
         ca.coeff_eval(g, 0.3)
     assert "int" in str(err.value)  # the offending node path is reported
+
+
+@pytest.mark.parametrize("cap", [16, 40])
+def test_the_panel_cap_is_never_passed(monkeypatch, cap):
+    # the cap was checked only before a round's split, so the last split
+    # could nearly double the panels: 18 reported at a cap of 16, and at a
+    # cap of 40 a table of 42 panels returned
+    monkeypatch.setattr(ca, "_MAX_PANELS", cap)
+    p = asym(eps=1e-6)
+    g = ca.antideriv(0.0, ca.quotient(ca.profile_deriv(p, 1, 0), ca.delta_coeff(p) ** 3))
+    with pytest.raises(ca.QuadratureError) as err:
+        ca.coeff_eval(g, 0.3)
+    panels = int(re.search(r"after (\d+) panels", str(err.value)).group(1))
+    assert panels <= cap
 
 
 def _reference_eval(node, x, eps, memo):
@@ -265,6 +280,32 @@ def test_sexp_dump():
     s = ca.to_sexp(g)
     assert "(d0 h1)" in s and "^" in s
     assert ca.to_sexp(ca.antideriv(0.5, g)).startswith("(int 0.5")
+
+
+def test_a_cut_text_begins_with_the_full_text_at_every_room():
+    # a sum with c0 != 0 and weights != 1, a product with c != 1 and an
+    # exponent != 1, and an integral nested in an integral
+    p = asym()
+    d, h1 = ca.delta_coeff(p), ca.profile_deriv(p, 1, 0)
+    prod = ca.mul_pow([(d, -2), (h1, 1)], 3.0)
+    outer = ca.antideriv(-0.25, ca.mul_pow([(ca.antideriv(0.0, prod), 2), (ca.X1, 1)], -1.5))
+    top = ca.lin([(outer, 2.5), (d, 1.0), (prod, 1.0)], 0.75)
+    assert top.sexp() == (
+        "(+ 0.75 eps (d0 h1) (d0 h2) (* 2.5 (int -0.25 (* -1.5 x1 (^ (int 0.0 "
+        "(* 3.0 (d0 h1) (^ (+ eps (d0 h1) (d0 h2)) -2))) 2)))) "
+        "(* 3.0 (* (d0 h1) (^ (+ eps (d0 h1) (d0 h2)) -2))))")
+    for node in (top, prod, outer):
+        for by_id in (False, True):
+            full = node._sexp(sys.maxsize, by_id=by_id)
+            for room in range(len(full) + 1):
+                cut = node._sexp(room, by_id=by_id)
+                assert cut == full or (len(cut) > room and cut[:room + 1] == full[:room + 1])
+    # the rows printed by id expand, children first, to the full text
+    texts = {}
+    for row in ca.dump_rows([top], {}):
+        ref, text = row.split(" ", 1)
+        texts[ref] = re.sub(r"#\d+", lambda m: texts[m.group()], text)
+    assert texts[f"#{top._id}"] == top.sexp()
 
 
 def test_repr_of_deep_node_is_bounded(src_env):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -213,6 +214,7 @@ def test_cli_stokes_solve(tmp_path, capsys):
     # SuperLU's own count: reading lu.L and lu.U copied both factors to count them
     grid = NeckGrid(named_profile("sym-quadratic", eps=1e-2), r=0.75, n1=65, n2=32)
     assert f" lu_fill={grid.solver()[0].nnz} " in out
+    assert re.search(r" residual=\S+ correction=\S+ div=", out)
 
 
 @pytest.mark.parametrize("argv", [
