@@ -156,7 +156,11 @@ def cmd_stokes_solve(args) -> int:
              if prof.symmetric else build_hierarchy(prof, 1, args.level))
     except ValueError as exc:
         raise ConfigError(f"stokes solve: {exc}") from None
-    sol = fd.solve_fields(grid, h.residual(args.level))
+    try:  # at a tiny eps the forcing overflows or the factor is singular
+        sol = fd.solve_fields(grid, h.residual(args.level))
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {type(exc).__name__}: {str(exc)[:200]}", file=sys.stderr)
+        return 1
     try:
         sup = fd.sup_grad(sol, prof.R)
     except ValueError as exc:  # n1 too small for the |x1| <= R window
@@ -164,7 +168,7 @@ def cmd_stokes_solve(args) -> int:
     lu, (A, *_) = grid.solver()
     print(f"solved {args.n1}x{args.n2}: unknowns={A.shape[0]} "
           f"lu_fill={lu.nnz} residual={sol.residual_rel:.2e} "
-          f"correction={sol.correction_rel:.2e} "
+          f"correction={sol.correction_rel:.2e} backward={sol.backward_err:.2e} "
           f"div={sol.div_max:.2e} sup|grad w|={sup:.4f} "
           f"energy={fd.global_energy(sol):.5e}")
     if args.csv:

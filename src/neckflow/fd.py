@@ -20,7 +20,8 @@ The matrix is assembled from stencil arrays, with no sparse product: each
 flux term is a coefficient array times a shifted slice of the unknown
 numbers, terms on one slice are summed in numpy, and the pressure gradient
 is the divergence's (row, column, value) arrays swapped and volume-scaled.
-Rows and columns are renumbered once, into one CSC compression per grid.
+Each unknown is numbered by its place in the elimination order from the
+start, so the triplets go into one CSC compression per grid as they are.
 
 The LU eliminates the unknowns in cell blocks (a cell's west u face, its
 south v face, then its pressure) with the cells in nested-dissection order
@@ -110,19 +111,18 @@ def _stencil(terms):
     return list(merged.values())
 
 
-def _flat(pieces, pos):
-    """(rows, columns, values) of all the pieces as three 1-D arrays, rows
-    and columns renumbered by ``pos``.  Each piece broadcasts its three
-    arrays together and is written in place."""
+def _flat(pieces):
+    """(rows, columns, values) of all the pieces as three 1-D arrays.  Each
+    piece broadcasts its three arrays together and is written in place."""
     pieces = [np.broadcast_arrays(*piece) for piece in pieces]
     n = sum(i.size for _, i, _ in pieces)
-    rows, cols, vals = np.empty(n, pos.dtype), np.empty(n, pos.dtype), np.empty(n)
+    rows, cols, vals = np.empty(n, np.int32), np.empty(n, np.int32), np.empty(n)
     end = 0
     for r, i, c in pieces:
         s = slice(end, end + i.size)
         end = s.stop
-        np.take(pos, r, out=rows[s].reshape(i.shape), mode="clip")
-        np.take(pos, i, out=cols[s].reshape(i.shape), mode="clip")
+        rows[s].reshape(i.shape)[...] = r
+        cols[s].reshape(i.shape)[...] = i
         vals[s].reshape(i.shape)[...] = c
     return rows, cols, vals
 
@@ -229,8 +229,9 @@ class NeckGrid:
         a = self.a_of(x, t)
         return np.broadcast_to(d, a.shape), d * a, d * a * a + 1.0 / d
 
-    def unknown_order(self) -> np.ndarray:
-        """Elimination order of the unknowns (u_pad, v_pad, p, raveled).
+    def unknown_positions(self) -> np.ndarray:
+        """Matrix index of each unknown (u_pad, v_pad, p, raveled): its place
+        in the elimination order, int32 as scipy.sparse stores indices.
 
         Each unknown joins one cell block: the cell's west u face, its south
         v face, its pressure, then the pressure of its west neighbour when
@@ -246,17 +247,20 @@ class NeckGrid:
         key_v = 4 * rank[np.clip(i - 1, 0, n1 - 1), np.minimum(j, n2 - 1)] + 1
         key_p = 4 * rank.ravel()[host] + np.where(host == np.arange(n1 * n2), 2, 3)
         key = np.concatenate([key_u.ravel(), key_v.ravel(), key_p])
-        return np.argsort(key, kind="stable")
+        pos = np.empty(key.size, dtype=np.int32)
+        pos[np.argsort(key, kind="stable")] = np.arange(key.size, dtype=np.int32)
+        return pos
 
     # -- operator assembly ------------------------------------------------
 
     def _assemble(self):
-        """The saddle-point matrix in elimination order, plus what a solve
-        reads: (A, order, int_u, int_v, D, vol_c)."""
+        """The saddle-point matrix, each unknown numbered by its place in the
+        elimination order, and what a solve reads: the matrix indices of
+        u_pad, v_pad and p, the gauge cell, the boundary table (rows, x, t,
+        component, weight), the cell volumes and ||A||_inf."""
         n1, n2, dx, dt = self.n1, self.n2, self.dx, self.dt
-        n_u, n_v, n_p = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1), n1 * n2
-        # unknown numbers, int32 as scipy.sparse stores them
-        ids = np.arange(n_u + n_v + n_p, dtype=np.int32)
+        n_u, n_v = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1)
+        ids = self.unknown_positions()
         iu = ids[:n_u].reshape(n1 + 1, n2 + 2)             # u on padded x-faces
         iv = ids[n_u:n_u + n_v].reshape(n1 + 2, n2 + 1)    # v on padded t-faces
         ip = ids[n_u + n_v:].reshape(n1, n2)
@@ -283,8 +287,8 @@ class NeckGrid:
         # divergence at cells: (1/delta)[d/dx(delta u) + d/dt(delta a ubar + v)].
         # The metric flux through the walls uses the wall data itself (moved to
         # the right-hand side), never ghost-averaged unknowns: this keeps the
-        # pressure gradient consistent up to the walls.  D stores every cell's
-        # terms in one fixed-width row, zeros included.
+        # pressure gradient consistent up to the walls.  Each cell's terms are
+        # one fixed-width row of div, zeros included.
         da = 0.25 * d_c * self.a_of(self.xc, self.tf)
         da[:, [0, -1]] = 0.0
         ubar = [(da, i) for i in (iu[:-1, :-1], iu[:-1, 1:], iu[1:, :-1], iu[1:, 1:])]
@@ -292,15 +296,12 @@ class NeckGrid:
                          + _div(ubar + [(1.0, iv[1:-1])], 1, dt))
         div = 1.0 / d_c[..., None] * np.stack([c for c, _ in terms], axis=-1)
         cols_d = np.stack([i for _, i in terms], axis=-1)
-        D = sp.csr_matrix((div.ravel(), cols_d.ravel(),
-                           np.arange(0, div.size + 1, div.shape[-1], dtype=np.int32)),
-                          shape=(n_p, n_u + n_v))
 
         # pressure gradient at interior nodes: the negative volume-weighted
-        # adjoint of the divergence, -V^-1 D^T V_c; boundary unknowns take an
+        # adjoint of the divergence, -V^-1 div^T V_c; boundary unknowns take an
         # infinite volume, so their rows get zeros, dropped below
         w = dx * dt
-        vol = np.full(n_u + n_v, np.inf)
+        vol = np.full(ids.size, np.inf)
         vol[int_u] = d_f[1:-1] * w
         vol[int_v] = d_c * w
         vol_c = d_c * w * np.ones((n1, n2))
@@ -322,7 +323,7 @@ class NeckGrid:
             (ghost_v, ends_x, self.tf[:, None], 1, 2.0),               # v ghosts, sides
             (ip[:, [0, -1]], self.xc[:, None], ends_t, 0, flux),       # wall fluxes
         )
-        self._bc_rows = tuple(
+        bc_rows = tuple(
             np.concatenate([np.broadcast_to(g[k], g[0].shape).ravel() for g in table])
             for k in range(5))
         bnd = np.concatenate([g[0].ravel() for g in table[:4]])
@@ -330,21 +331,18 @@ class NeckGrid:
         first = np.concatenate([iu[:, [1, -2]].ravel(), iv[[1, -2]].T.ravel()])
 
         # continuity at cells, one interior cell pinned for the pressure gauge
-        self._pin = (n1 // 2) * n2 + n2 // 2
+        pin = (n1 // 2, n2 // 2)
         cont = div.copy()
-        cont.reshape(n_p, -1)[self._pin] = 0.0
-        pin = ip.flat[self._pin]
+        cont[pin] = 0.0
 
-        order = self.unknown_order()
-        pos = np.empty_like(ids)
-        pos[order] = ids
         rows, cols, vals = _flat(
             [(int_u, i, c) for c, i in lap_u] + [(int_v, i, c) for c, i in lap_v]
-            + [(cols_d, ip[..., None], grad), (ip[..., None], cols_d, cont), (pin, pin, 1.0),
-               (bnd, bnd, 1.0), (ghost, first, 1.0)], pos)
-        A = sp.csc_matrix((vals, (rows, cols)), shape=(order.size, order.size))
+            + [(cols_d, ip[..., None], grad), (ip[..., None], cols_d, cont),
+               (ip[pin], ip[pin], 1.0), (bnd, bnd, 1.0), (ghost, first, 1.0)])
+        A = sp.csc_matrix((vals, (rows, cols)), shape=(ids.size, ids.size))
         A.eliminate_zeros()
-        return A, order, int_u.ravel(), int_v.ravel(), D, vol_c
+        a_inf = float(np.bincount(rows, np.abs(vals)).max())
+        return A, iu, iv, ip, pin, bc_rows, vol_c, a_inf
 
     def solver(self):
         if self._lu is None:
@@ -366,6 +364,7 @@ class DiscreteSolution:
     residual_rel: float
     div_max: float
     correction_rel: float
+    backward_err: float
 
     @property
     def u(self):
@@ -397,17 +396,16 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     arrays holding every boundary and wall-flux point, and returns the two
     arrays of data values there; a value that is not finite is a ValueError.
 
-    ``residual_rel`` is ||A s - b|| / ||b|| after one refinement pass, with
-    both norms numpy reductions, so the solve wakes no BLAS worker thread.
-    ``correction_rel`` is that pass's max |step| over the refined solution's
-    max |s| (or 1.0 where s is zero): how far off the first solve was.
+    ``residual_rel`` is ||r|| / ||b|| for the one residual r = A s - b of the
+    refined solution, both norms numpy reductions, so the solve wakes no BLAS
+    worker thread; ``div_max`` is max |r| on the continuity rows, and
+    ``backward_err`` ||r||_inf / (||A||_inf ||s||_inf + ||b||_inf), which does
+    not grow with the rows' scale (Higham 2002, sec. 7.1).  ``correction_rel``
+    is the refinement pass's max |step| over max |s| (or 1.0 where s is
+    zero): how far off the first solve was.
     """
-    lu, (A, order, int_u, int_v, D, vol_c) = grid.solver()
+    lu, (A, iu, iv, ip, pin, bc_rows, vol_c, a_inf) = grid.solver()
     n1, n2 = grid.n1, grid.n2
-    n_u = (n1 + 1) * (n2 + 2)
-    n_v = (n1 + 2) * (n2 + 1)
-    b = np.zeros(A.shape[0])
-
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
     if f1.shape != (n1 - 1, n2):
@@ -416,34 +414,32 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
         raise ValueError(f"f2 must be (n1, n2-1), got {f2.shape}")
     if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
         raise ValueError("forcing samples must be finite")
-    b[int_u] = f1.ravel()
-    b[int_v] = f2.ravel()
+    b = np.zeros(A.shape[0])
+    b[iu[1:-1, 1:-1]] = f1
+    b[iv[1:-1, 1:-1]] = f2
 
     if bc is not None:
-        rows, x, t, comp, weight = grid._bc_rows
+        rows, x, t, comp, weight = bc_rows
         w1, w2 = bc(x, grid.x2_of(x, t))
         data = np.where(comp == 0, w1, w2)
         if not np.all(np.isfinite(data)):
             raise ValueError("boundary data must be finite")
         b[rows] = weight * data
 
-    bo = b[order]
-    so = lu.solve(bo)
-    step = lu.solve(bo - A @ so)  # one refinement pass tightens the residual
-    so += step
-    residual_rel = _norm(A @ so - bo) / (_norm(b) or 1.0)
-    correction_rel = float(np.max(np.abs(step))) / (float(np.max(np.abs(so))) or 1.0)
-    sol = np.empty_like(so)
-    sol[order] = so
-
-    u_pad = sol[:n_u].reshape(n1 + 1, n2 + 2)
-    v_pad = sol[n_u:n_u + n_v].reshape(n1 + 2, n2 + 1)
-    p = sol[n_u + n_v:].reshape(n1, n2)
+    s = lu.solve(b)
+    step = lu.solve(b - A @ s)  # one refinement pass tightens the residual
+    s += step
+    r = A @ s - b
+    div = r[ip]
+    div[pin] = 0.0  # gauge cell carries no continuity equation
+    p = s[ip]
     p = p - float(np.sum(p * vol_c) / np.sum(vol_c))
-    div = D @ sol[:n_u + n_v] - b[n_u + n_v:]
-    div[grid._pin] = 0.0  # gauge cell carries no continuity equation
-    return DiscreteSolution(grid, u_pad, v_pad, p, residual_rel,
-                            float(np.max(np.abs(div))), correction_rel)
+    s_max = float(np.max(np.abs(s)))
+    scale = a_inf * s_max + float(np.max(np.abs(b)))
+    return DiscreteSolution(grid, s[iu], s[iv], p, _norm(r) / (_norm(b) or 1.0),
+                            float(np.max(np.abs(div))),
+                            float(np.max(np.abs(step))) / (s_max or 1.0),
+                            float(np.max(np.abs(r))) / (scale or 1.0))
 
 
 def solve_fields(grid: NeckGrid, f: VectorField2,

@@ -35,6 +35,8 @@ R_EVAL = 0.5         # blow-up rates are sampled at (R_EVAL*sqrt(eps), 0)
 RESIDUAL_SLOPE_TOL = 0.25
 BLOWUP_SLOPE_TOL = 0.05
 ENVELOPE_SLOPE_TOL = 0.1
+FIBER_N2 = 17        # samples across the gap on each fiber
+DELTA_N_X1 = 16      # fibers in theorem_rate_table's window at fixed eps
 
 
 class ConfigError(ValueError):
@@ -85,23 +87,21 @@ def decay_window(profile: NeckProfile, n: int = 20, eps=None) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def residual_order(h: CorrectorHierarchy, s: int, m: int | None = None,
-                   n_x1: int = 20, n2: int = 17, eps=None) -> dict:
+def residual_order(h: CorrectorHierarchy, s: int, m: int, eps=None) -> dict:
     """Fitted decay order of sup-fiber |grad^s f^{m+1}| against the gap width,
     at ``eps`` or the hierarchy's profile's own.
 
     Passes when the slope is at least (m - s - 1) - 0.25; faster decay than
     predicted is a pass.
     """
-    m = (h.depth - 1) if m is None else m
     if s > m:
         raise ValueError("derivative order s must satisfy s <= m")
     if h.depth < m + 1:
         raise ValueError(f"hierarchy has {h.depth} levels, need {m + 1}")
     eps = h.profile.eps_or(eps)
-    x1 = decay_window(h.profile, n_x1, eps)
+    x1 = decay_window(h.profile, eps=eps)
     f = h.residual(m + 1)
-    sup = fiber_sup(deriv_fields(f, s), x1, n2, eps)
+    sup = fiber_sup(deriv_fields(f, s), x1, FIBER_N2, eps)
     dlt = h.profile.delta(x1, eps)
     fit = fit_decay_order(zip(dlt, sup))
     predicted = float(m - s - 1)
@@ -193,28 +193,28 @@ FAMILIES = {
 }
 
 
-def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray, eps: np.ndarray,
-                   n2: int, z1: float) -> np.ndarray:
+def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray,
+                   eps: np.ndarray) -> np.ndarray:
     """Per-fiber sup of |grad^{m+1} v^{m+1}| + the pressure part at order m,
     at x1[i] and gap eps[i], velocity and pressure from one walk."""
     vel = deriv_fields(h.cumulative_v(m + 1), m + 1)
     p = h.cumulative_pressure(m + 1)
     n = len(x1)
     if m == 0:
-        # the pressure in the gauge p(z1, 0) = 0: each point's gauge value is
-        # one more fiber, at x1 = z1, whose samples all sit at x2 = 0
-        pts, eps = np.concatenate([x1, np.full(n, z1)]), np.concatenate([eps, eps])
-        x2 = fiber_x2(h.profile, pts, n2, eps)
+        # the pressure in the gauge p(R/2, 0) = 0: each point's gauge value
+        # is one more fiber, at x1 = R/2, whose samples all sit at x2 = 0
+        pts, eps = np.concatenate([x1, np.full(n, h.profile.R / 2)]), np.concatenate([eps, eps])
+        x2 = fiber_x2(h.profile, pts, FIBER_N2, eps)
         x2[n:] = 0.0
         vals = eval_fields(vel + [p], pts, x2, eps)
         pv = vals.pop()
         return fiber_max(vals)[:n] + np.max(np.abs(pv[:n] - pv[n:, :1]), axis=-1)
-    vals = eval_fields(vel + deriv_fields(p, m), x1, fiber_x2(h.profile, x1, n2, eps), eps)
+    vals = eval_fields(vel + deriv_fields(p, m), x1, fiber_x2(h.profile, x1, FIBER_N2, eps), eps)
     return fiber_max(vals[:len(vel)]) + fiber_max(vals[len(vel):])
 
 
 def _envelope(cache: HierarchyCache, family: str, eps, m: int,
-              x1: np.ndarray, n2: int = 17) -> np.ndarray:
+              x1: np.ndarray) -> np.ndarray:
     """Mode-weighted derivative envelope over the family's members at x1[i]
     and gap eps[i]: sqrt(eps) on the translation modes, eps^{3/2} on the
     vertical mode.  One walk per member covers every point."""
@@ -224,7 +224,7 @@ def _envelope(cache: HierarchyCache, family: str, eps, m: int,
     for alpha, green in members:
         h = cache.get(name, alpha, m + 1, green=green)
         scale = np.array([ep**1.5 if alpha == 2 else np.sqrt(ep) for ep in eps])
-        e = e + scale * _envelope_sups(h, m, x1, np.array(eps), n2, h.profile.R / 2.0)
+        e = e + scale * _envelope_sups(h, m, x1, np.array(eps))
     return e
 
 
@@ -242,8 +242,7 @@ _DELTA_FIT = {"general": (1e-5, 3.0), "symmetric": (1e-5, 6.0)}
 
 
 def theorem_rate_table(eps_sweep=DEFAULT_EPS_SWEEP, m_values=(0, 1, 2),
-                       cache: HierarchyCache | None = None,
-                       n_x1: int = 16, n2: int = 17) -> list[dict]:
+                       cache: HierarchyCache | None = None) -> list[dict]:
     """Measured envelope slopes, in the gap width at fixed eps and in eps at
     the moving point x1 = 0.5 sqrt(eps), against the predicted exponents."""
     cache = cache or HierarchyCache()
@@ -255,14 +254,14 @@ def theorem_rate_table(eps_sweep=DEFAULT_EPS_SWEEP, m_values=(0, 1, 2),
         for m in m_values:
             pred_d = _envelope_exponent(family, m)
             shape = cache.shape(name)
-            x1 = np.geomspace(cutoff * np.sqrt(eps_d), shape.R / 2.0, n_x1)
+            x1 = np.geomspace(cutoff * np.sqrt(eps_d), shape.R / 2.0, DELTA_N_X1)
             # the delta window at eps_d and the moving point of each sweep
             # eps, in one envelope
-            env = _envelope(cache, family, [eps_d] * n_x1 + eps_sweep, m,
-                            np.concatenate([x1, x_sweep]), n2)
-            fit_d = fit_decay_order(zip(shape.delta(x1, eps_d), env[:n_x1]))
+            env = _envelope(cache, family, [eps_d] * DELTA_N_X1 + eps_sweep, m,
+                            np.concatenate([x1, x_sweep]))
+            fit_d = fit_decay_order(zip(shape.delta(x1, eps_d), env[:DELTA_N_X1]))
             pred_e = 0.5 + pred_d
-            fit_e = fit_decay_order(zip(eps_sweep, env[n_x1:]), min_samples=5,
+            fit_e = fit_decay_order(zip(eps_sweep, env[DELTA_N_X1:]), min_samples=5,
                                     min_decades=1.5)
             for kind, fit, pred in (("delta", fit_d, pred_d), ("eps", fit_e, pred_e)):
                 rows.append({

@@ -214,7 +214,7 @@ def test_cli_stokes_solve(tmp_path, capsys):
     # SuperLU's own count: reading lu.L and lu.U copied both factors to count them
     grid = NeckGrid(named_profile("sym-quadratic", eps=1e-2), r=0.75, n1=65, n2=32)
     assert f" lu_fill={grid.solver()[0].nnz} " in out
-    assert re.search(r" residual=\S+ correction=\S+ div=", out)
+    assert re.search(r" residual=\S+ correction=\S+ backward=\S+ div=", out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -232,6 +232,29 @@ def test_integrals_that_do_not_converge_end_in_one_error_line(tmp_path, capsys, 
     assert code == 1
     assert err.startswith("error: QuadratureError: quadrature did not converge")
     assert err.count("\n") == 1 and len(err) <= 240
+
+
+def test_stokes_solve_at_a_vanishing_gap_ends_in_one_error_line(tmp_path, src_env):
+    # at eps=1e-100 the forcing samples overflow (ValueError from solve_w), at
+    # 1e-200 the factor is exactly singular (RuntimeError from splu); both
+    # ended in a traceback.  One interpreter runs both, outside this suite's
+    # warnings-as-errors, where numpy's overflow warnings stay warnings.
+    script = (
+        "import sys\n"
+        "from neckflow.cli import main\n"
+        "for eps in ('1e-100', '1e-200'):\n"
+        "    code = main(['stokes', 'solve', '--profile', 'sym-quadratic', '--level', '1',\n"
+        "                 '--n1', '33', '--n2', '32', '--eps', eps, '--out', sys.argv[1]])\n"
+        "    print(f'exit {code}', file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=src_env,
+                          capture_output=True, text=True, timeout=300)
+    assert "Traceback" not in proc.stderr
+    parts = re.split(r"^exit (\d+)\n", proc.stderr, flags=re.M)
+    assert parts[1::2] == ["1", "1"] and parts[-1] == "", proc.stderr
+    for case, kind in zip(parts[0::2], ("ValueError", "RuntimeError")):
+        errors = re.findall(r"^error: .*$", case, flags=re.M)
+        assert len(errors) == 1 and len(errors[0]) <= 240, case
+        assert errors[0].startswith(f"error: {kind}: "), case
 
 
 @pytest.mark.parametrize("flag", [["--m", "1"], ["--alpha", "1"], ["--format", "csv"]])
