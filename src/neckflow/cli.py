@@ -156,7 +156,7 @@ def cmd_stokes_solve(args) -> int:
              if prof.symmetric else build_hierarchy(prof, 1, args.level))
     except ValueError as exc:
         raise ConfigError(f"stokes solve: {exc}") from None
-    try:  # at a tiny eps the forcing overflows or the factor is singular
+    try:  # at a tiny eps the forcing or the matrix overflows, or the factor is singular
         sol = fd.solve_fields(grid, h.residual(args.level))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {str(exc)[:200]}", file=sys.stderr)

@@ -11,9 +11,10 @@ Nodes are immutable and hash-consed, so structurally equal expressions share
 one node.  Linear combinations collect identical subtrees, which is what makes
 the large algebraic cancellations of the constructions collapse exactly.
 Construction is single-threaded: interning and id allocation take no lock.
-Positivity on the chart is a node value, ``positive``, set at interning from
-the node's own constants and its children's values (``delta_coeff`` marks eps
-and delta).  Only a positive node takes a negative exponent (``mul_pow``).
+The gap width delta = eps + h1 + h2 is the only denominator: every
+coefficient the constructions build is rational in delta, so ``mul_pow``
+gives a negative exponent only to its profile's delta node, found by
+identity (``delta_coeff`` files it in the profile's intern table).
 
 The gap parameter eps is a leaf too, one per profile (``_Eps``, made by
 ``delta_coeff`` as a summand of delta = eps + h1 + h2), and construction never
@@ -85,7 +86,6 @@ opens only the nodes it prints, however deep the DAG.
 from __future__ import annotations
 
 import sys
-from operator import attrgetter
 
 import numpy as np
 
@@ -115,7 +115,6 @@ _MAX_PANELS = 4096
 _GLOBAL_INTERN: dict = {}
 _NEXT_ID = [1]
 _FREE_RANK = 1 << 62
-_POSITIVE = attrgetter("positive")  # all(map(...)) over children: no generator
 
 
 class QuadratureError(RuntimeError):
@@ -138,12 +137,11 @@ def _merge_profile(nodes) -> NeckProfile | None:
 class Coeff:
     """Base node.  Use the module constructors, not subclass __init__ directly."""
 
-    __slots__ = ("_id", "_rank", "profile", "_diff", "positive")
+    __slots__ = ("_id", "_rank", "profile", "_diff")
 
     def _register(self, profile):
         self.profile = profile
         self._diff = None
-        self.positive = self._positive()
         self._id = _NEXT_ID[0]
         _NEXT_ID[0] += 1
         # the order of terms and factors: profile-free nodes (x1, its powers)
@@ -151,9 +149,6 @@ class Coeff:
         # profile; ordering them first keeps float sums in one order however
         # old the process is (a profile node's rank is its id object itself)
         self._rank = self._id if profile is not None else self._id - _FREE_RANK
-
-    def _positive(self) -> bool:  # on the chart, from own constants and children
-        return False
 
     # -- arithmetic sugar -------------------------------------------------
 
@@ -237,9 +232,6 @@ def _coerce(v) -> Coeff:
 class _Const(Coeff):
     __slots__ = ("value",)
 
-    def _positive(self):
-        return self.value > 0.0
-
     def _diff_impl(self):
         return const(0.0)
 
@@ -301,9 +293,6 @@ class _Sum(Coeff):
 
     __slots__ = ("c0", "nodes", "weights")
 
-    def _positive(self):
-        return self.c0 >= 0.0 and min(self.weights) > 0.0 and all(map(_POSITIVE, self.nodes))
-
     def _diff_impl(self):
         return lin(zip([t._diff for t in self.nodes], self.weights))
 
@@ -316,12 +305,9 @@ class _Sum(Coeff):
 
 
 class _Prod(Coeff):
-    """c * product of base**exp; negative exponents need positive bases."""
+    """c * product of base**exp; a negative exponent sits on delta only."""
 
     __slots__ = ("c", "nodes", "exps")
-
-    def _positive(self):
-        return self.c > 0.0 and all(map(_POSITIVE, self.nodes))
 
     def _diff_impl(self):
         # product rule from the stored factors: term i is this product with
@@ -348,8 +334,8 @@ class _Prod(Coeff):
                 k = c
                 slot = acc.get(d._rank)
                 acc[d._rank] = (d, 1 if slot is None else slot[1] + 1)
-            # no positivity check: a negative exponent here is one of this
-            # product's or of d's, on a node whose fixed ``positive`` is True
+            # no denominator check: a negative exponent here is one of this
+            # product's or of d's, so it sits on delta already
             if k:
                 terms.append((_make_prod(1.0, acc), e * k))
         return lin(terms)
@@ -500,15 +486,15 @@ def mul_pow(factors, c: float = 1.0) -> Coeff:
     if c == 0.0:
         return const(0.0)
     for n, e in acc.values():
-        if e < 0 and not n.positive:
-            raise ValueError(f"denominator is not provably positive on the chart: {n!r}")
+        if e < 0 and not (n.profile is not None and n is n.profile._intern.get("delta")):
+            raise ValueError(f"denominator is not the gap width delta: {n!r}")
     return _make_prod(c, acc)
 
 
 def _make_prod(c: float, acc: dict) -> Coeff:
     """The product c * prod(n**e) over ``acc``, a map rank -> (node, e) of
     canonical factors (no constant, no product) whose negative exponents are
-    already known to sit on positive nodes."""
+    already known to sit on delta."""
     if c == 0.0:
         return const(0.0)
     kept = [(n, e) for n, e in map(acc.__getitem__, sorted(acc)) if e != 0]
@@ -544,13 +530,16 @@ def antideriv(lower: float, integrand) -> Coeff:
 
 
 def delta_coeff(profile: NeckProfile) -> Coeff:
-    """The gap width eps + h1 + h2 as a node, certified positive.  eps is the
-    shape's one eps leaf, valued at evaluation, so the node is the same at
-    every eps; every other eps dependence is built from it."""
-    eps = _intern(profile, ("eps",), _Eps)
-    d = lin([(eps, 1.0), (profile_deriv(profile, 1, 0), 1.0),
-             (profile_deriv(profile, 2, 0), 1.0)])
-    eps.positive = d.positive = True  # h1 + h2 >= 0 (NeckProfile checks it)
+    """The gap width eps + h1 + h2 (h1 + h2 >= 0, as ``NeckProfile`` checks),
+    the one node that takes a negative exponent: built once and filed under
+    ``"delta"`` in the profile's intern table, where ``mul_pow`` finds it.
+    eps is the shape's one eps leaf, valued at evaluation, so the node is the
+    same at every eps; every other eps dependence is built from it."""
+    d = profile._intern.get("delta")
+    if d is None:
+        eps = _intern(profile, ("eps",), _Eps)
+        d = profile._intern["delta"] = lin([
+            (eps, 1.0), (profile_deriv(profile, 1, 0), 1.0), (profile_deriv(profile, 2, 0), 1.0)])
     return d
 
 

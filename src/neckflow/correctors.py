@@ -210,12 +210,15 @@ def _close(profile: NeckProfile, target: PolyField, top: int):
     return v, p_pure
 
 
-def _check_degrees(alpha: int, l: int, residual: VectorField2):
-    d1, d2 = RESIDUAL_DEGREES[alpha](l)
-    if residual.u1.degree > d1 or residual.u2.degree > d2:
+def _checked(lev: CorrectorLevel) -> CorrectorLevel:
+    """``lev``, once its residual meets its mode's degree contract."""
+    d1, d2 = RESIDUAL_DEGREES[lev.alpha](lev.level)
+    u1, u2 = lev.residual.u1.degree, lev.residual.u2.degree
+    if u1 > d1 or u2 > d2:
         raise ConstructionError(
-            f"alpha={alpha} level {l}: residual degrees "
-            f"({residual.u1.degree},{residual.u2.degree}) exceed ({d1},{d2})")
+            f"alpha={lev.alpha} level {lev.level}: residual degrees "
+            f"({u1},{u2}) exceed ({d1},{d2})")
+    return lev
 
 
 # -- first levels -------------------------------------------------------------
@@ -243,9 +246,7 @@ def _first_level_mode1(profile: NeckProfile) -> CorrectorLevel:
 
     f1 = (v.u1.partial_x1() - v.u2.partial_x2()).partial_x1().scale(mu)
     f2 = v.u2.partial_x1(2).scale(mu)
-    residual = VectorField2(f1, f2)
-    _check_degrees(1, 1, residual)
-    return CorrectorLevel(1, 1, v, pressure, residual)
+    return CorrectorLevel(1, 1, v, pressure, VectorField2(f1, f2))
 
 
 def _first_level_mode2(profile: NeckProfile) -> CorrectorLevel:
@@ -272,9 +273,8 @@ def _first_level_mode2(profile: NeckProfile) -> CorrectorLevel:
     s_part = v_t.u2.partial_x1(2).scale(mu) + v_h.u2.partial_x2(2).scale(mu)
     g_part = v_h.u2.partial_x1(2).scale(mu)
     f1 = v_h.u1.partial_x1(2).scale(mu)
-    residual = VectorField2(f1, s_part + g_part)
-    _check_degrees(2, 1, residual)
-    return CorrectorLevel(2, 1, v, pressure, residual, split=(s_part, g_part))
+    return CorrectorLevel(2, 1, v, pressure, VectorField2(f1, s_part + g_part),
+                          split=(s_part, g_part))
 
 
 def _first_level_mode3(profile: NeckProfile) -> CorrectorLevel:
@@ -325,21 +325,21 @@ def _first_level_mode3(profile: NeckProfile) -> CorrectorLevel:
     st_part = ((Grest * kq).partial_x2(2).scale(mu)
                + (kp.scale(ca.lin([(ca.X1, -1.0)])) + Gc * kq).partial_x1(2).scale(mu))
     gt_part = (Grest * kq).partial_x1(2).scale(mu)
-    residual = VectorField2(s_part + g_part, st_part + gt_part)
-    _check_degrees(3, 1, residual)
-    return CorrectorLevel(3, 1, v, pressure, residual,
+    return CorrectorLevel(3, 1, v, pressure, VectorField2(s_part + g_part, st_part + gt_part),
                           split=(s_part, g_part, st_part, gt_part))
 
 
 def build_first_level(profile: NeckProfile, alpha: int) -> CorrectorLevel:
     """First corrector pair carrying the mode's boundary data into the gap."""
     if alpha == 1:
-        return _first_level_mode1(profile)
-    if alpha == 2:
-        return _first_level_mode2(profile)
-    if alpha == 3:
-        return _first_level_mode3(profile)
-    raise ValueError("alpha must be 1, 2 or 3")
+        lev = _first_level_mode1(profile)
+    elif alpha == 2:
+        lev = _first_level_mode2(profile)
+    elif alpha == 3:
+        lev = _first_level_mode3(profile)
+    else:
+        raise ValueError("alpha must be 1, 2 or 3")
+    return _checked(lev)
 
 
 # -- induction steps ----------------------------------------------------------
@@ -358,9 +358,8 @@ def _extend_generic(h: CorrectorHierarchy) -> CorrectorLevel:
     f1 = (f1 if g is None else g + f1) - p_poly.partial_x1()
     f2 = v.u2.partial_x1(2).scale(mu)
     f2 = f2 if gt is None else gt + f2
-    residual = VectorField2(f1, f2)
-    _check_degrees(h.alpha, l, residual)
-    return CorrectorLevel(h.alpha, l, v, p_poly + PolyField(h.profile, [p_pure]), residual)
+    return CorrectorLevel(h.alpha, l, v, p_poly + PolyField(h.profile, [p_pure]),
+                          VectorField2(f1, f2))
 
 
 def _extend_mode2(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -375,10 +374,8 @@ def _extend_mode2(h: CorrectorHierarchy) -> CorrectorLevel:
     s_new = g_prev + v.u2.partial_x2(2).scale(mu)
     g_new = v.u2.partial_x1(2).scale(mu)
     f1 = v.u1.partial_x1(2).scale(mu)
-    residual = VectorField2(f1, s_new + g_new)
-    _check_degrees(2, l, residual)
-    return CorrectorLevel(2, l, v, p_poly + PolyField(profile, [p_pure]), residual,
-                          split=(s_new, g_new))
+    return CorrectorLevel(2, l, v, p_poly + PolyField(profile, [p_pure]),
+                          VectorField2(f1, s_new + g_new), split=(s_new, g_new))
 
 
 def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -411,9 +408,7 @@ def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
     p = (f_prev.u2 + v2.partial_x2(2).scale(mu)).antideriv_x2()
     f1 = v1.partial_x1(2).scale(mu) - p.partial_x1()
     f2 = v2.partial_x1(2).scale(mu)
-    residual = VectorField2(f1, f2)
-    _check_degrees(1, l, residual)
-    return CorrectorLevel(1, l, v, p, residual)
+    return CorrectorLevel(1, l, v, p, VectorField2(f1, f2))
 
 
 def extend(h: CorrectorHierarchy) -> CorrectorLevel:
@@ -426,7 +421,7 @@ def extend(h: CorrectorHierarchy) -> CorrectorLevel:
         lev = _extend_mode2(h)
     else:
         lev = _extend_generic(h)
-    h.levels.append(lev)
+    h.levels.append(_checked(lev))
     return lev
 
 
@@ -456,7 +451,7 @@ def build_symmetric_green(profile: NeckProfile, levels: int) -> CorrectorHierarc
     p = PolyField(profile, [ca.const(0.0), ca.mul_pow([(dd, 1), (d, -2)], mu)])
     f1 = v1.partial_x1(2).scale(mu) - p.partial_x1()
     f2 = v2.partial_x1(2).scale(mu)
-    lev = CorrectorLevel(1, 1, VectorField2(v1, v2), p, VectorField2(f1, f2))
+    lev = _checked(CorrectorLevel(1, 1, VectorField2(v1, v2), p, VectorField2(f1, f2)))
     h = CorrectorHierarchy(profile, 1, [lev], green=True)
     return h.extend_to(levels)
 

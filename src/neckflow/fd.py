@@ -253,11 +253,13 @@ class NeckGrid:
 
     # -- operator assembly ------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _assemble(self):
         """The saddle-point matrix, each unknown numbered by its place in the
         elimination order, and what a solve reads: the matrix indices of
         u_pad, v_pad and p, the gauge cell, the boundary table (rows, x, t,
-        component, weight), the cell volumes and ||A||_inf."""
+        component, weight), the cell volumes and ||A||_inf.  At a gap so
+        narrow that a metric term overflows, a ValueError."""
         n1, n2, dx, dt = self.n1, self.n2, self.dx, self.dt
         n_u, n_v = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1)
         ids = self.unknown_positions()
@@ -339,6 +341,8 @@ class NeckGrid:
             [(int_u, i, c) for c, i in lap_u] + [(int_v, i, c) for c, i in lap_v]
             + [(cols_d, ip[..., None], grad), (ip[..., None], cols_d, cont),
                (ip[pin], ip[pin], 1.0), (bnd, bnd, 1.0), (ghost, first, 1.0)])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("matrix entries must be finite: the gap is too narrow to assemble")
         A = sp.csc_matrix((vals, (rows, cols)), shape=(ids.size, ids.size))
         A.eliminate_zeros()
         a_inf = float(np.bincount(rows, np.abs(vals)).max())
@@ -447,15 +451,17 @@ def solve_fields(grid: NeckGrid, f: VectorField2,
     """Sample an exact forcing field (and optional boundary field) at the
     grid's eps and solve.  The coefficients of both components are read in
     one walk, at the u nodes' x then the v nodes'; each component's Horner
-    loop in x2 reads its own slice, as ``PolyField.eval`` would."""
+    loop in x2 reads its own slice, as ``PolyField.eval`` would.  Samples
+    that overflow are not warned of here: ``solve_w`` rejects them."""
     eps = grid.profile.eps
     xf_i = grid.xf[1:-1]
     nu, c1, c2 = xf_i.size, f.u1.coeffs, f.u2.coeffs
-    vals = ca.eval_many(c1 + c2, np.concatenate([xf_i, grid.xc]), eps)
-    f1 = horner_x2([v[:nu] for v in vals[:len(c1)]], xf_i,
-                   grid.x2_of(xf_i[:, None], grid.tc[None, :]))
-    f2 = horner_x2([v[nu:] for v in vals[len(c1):]], grid.xc,
-                   grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = ca.eval_many(c1 + c2, np.concatenate([xf_i, grid.xc]), eps)
+        f1 = horner_x2([v[:nu] for v in vals[:len(c1)]], xf_i,
+                       grid.x2_of(xf_i[:, None], grid.tc[None, :]))
+        f2 = horner_x2([v[nu:] for v in vals[len(c1):]], grid.xc,
+                       grid.x2_of(grid.xc[:, None], grid.tf[None, 1:-1]))
     bc = None
     if bc_field is not None:
         def bc(x, x2):

@@ -102,6 +102,9 @@ def test_positive_denominator_enforced():
         ca.quotient(ca.const(1.0), ca.X1)
     with pytest.raises(ValueError):
         ca.quotient(ca.const(1.0), ca.profile_deriv(p, 1, 0))
+    # positive, but not delta: delta is the only denominator
+    with pytest.raises(ValueError, match="not the gap width delta"):
+        ca.quotient(ca.const(1.0), ca.delta_coeff(p) + 1.0)
     ca.quotient(ca.const(1.0), ca.delta_coeff(p) ** 2)  # fine
 
 
@@ -204,29 +207,7 @@ def test_x1_of_any_shape_is_walked_as_one_1d_array(cache):
         assert type(p) is float and np.float64(p).tobytes() == f[7:8].tobytes()
 
 
-def _reference_positive(node, delta, memo):
-    """The memoized structural walk that decided positivity before it was a
-    node value: a positive constant, the eps leaf or delta, or a sum or
-    product whose constants, weights and children all are positive."""
-    ok = memo.get(node)
-    if ok is None:
-        if isinstance(node, ca._Const):
-            ok = node.value > 0.0
-        elif node is delta or isinstance(node, ca._Eps):
-            ok = True
-        elif isinstance(node, ca._Prod):
-            ok = node.c > 0.0 and all(
-                [_reference_positive(t, delta, memo) for t in node.nodes])
-        elif isinstance(node, ca._Sum):
-            ok = (node.c0 >= 0.0 and all(c > 0.0 for c in node.weights)
-                  and all([_reference_positive(t, delta, memo) for t in node.nodes]))
-        else:
-            ok = False
-        memo[node] = ok
-    return ok
-
-
-def test_positive_is_the_structural_rule_on_every_hierarchy_node(cache):
+def test_delta_is_the_only_denominator_of_every_hierarchy_node(cache):
     roots = []
     for alpha in (1, 2, 3):
         h = cache.get("asym-quadratic", alpha, 3)
@@ -235,15 +216,9 @@ def test_positive_is_the_structural_rule_on_every_hierarchy_node(cache):
                 roots += f.coeffs
                 roots += [ca.coeff_diff(c) for c in f.coeffs]
     delta = ca.delta_coeff(h.profile)
-    nodes = ca._post_order(roots, {}, integrands=True)
-    memo: dict = {}
-    assert [n.positive for n in nodes] == [_reference_positive(n, delta, memo)
-                                           for n in nodes]
-    # delta is the only denominator: the positive nodes are eps, delta and
-    # its powers
-    positive = [n for n in nodes if n.positive]
-    assert isinstance(positive[0], ca._Eps) and positive[1] is delta
-    assert len(positive) > 3 and all(n.nodes == (delta,) for n in positive[2:])
+    bases = [t for n in ca._post_order(roots, {}, integrands=True)
+             if isinstance(n, ca._Prod) for t, e in zip(n.nodes, n.exps) if e < 0]
+    assert len(bases) > 1000 and all(t is delta for t in bases)
 
 
 def test_evaluation_needs_no_deep_recursion(src_env):
@@ -417,7 +392,8 @@ def test_interned_nodes_take_at_most_600_live_bytes_each(src_env):
 
 def test_positivity_check_is_linear_in_the_dag(src_env):
     # s_{k+1} = 1 + s_k*delta + s_k*delta^2 reaches s_0 along 2^k paths; the
-    # recursive check visited every path (3.4 s at 20 levels, x2 per level)
+    # recursive check visited every path (3.4 s at 20 levels, x2 per level).
+    # s is no denominator, and its refusal prints a repr cut short
     code = (
         "import time\n"
         "from neckflow import coeffs as ca\n"
@@ -428,14 +404,15 @@ def test_positivity_check_is_linear_in_the_dag(src_env):
         "    s = ca.lin([(ca.mul_pow([(s, 1), (d, 1)]), 1.0),\n"
         "                (ca.mul_pow([(s, 1), (d, 2)]), 1.0)], 1.0)\n"
         "t = time.perf_counter()\n"
-        "q = ca.mul_pow([(s, -1)])\n"
-        "print(time.perf_counter() - t, q.exps)\n"
+        "try:\n"
+        "    ca.mul_pow([(s, -1)])\n"
+        "except ValueError as exc:\n"
+        "    print(time.perf_counter() - t, len(str(exc)))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=30, env=src_env, check=True)
-    seconds, exps = out.stdout.split(maxsplit=1)
-    assert float(seconds) < 5.0 and exps.strip() == "(-1,)"
-
+    seconds, length = out.stdout.split()
+    assert float(seconds) < 5.0 and int(length) < 200
 
 
 def test_eps_leaf_is_bound_at_evaluation():

@@ -8,6 +8,7 @@ from neckflow import coeffs as ca
 from neckflow.correctors import (
     ConstructionError,
     LEVEL_CAP,
+    RESIDUAL_DEGREES,
     _close,
     build_first_level,
     build_hierarchy,
@@ -219,6 +220,18 @@ def test_level_cap_enforced():
         extend(h)
     with pytest.raises(ValueError):
         build_hierarchy(p, 1, LEVEL_CAP + 1)
+
+
+def test_each_level_is_held_to_its_degree_contract_where_it_joins(monkeypatch):
+    # the contract was checked inside each builder but Green's first level
+    p = named_profile("sym-quadratic", eps=0.05)
+    h = build_symmetric_green(p, 1)
+    monkeypatch.setitem(RESIDUAL_DEGREES, 1, lambda l: (0, 0))
+    with pytest.raises(ConstructionError, match="alpha=1 level 1"):
+        build_symmetric_green(p, 1)
+    with pytest.raises(ConstructionError, match="alpha=1 level 2"):
+        extend(h)
+    assert h.depth == 1
 
 
 def test_closure_rejects_a_target_above_its_top_degree():

@@ -296,6 +296,14 @@ def test_nonfinite_forcing_rejected(mild_profile):
         solve_w(g, f1, np.zeros((g.n1, g.n2 - 1)))
 
 
+def test_a_matrix_with_entries_that_are_not_finite_is_rejected():
+    # at eps=1e-200 the metric terms overflow; the matrix went to SuperLU
+    # with infinite entries, which stopped only as it called it singular
+    g = NeckGrid(named_profile("sym-quadratic", eps=1e-200), r=0.6, n1=33, n2=32)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        g.solver()
+
+
 def test_nonfinite_boundary_data_rejected(mild_profile):
     # a NaN boundary datum used to come back as a solution with 995 NaN
     # entries and residual_rel = nan
