@@ -49,10 +49,15 @@ children-first listing the evaluation walk uses, with integrals as leaves
 differentiated: each listed node's ``_diff`` is set from its children's
 (``_diff_impl``), so a DAG of any depth needs no deep recursion, and a
 node's derivative is interned after all of its children's.  A product's
-derivative is built from its stored factors: term i lowers factor i's
-exponent by one and merges in that factor's derivative, without re-flattening
-or re-sorting the rest, and goes to ``lin`` as a unit product (constant 1)
-with its weight, so no scaled copy is interned only to be rescaled.
+derivative is built from its stored factors (``_rule_terms``): term i lowers
+factor i's exponent by one and merges in that factor's derivative, without
+re-flattening or re-sorting the rest, and goes to ``lin`` as a unit product
+(constant 1) with its weight, so no scaled copy is interned only to be
+rescaled.  A sum takes its product children's rule terms into its own
+``lin``, each weight times its own, so only a product that ``diff`` is
+called on interns its derivative: a child's derivative sum would be
+flattened away at once.  The unit products are interned in the same order
+either way, and w * (e*k) is the weight that flattening would form.
 
 Evaluation is one iterative walk (``_walk``) over a list of roots at 1-D x1
 and eps, so each value but a constant's is a 1-D array (``eval_many``
@@ -184,10 +189,18 @@ class Coeff:
 
     def diff(self) -> "Coeff":
         # children first: each listed node's derivative reads its children's,
-        # set earlier in the same loop or by an earlier diff
+        # set earlier in the same loop or by an earlier diff.  A listed product
+        # but the root has only sums for parents here (products do not nest,
+        # integrals are leaves): its rule terms go to them, its _diff stays unset
         if self._diff is None:
+            rules = {}
             for node in _post_order([self], {}, diffs=True):
-                node._diff = node._diff_impl()
+                if node.__class__ is _Prod and node is not self:
+                    rules[node] = node._rule_terms()
+                elif node.__class__ is _Sum:
+                    node._diff = node._diff_impl(rules)
+                else:
+                    node._diff = node._diff_impl()
         return self._diff
 
     def eval(self, x1, eps=None):
@@ -293,8 +306,16 @@ class _Sum(Coeff):
 
     __slots__ = ("c0", "nodes", "weights")
 
-    def _diff_impl(self):
-        return lin(zip([t._diff for t in self.nodes], self.weights))
+    def _diff_impl(self, rules):
+        # a product child without a _diff hands over its rule terms (u, e*k)
+        terms = []
+        for t, w in zip(self.nodes, self.weights):
+            d = t._diff
+            if d is None:
+                terms += [(u, w * ek) for u, ek in rules[t]]
+            else:
+                terms.append((d, w))
+        return lin(terms)
 
     def _tokens(self):
         out = [f"(+ {self.c0!r}" if self.c0 else "(+"]
@@ -310,9 +331,12 @@ class _Prod(Coeff):
     __slots__ = ("c", "nodes", "exps")
 
     def _diff_impl(self):
+        return lin(self._rule_terms())
+
+    def _rule_terms(self) -> list:
         # product rule from the stored factors: term i is this product with
         # factor i's exponent lowered by one, times that factor's derivative:
-        # k times a unit product, handed to lin with weight e*k, so no scaled
+        # k times a unit product, listed with weight e*k, so no scaled
         # product is interned only to be rescaled; a term with k == 0 adds
         # nothing and is dropped
         c, nodes, exps = self.c, self.nodes, self.exps
@@ -338,7 +362,7 @@ class _Prod(Coeff):
             # product's or of d's, so it sits on delta already
             if k:
                 terms.append((_make_prod(1.0, acc), e * k))
-        return lin(terms)
+        return terms
 
     def _tokens(self):
         out = ["(*" if self.c == 1.0 else f"(* {self.c!r}"]

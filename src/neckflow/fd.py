@@ -408,7 +408,6 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
     is the refinement pass's max |step| over max |s| (or 1.0 where s is
     zero): how far off the first solve was.
     """
-    lu, (A, iu, iv, ip, pin, bc_rows, vol_c, a_inf) = grid.solver()
     n1, n2 = grid.n1, grid.n2
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
@@ -418,6 +417,8 @@ def solve_w(grid: NeckGrid, f1, f2, bc=None) -> DiscreteSolution:
         raise ValueError(f"f2 must be (n1, n2-1), got {f2.shape}")
     if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
         raise ValueError("forcing samples must be finite")
+    # checked first: a rejected forcing costs no assembly and no factor
+    lu, (A, iu, iv, ip, pin, bc_rows, vol_c, a_inf) = grid.solver()
     b = np.zeros(A.shape[0])
     b[iu[1:-1, 1:-1]] = f1
     b[iv[1:-1, 1:-1]] = f2

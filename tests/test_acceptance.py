@@ -92,6 +92,7 @@ def test_criterion_5_fd_soundness():
     for n in (32, 64, 128, 256):
         g = NeckGrid(p, r=0.6, n1=n, n2=n)
         sol = solve_fields(g, f, bc_field=w)
+        assert sol.backward_err <= 1e-14
         x2u = np.multiply.outer(p.delta(g.xf), g.tc) + \
             ((p.h1(g.xf) - p.h2(g.xf)) / 2)[:, None]
         ue = w.u1.eval(g.xf, x2u)
@@ -104,11 +105,13 @@ def test_criterion_5_fd_soundness():
 
     g0 = NeckGrid(p, r=0.6, n1=64, n2=32)
     zsol = solve_w(g0, np.zeros((63, 32)), np.zeros((64, 31)))
+    assert zsol.backward_err <= 1e-14
     zero_ok = max(np.abs(zsol.u).max(), np.abs(zsol.v).max(),
                   np.abs(zsol.p).max()) < 1e-10
 
     g1 = NeckGrid(p, r=0.6, n1=128, n2=64)
     sol = solve_fields(g1, f)
+    assert sol.backward_err <= 1e-14
     E = p.mu * global_energy(sol)
     uc, vc = sol.cell_velocity()
     x2c = np.multiply.outer(p.delta(g1.xc), g1.tc) + \
@@ -133,6 +136,7 @@ def test_criterion_6_singularity_capture(cache):
         sol = solve_fields(g, h.residual(2))
         assert sol.residual_rel < 1e-10
         assert sol.div_max < 1e-10
+        assert sol.backward_err <= 1e-14
         sups.append(sup_grad(sol, 0.5))
         energies.append(global_energy(sol))
         v_grads.append(float(np.abs(
@@ -145,6 +149,7 @@ def test_criterion_6_singularity_capture(cache):
     p = named_profile("sym-quadratic", eps=1e-2)
     g = NeckGrid(p, r=0.75, n1=385, n2=64)
     sol = solve_fields(g, h.residual(2))
+    assert sol.backward_err <= 1e-14
     z1 = np.linspace(0.15, 0.45, 9)
     loc = np.array([local_energy(sol, z) for z in z1])
     loc_slope = float(np.polyfit(np.log(p.delta(z1)), np.log(loc), 1)[0])

@@ -21,16 +21,20 @@ pytestmark = pytest.mark.filterwarnings(
 PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
-@functools.cache
-def _pool():
+def _fresh_pool():
     """(delta, nodes): x1, the eps leaf, delta, delta + 1, h1, h2, h1' and
-    the integral of 1/delta, built once, outside any drawn example."""
+    the integral of 1/delta, on a new wall shape with its own intern table,
+    so no node but x1 has been differentiated yet."""
     p = named_profile("asym-quadratic", None)
     d = ca.delta_coeff(p)
     eps = next(n for n in d.nodes if isinstance(n, ca._Eps))
     nodes = (ca.X1, eps, d, d + 1.0, ca.profile_deriv(p, 1, 0), ca.profile_deriv(p, 2, 0),
              ca.profile_deriv(p, 1, 1), ca.antideriv(0.0, ca.mul_pow([(d, -1)])))
     return d, nodes
+
+
+# built once, outside any drawn example
+_pool = functools.cache(_fresh_pool)
 
 
 @PROPERTIES
@@ -65,3 +69,30 @@ def test_sums_and_products_of_distinct_nodes_ignore_term_order(data):
     order = data.draw(st.permutations(range(len(picked))))
     assert ca.lin([terms[k] for k in order], 0.5) is ca.lin(terms, 0.5)
     assert ca.mul_pow([factors[k] for k in order], 2.0) is ca.mul_pow(factors, 2.0)
+
+
+@PROPERTIES
+@given(st.data())
+def test_diff_is_linear_and_obeys_the_product_rule_as_node_identity(data):
+    """A sum of distinct pool products differentiates to lin of its terms'
+    derivatives, and each product to lin of its product-rule terms.  The
+    pool is fresh and the sum is differentiated first, so it takes its
+    products' rule terms without their derivatives being interned.  The
+    weights are quarters of small integers and every rule term's e*k is a
+    small integer, so the float arithmetic of either path is exact."""
+    d, nodes = _fresh_pool()
+    prods = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        picked = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+        # a single factor needs an exponent above 1 to make a product
+        exps = data.draw(st.lists(st.integers(2 if len(picked) == 1 else 1, 3),
+                                  min_size=len(picked), max_size=len(picked)))
+        p = ca.mul_pow([(nodes[i], -e if nodes[i] is d else e) for i, e in zip(picked, exps)])
+        if all(p is not q for q in prods):
+            prods.append(p)
+    weights = data.draw(st.lists(st.sampled_from([k / 4.0 for k in range(-16, 17) if k]),
+                                 min_size=len(prods), max_size=len(prods)))
+    s = ca.lin(list(zip(prods, weights)))
+    ds = s.diff()
+    assert ca.lin([(p.diff(), w) for p, w in zip(prods, weights)]) is ds
+    assert all(p.diff() is ca.lin(p._rule_terms()) for p in prods)
