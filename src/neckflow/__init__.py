@@ -3,12 +3,8 @@ between two rigid inclusions, with slope-based verification of the decay and
 blow-up orders the construction is designed to achieve."""
 
 from .geometry import (
-    DomainError,
     NeckProfile,
     ProfileFn,
-    delta,
-    keller,
-    keller_grad,
     named_profile,
     profile_from_json,
 )
@@ -48,7 +44,6 @@ from .fd import (
     solve_fields,
     solve_w,
     sup_grad,
-    sup_high_deriv,
 )
 from .sweeps import ConfigError, RateReport, RateRow, RunConfig, emit, parse_report, run
 

@@ -39,9 +39,9 @@ keeps ``nodes`` and ``exps``.  Both are sorted by node rank, with no
 constant, no nested product and no zero exponent among a product's factors.
 The tuples of floats and ints hold no object the cyclic GC has to track, so
 it tracks one tuple per node, the one of its children.  Both are interned
-under one key rule (``_compound``): the class name, the constant, the
-children's ids and the node's own ``weights`` or ``exps`` tuple, shared with
-the key.
+under one key rule (``_compound``): one flat tuple of the class name, the
+constant, the children's ids and the node's weights or exponents, which the
+GC stops tracking in its first pass over it.
 
 Differentiation (``Coeff.diff``) is one loop over ``_post_order``, the
 children-first listing the evaluation walk uses, with integrals as leaves
@@ -53,11 +53,18 @@ derivative is built from its stored factors (``_rule_terms``): term i lowers
 factor i's exponent by one and merges in that factor's derivative, without
 re-flattening or re-sorting the rest, and goes to ``lin`` as a unit product
 (constant 1) with its weight, so no scaled copy is interned only to be
-rescaled.  A sum takes its product children's rule terms into its own
-``lin``, each weight times its own, so only a product that ``diff`` is
-called on interns its derivative: a child's derivative sum would be
-flattened away at once.  The unit products are interned in the same order
-either way, and w * (e*k) is the weight that flattening would form.
+rescaled.  A constant or single-node derivative, most of them, is merged
+into copies of the stored tuples at the position ``bisect`` finds in the
+rank list, zero exponents dropped, and the unit product is looked up by its
+intern key, so a hit builds nothing; a product-valued derivative is merged
+in a rank map that ``_make_prod`` sorts.  Both give the same nodes,
+interned in the same order, and ``lin`` takes a unit product straight into
+its accumulator.  A
+sum takes its product children's rule terms into its own ``lin``, each
+weight times its own, so only a product that ``diff`` is called on interns
+its derivative: a child's derivative sum would be flattened away at once.
+The unit products are interned in the same order either way, and w * (e*k)
+is the weight that flattening would form.
 
 Evaluation is one iterative walk (``_walk``) over a list of roots at 1-D x1
 and eps, so each value but a constant's is a 1-D array (``eval_many``
@@ -91,6 +98,9 @@ opens only the nodes it prints, however deep the DAG.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
+from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -120,6 +130,8 @@ _MAX_PANELS = 4096
 _GLOBAL_INTERN: dict = {}
 _NEXT_ID = [1]
 _FREE_RANK = 1 << 62
+# readers of a node slot, for map() over a tuple of nodes
+_ID, _RANK, _PROFILE = attrgetter("_id"), attrgetter("_rank"), attrgetter("profile")
 
 
 class QuadratureError(RuntimeError):
@@ -127,16 +139,11 @@ class QuadratureError(RuntimeError):
 
 
 def _merge_profile(nodes) -> NeckProfile | None:
-    prof = None
-    for n in nodes:
-        p = n.profile
-        if p is None:
-            continue
-        if prof is None:
-            prof = p
-        elif prof is not p:
-            raise ValueError("cannot mix coefficients from different profiles")
-    return prof
+    profiles = set(map(_PROFILE, nodes))
+    profiles.discard(None)
+    if len(profiles) > 1:
+        raise ValueError("cannot mix coefficients from different profiles")
+    return profiles.pop() if profiles else None
 
 
 class Coeff:
@@ -338,30 +345,53 @@ class _Prod(Coeff):
         # factor i's exponent lowered by one, times that factor's derivative:
         # k times a unit product, listed with weight e*k, so no scaled
         # product is interned only to be rescaled; a term with k == 0 adds
-        # nothing and is dropped
+        # nothing and is dropped.  A constant or single-node derivative is
+        # merged into copies of the stored tuples at the bisect_left position
+        # of its rank, which is that of the factor it already is, if any;
+        # zero exponents are dropped and the unit product is looked up by its
+        # intern key.  A product derivative is merged in a rank map.  Either
+        # way the unit products are the ones _make_prod gives, interned in
+        # factor order.  No denominator check: a negative exponent here is
+        # one of this product's or of d's, so it sits on delta already
         c, nodes, exps = self.c, self.nodes, self.exps
-        base = {n._rank: (n, e) for n, e in zip(nodes, exps)}
+        ranks = list(map(_RANK, nodes))
         terms = []
-        for t, e in zip(nodes, exps):
+        for i, (t, e) in enumerate(zip(nodes, exps)):
             d = t._diff
-            acc = base.copy()
-            acc[t._rank] = (t, e - 1)
             cls = d.__class__
-            if cls is _Const:
-                k = c * d.value
-            elif cls is _Prod:
+            if cls is _Prod:
                 k = c * d.c
-                for n, x in zip(d.nodes, d.exps):
-                    slot = acc.get(n._rank)
-                    acc[n._rank] = (n, x if slot is None else slot[1] + x)
+                if k:
+                    acc = {n._rank: (n, x) for n, x in zip(nodes, exps)}
+                    acc[t._rank] = (t, e - 1)
+                    for n, x in zip(d.nodes, d.exps):
+                        slot = acc.get(n._rank)
+                        acc[n._rank] = (n, x if slot is None else slot[1] + x)
+                    terms.append((_make_prod(1.0, acc), e * k))
+                continue
+            k = c * d.value if cls is _Const else c
+            if not k:
+                continue
+            ns, xs = nodes, list(exps)
+            xs[i] = e - 1
+            if cls is not _Const:
+                at = bisect_left(ranks, d._rank)
+                if at < len(ranks) and ranks[at] == d._rank:
+                    xs[at] += 1
+                else:
+                    ns = ns[:at] + (d,) + ns[at:]
+                    xs.insert(at, 1)
+            if 0 in xs:
+                ns, xs = tuple(compress(ns, xs)), list(filter(None, xs))
+            if not ns:
+                unit = const(1.0)
+            elif len(ns) == 1 and xs[0] == 1:
+                unit = ns[0]
             else:
-                k = c
-                slot = acc.get(d._rank)
-                acc[d._rank] = (d, 1 if slot is None else slot[1] + 1)
-            # no denominator check: a negative exponent here is one of this
-            # product's or of d's, so it sits on delta already
-            if k:
-                terms.append((_make_prod(1.0, acc), e * k))
+                # profile-free nodes rank first, so the last node has the
+                # product's profile if any node has one
+                unit = _compound(_Prod, 1.0, ns, tuple(xs), ns[-1].profile)
+            terms.append((unit, e * k))
         return terms
 
     def _tokens(self):
@@ -443,7 +473,16 @@ def lin(terms, c0: float = 0.0) -> Coeff:
     # term by term, as pushes may intern nodes (unit products below): node ids
     # then follow the same order however ``terms`` is produced
     for node, co in terms:
-        todo = [(node, float(co))]
+        co = float(co)
+        if node.__class__ is _Prod and node.c == 1.0:  # a unit product goes straight in
+            if co != 0.0:
+                slot = acc.get(node._rank)
+                if slot is None:
+                    acc[node._rank] = [node, co]
+                else:
+                    slot[1] += co
+            continue
+        todo = [(node, co)]
         while todo:
             node, co = todo.pop()
             if co == 0.0:
@@ -532,9 +571,11 @@ def _make_prod(c: float, acc: dict) -> Coeff:
 
 def _compound(cls, c: float, nodes: tuple, coefs: tuple, profile) -> Coeff:
     """The sum or product ``cls`` (slots: constant, nodes, coefs), interned under
-    (class name, c, child ids, coefs): a key the cyclic GC does not track, which
-    shares the node's own ``coefs`` tuple of weights or exponents."""
-    key = (cls.__name__, c, tuple([n._id for n in nodes]), coefs)
+    the flat key (class name, c, *child ids, *coefs): a tuple of atoms, which
+    the cyclic GC stops tracking in its first pass over it (a nested tuple
+    would stay tracked until a second pass, as that pass reaches it before its
+    inner tuples)."""
+    key = (cls.__name__, c, *map(_ID, nodes), *coefs)
     return _intern(profile, key, cls, c, nodes, coefs)
 
 

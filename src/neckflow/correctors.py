@@ -33,10 +33,20 @@ for mode 2, (s, g, st, gt) of both components for mode 3's first level.
 For identical walls a Green-kernel variant builds the same objects by
 resolving d^2/dx2^2 directly on each gap fiber; it gains half an order of
 decay per derivative over the general construction.
+
+Construction (`build_hierarchy`, `build_symmetric_green`, `extend`) runs
+with the cyclic garbage collector paused, and leaves it as it found it.  A
+build allocates nodes by the thousand and frees few, so the collector would
+start a pass every few hundred allocations, some over the whole DAG.  Pausing
+it is safe: the coefficient DAG is acyclic, with children made before
+parents, and its nodes live as long as their profile's intern table, so such
+a pass could free nothing; reference counting frees every temporary.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -411,6 +421,24 @@ def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
     return CorrectorLevel(1, l, v, p, VectorField2(f1, f2))
 
 
+def _collector_paused(build):
+    """``build`` with the cyclic garbage collector paused, and left as it was
+    found on the way out, raise or not (see the module docstring).  The
+    allocations made while paused still count: the caller's next allocation
+    starts one young-generation pass over them."""
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def extend(h: CorrectorHierarchy) -> CorrectorLevel:
     """Append the next level; levels are capped at LEVEL_CAP."""
     if h.depth >= LEVEL_CAP:
@@ -425,6 +453,7 @@ def extend(h: CorrectorHierarchy) -> CorrectorLevel:
     return lev
 
 
+@_collector_paused
 def build_hierarchy(profile: NeckProfile, alpha: int, levels: int) -> CorrectorHierarchy:
     if not 1 <= levels <= LEVEL_CAP:
         raise ValueError(f"levels must be in 1..{LEVEL_CAP}")
@@ -432,6 +461,7 @@ def build_hierarchy(profile: NeckProfile, alpha: int, levels: int) -> CorrectorH
     return h.extend_to(levels)
 
 
+@_collector_paused
 def build_symmetric_green(profile: NeckProfile, levels: int) -> CorrectorHierarchy:
     """Green-kernel hierarchy for identical walls (first boundary mode)."""
     if not profile.symmetric:

@@ -66,7 +66,6 @@ __all__ = [
     "global_energy",
     "local_energy",
     "sup_grad",
-    "sup_high_deriv",
     "manufactured_solution",
     "export_csv",
 ]
@@ -547,49 +546,6 @@ def sup_grad(sol: DiscreteSolution, r: float) -> float:
     maskf[:2] = maskf[-2:] = False
     for wall in (dt_b, dt_t):
         best = max(best, float(np.max(np.abs(wall[maskf] / d_f[maskf]))))
-    return best
-
-
-def sup_high_deriv(sol: DiscreteSolution, order: int, r: float | None = None,
-                   span: tuple | None = None) -> float:
-    """Max magnitude over mixed physical derivatives of the given order.
-
-    The region is |x1| <= r or an explicit (lo, hi) span; two cells per
-    derivative are trimmed from every edge of the differencing stencils.
-    """
-    g = sol.grid
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    margin = 2 * order
-    if margin * 2 >= min(g.n1, g.n2):
-        raise ValueError("order too high for this resolution")
-    a_c = g.a_of(g.xc, g.tc)
-    d_c = g._delta(g.xc)[:, None]
-
-    def dx1(F):
-        return np.gradient(F, g.dx, axis=0) + a_c * np.gradient(F, g.dt, axis=1)
-
-    def dx2(F):
-        return np.gradient(F, g.dt, axis=1) / d_c
-
-    uc, vc = sol.cell_velocity()
-    best = 0.0
-    if span is None:
-        mask = np.abs(g.xc) <= (g.r if r is None else r)
-    else:
-        mask = (g.xc >= span[0]) & (g.xc <= span[1])
-    mask[:margin] = mask[-margin:] = False
-    if not np.any(mask):
-        raise ValueError("empty differencing region")
-    tsl = slice(margin, -margin) if margin else slice(None)
-    for base in (uc, vc):
-        for k1 in range(order + 1):
-            F = base
-            for _ in range(k1):
-                F = dx1(F)
-            for _ in range(order - k1):
-                F = dx2(F)
-            best = max(best, float(np.max(np.abs(F[mask][:, tsl]))))
     return best
 
 

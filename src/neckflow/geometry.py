@@ -1,4 +1,4 @@
-"""Neck geometry: wall profiles, gap width and the normalized vertical coordinate.
+"""Neck geometry: wall profiles and the gap width.
 
 The thin region between two nearly touching rigid bodies is charted by
 ``|x1| <= 2R`` with walls ``x2 = eps/2 + h1(x1)`` (top) and
@@ -7,7 +7,8 @@ The thin region between two nearly touching rigid bodies is charted by
 
     k(x) = (x2 - (h1 - h2)(x1)/2) / delta(x1)
 
-equals +1/2 on the top wall and -1/2 on the bottom wall.  Profiles are
+equals +1/2 on the top wall and -1/2 on the bottom wall (the constructions
+build it as a field, ``fields.keller_field``).  Profiles are
 polynomials in ``x1``, so derivatives of every order are exact.
 """
 
@@ -20,22 +21,14 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "DomainError",
     "ProfileFn",
     "NeckProfile",
-    "delta",
-    "keller",
-    "keller_grad",
     "named_profile",
     "profile_from_json",
     "NAMED_PROFILES",
 ]
 
 CHECK_TOL = 1e-12
-
-
-class DomainError(ValueError):
-    """Evaluation requested outside the neck chart."""
 
 
 class ProfileFn:
@@ -174,45 +167,6 @@ class NeckProfile:
 
     def bottom(self, x1, eps=None):
         return -self.eps_or(eps) / 2 - self.h2(x1)
-
-    def check_x1(self, x1):
-        if np.any(np.abs(np.asarray(x1)) > 2 * self.R * (1 + 1e-12)):
-            raise DomainError(f"|x1| exceeds the chart half-width {2 * self.R}")
-
-    def check_point(self, x1, x2):
-        self.check_x1(x1)
-        lo, hi = self.bottom(x1), self.top(x1)
-        pad = 1e-12 * (1.0 + np.abs(hi - lo))
-        if np.any(np.asarray(x2) < lo - pad) or np.any(np.asarray(x2) > hi + pad):
-            raise DomainError("point lies outside the closed neck region")
-
-
-def delta(profile: NeckProfile, x1):
-    """Gap width eps + h1 + h2 at ``x1`` (chart-checked)."""
-    profile.check_x1(x1)
-    return profile.delta(x1)
-
-
-def keller(profile: NeckProfile, x1, x2):
-    """Normalized vertical coordinate; +-1/2 on the top/bottom walls."""
-    profile.check_point(x1, x2)
-    c = (profile.h1(x1) - profile.h2(x1)) / 2.0
-    return (x2 - c) / profile.delta(x1)
-
-
-def keller_grad(profile: NeckProfile, x1, x2):
-    """Exact gradient of :func:`keller`.
-
-    d/dx1 = -(h1'-h2')/(2 delta) - (h1'+h2') k / delta,  d/dx2 = 1/delta.
-    """
-    profile.check_point(x1, x2)
-    d = profile.delta(x1)
-    dh1 = profile.h1.deriv()(x1)
-    dh2 = profile.h2.deriv()(x1)
-    k = keller(profile, x1, x2)
-    gx1 = -(dh1 - dh2) / (2.0 * d) - (dh1 + dh2) * k / d
-    gx2 = 1.0 / d
-    return gx1, gx2
 
 
 # -- built-in profiles ----------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import re
 import time
 
@@ -349,3 +350,47 @@ def test_multi_eps_verify_equals_the_one_eps_calls_bitwise():
         (alpha, l) for alpha in (1, 2, 3) for l in (1, 2) for _ in eps]
     with pytest.raises(ValueError, match="pass the eps"):
         verify_level(h, 1, **sizes)
+
+
+def _collections_during(build, *args):
+    """The cyclic collections that start while ``build(*args)`` runs, with
+    the collector enabled and its generations emptied first, and the objects
+    a collection then finds unreachable: the garbage the pause kept."""
+    runs = []
+
+    def count(phase, info):
+        runs.append(phase == "start")
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        build(*args)
+    finally:
+        gc.callbacks.remove(count)
+    return sum(runs), gc.collect()
+
+
+def test_construction_runs_no_cyclic_collection_and_restores_the_collector():
+    # the DAG is acyclic and lives as long as its profile, so a collection
+    # pass over it frees nothing, and a build leaves no cyclic garbage; the
+    # builds pause the collector and leave it as they found it, also when a
+    # build raises inside the pause
+    asym, sym = named_profile("asym-quadratic", eps=1e-3), named_profile("sym-quadratic", eps=1e-3)
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert _collections_during(build_hierarchy, asym, 2, 3) == (0, 0)
+        assert _collections_during(build_symmetric_green, sym, 3) == (0, 0)
+        assert gc.isenabled()
+        gc.disable()
+        build_hierarchy(named_profile("asym-quadratic", eps=1e-3), 1, 2)
+        assert not gc.isenabled()
+        gc.enable()
+        with pytest.raises(ValueError, match="alpha must be 1, 2 or 3"):
+            build_hierarchy(asym, 4, 2)
+        assert gc.isenabled()
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()

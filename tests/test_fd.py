@@ -19,7 +19,6 @@ from neckflow.fd import (
     solve_fields,
     solve_w,
     sup_grad,
-    sup_high_deriv,
 )
 from neckflow.fields import PolyField, VectorField2
 from neckflow.geometry import named_profile
@@ -473,30 +472,6 @@ def test_synthetic_local_energy_slope(mild_profile):
     e = np.array([local_energy(sol, z) for z in z1])
     slope = np.polyfit(np.log(p.delta(z1)), np.log(e), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.2)
-
-
-def test_sup_high_deriv_resolution_guard(mild_profile):
-    g = NeckGrid(mild_profile, r=0.6, n1=48, n2=32)
-    sol = solve_w(g, np.zeros((g.n1 - 1, g.n2)), np.zeros((g.n1, g.n2 - 1)))
-    with pytest.raises(ValueError):
-        sup_high_deriv(sol, 20, 0.4)
-    assert sup_high_deriv(sol, 2, 0.4) == 0.0
-
-
-def test_windowed_second_derivative_slope(cache):
-    # remainder flow for the level-2 residual: windowed |grad^2 w| decays no
-    # worse than delta^{l+1-m} = delta^0 with l = m-1 = 0 (tolerance 0.5)
-    h = cache.get("sym-quadratic", 1, 2, green=True)
-    p = named_profile("sym-quadratic", eps=1e-2)
-    g = NeckGrid(p, r=0.75, n1=385, n2=64)
-    sol = solve_fields(g, h.residual(2))
-    z1 = np.linspace(0.15, 0.45, 9)
-    sups = []
-    for z in z1:
-        w = p.delta(z) / 2
-        sups.append(sup_high_deriv(sol, 2, span=(z - w, z + w)))
-    slope = np.polyfit(np.log(p.delta(z1)), np.log(sups), 1)[0]
-    assert slope >= 0.0 - 0.5
 
 
 def test_export_csv(tmp_path, mild_profile, manufactured):

@@ -5,16 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from neckflow.geometry import (
-    DomainError,
-    NeckProfile,
-    ProfileFn,
-    delta,
-    keller,
-    keller_grad,
-    named_profile,
-    profile_from_json,
-)
+from neckflow.fields import keller_field, keller_x1_deriv
+from neckflow.geometry import NeckProfile, ProfileFn, named_profile, profile_from_json
 
 
 def sym(eps=0.01):
@@ -23,6 +15,16 @@ def sym(eps=0.01):
 
 def asym(eps=0.01):
     return named_profile("asym-quadratic", eps=eps)
+
+
+def keller(p, x1, x2):
+    """The normalized vertical coordinate k as the constructions build it."""
+    return keller_field(p).eval(x1, x2)
+
+
+def keller_grad(p, x1, x2):
+    """dk/dx1 and dk/dx2 as the constructions build them."""
+    return keller_x1_deriv(p).eval(x1, x2), keller_field(p).partial_x2().eval(x1, x2)
 
 
 def test_profile_fn_derivatives_exact():
@@ -34,15 +36,10 @@ def test_profile_fn_derivatives_exact():
 
 
 def test_delta_values():
-    assert delta(sym(), 0.0) == pytest.approx(0.01, abs=1e-15)
-    assert delta(sym(), 0.1) == pytest.approx(0.02, abs=1e-15)
+    assert sym().delta(0.0) == pytest.approx(0.01, abs=1e-15)
+    assert sym().delta(0.1) == pytest.approx(0.02, abs=1e-15)
     p = NeckProfile(eps=0.01, h1=ProfileFn([0, 0, 1.0]), h2=ProfileFn([]))
-    assert delta(p, 0.2) == pytest.approx(0.05, abs=1e-15)
-
-
-def test_delta_domain_error():
-    with pytest.raises(DomainError):
-        delta(sym(), 1.5)
+    assert p.delta(0.2) == pytest.approx(0.05, abs=1e-15)
 
 
 def test_keller_wall_values_and_midline():
@@ -132,7 +129,7 @@ def test_profile_json_round_trip(tmp_path):
            "h1": {"poly": [0, 0, 1.0]}, "h2": {"poly": [0, 0, 0.5]}}
     p = profile_from_json(doc)
     assert p.mu == 2.0
-    assert delta(p, 0.2) == pytest.approx(0.01 + 0.06)
+    assert p.delta(0.2) == pytest.approx(0.01 + 0.06)
     with pytest.raises(ValueError):
         profile_from_json({"eps": 0.01, "h1": {"poly": [0, 0, 1]}})
     path = tmp_path / "prof.json"

@@ -96,3 +96,54 @@ def test_diff_is_linear_and_obeys_the_product_rule_as_node_identity(data):
     ds = s.diff()
     assert ca.lin([(p.diff(), w) for p, w in zip(prods, weights)]) is ds
     assert all(p.diff() is ca.lin(p._rule_terms()) for p in prods)
+
+
+def _reference_rule_terms(p):
+    """The product rule as it was first written, and the oracle of the
+    stored-tuple merge: each term's factors go into a rank map that
+    ``_make_prod`` sorts and strips of zero exponents."""
+    c, nodes, exps = p.c, p.nodes, p.exps
+    base = {n._rank: (n, e) for n, e in zip(nodes, exps)}
+    terms = []
+    for t, e in zip(nodes, exps):
+        d = t._diff
+        acc = base.copy()
+        acc[t._rank] = (t, e - 1)
+        cls = d.__class__
+        if cls is ca._Const:
+            k = c * d.value
+        elif cls is ca._Prod:
+            k = c * d.c
+            for n, x in zip(d.nodes, d.exps):
+                slot = acc.get(n._rank)
+                acc[n._rank] = (n, x if slot is None else slot[1] + x)
+        else:
+            k = c
+            slot = acc.get(d._rank)
+            acc[d._rank] = (d, 1 if slot is None else slot[1] + 1)
+        if k:
+            terms.append((ca._make_prod(1.0, acc), e * k))
+    return terms
+
+
+@PROPERTIES
+@given(st.data())
+def test_product_rule_terms_are_the_rank_map_reference(data):
+    """_rule_terms gives the reference's unit products, node for node, with
+    its weights.  The pool's factors have constant derivatives (x1, eps), a
+    product derivative (the integral of 1/delta), single-node derivatives
+    that may be factors of the same product (h1 and h1'), and delta takes
+    exponents -1 to -3; a factor of exponent 1 falls to exponent 0."""
+    d, nodes = _pool()
+    for n in nodes:
+        n.diff()
+    for _ in range(data.draw(st.integers(1, 4))):
+        picked = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
+        exps = data.draw(st.lists(st.integers(1, 3), min_size=len(picked), max_size=len(picked)))
+        c = data.draw(st.sampled_from([1.0, -0.5, 3.0]))
+        p = ca.mul_pow([(nodes[i], -e if nodes[i] is d else e) for i, e in zip(picked, exps)], c)
+        if not isinstance(p, ca._Prod):
+            continue
+        got, want = p._rule_terms(), _reference_rule_terms(p)
+        assert len(got) == len(want)
+        assert all(u is v and w == x for (u, w), (v, x) in zip(got, want))
