@@ -15,10 +15,12 @@ from neckflow.correctors import (
     build_hierarchy,
     build_symmetric_green,
     extend,
+    psi_top_traces,
     verify_level,
     verify_level_many,
 )
-from neckflow.fields import PolyField, eval_fields, fiber_x2, sup_abs, trace
+from neckflow.fields import (PolyField, cheb_nodes, eval_fields, fiber_sup, fiber_x2,
+                             sup_abs, trace)
 from neckflow.geometry import named_profile
 
 
@@ -350,6 +352,59 @@ def test_multi_eps_verify_equals_the_one_eps_calls_bitwise():
         (alpha, l) for alpha in (1, 2, 3) for l in (1, 2) for _ in eps]
     with pytest.raises(ValueError, match="pass the eps"):
         verify_level(h, 1, **sizes)
+
+
+def _separate_div_and_trace_sups(h, l, eps, n1, n2, n_trace):
+    """(div_sup, trace_sup) at each eps as two walks find them: the
+    divergence through ``fiber_sup``, the four trace errors in one
+    ``eval_many`` of their own."""
+    lev, r, k = h.level(l), h.profile.R, len(eps)
+    x1 = np.tile(cheb_nodes(n1, -r, r), k)
+    div = fiber_sup(lev.v.divergence(), x1, n2, np.repeat(eps, n1)).reshape(k, -1)
+    top = [trace(lev.v.u1, "top"), trace(lev.v.u2, "top")]
+    if l == 1:
+        top = [t - w for t, w in zip(top, psi_top_traces(h.profile, h.alpha))]
+    bottom = [trace(lev.v.u1, "bottom"), trace(lev.v.u2, "bottom")]
+    xs = np.tile(np.linspace(-r, r, n_trace), k)
+    traces = [v.reshape(k, -1)
+              for v in ca.eval_many(top + bottom, xs, np.repeat(eps, n_trace))]
+    return [(float(np.max(div[i])), max(float(np.max(np.abs(v[i]))) for v in traces))
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("eps", [[1e-3], [1e-2, 3e-3, 1e-3]])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_one_walk_for_divergence_and_traces_equals_the_separate_walks_bitwise(cache, alpha, eps):
+    h = cache.get("asym-quadratic", alpha, 2)
+    sizes = dict(n1=101, n2=17, n_trace=301)
+    for l in (1, 2):
+        got = [(d["div_sup"], d["trace_sup"]) for d in verify_level_many(h, l, eps, **sizes)]
+        assert got == _separate_div_and_trace_sups(h, l, eps, **sizes)
+
+
+def test_a_level_outside_the_depth_is_an_error():
+    # 0 and -1 once read the deepest levels by list indexing, and 3 raised
+    # a bare IndexError; a shared cache's hierarchy may be deeper
+    h = build_hierarchy(named_profile("sym-quadratic", eps=None), 1, 2)
+    for l in (0, -1, 3):
+        for read in (h.level, h.residual, h.cumulative_v, h.cumulative_pressure,
+                     lambda l: verify_level(h, l, eps=1e-2)):
+            with pytest.raises(ValueError, match=r"outside 1\.\.2, the hierarchy's depth"):
+                read(l)
+    assert h.residual() is h.level(2).residual
+    assert h.cumulative_v().u1.coeffs == (h.level(1).v + h.level(2).v).u1.coeffs
+
+
+def test_verify_over_an_empty_eps_list_is_an_error_before_any_walk(cache, monkeypatch):
+    h = cache.get("sym-quadratic", 1, 2)
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(ca, "_walk", no_walk)
+    for eps in ([], np.array([])):
+        with pytest.raises(ValueError, match="the eps list is empty"):
+            verify_level_many(h, 1, eps)
 
 
 def _collections_during(build, *args):

@@ -2,7 +2,9 @@
 a small pool of nodes on one asymmetric wall shape."""
 
 import functools
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,3 +149,49 @@ def test_product_rule_terms_are_the_rank_map_reference(data):
         got, want = p._rule_terms(), _reference_rule_terms(p)
         assert len(got) == len(want)
         assert all(u is v and w == x for (u, w), (v, x) in zip(got, want))
+
+
+_EPS_PAIR = (1e-2, 1e-3)
+
+
+def _drawn_sum(data, d, nodes):
+    """lin of one to six pool products, with weights and constants whose
+    sums round, delta at exponents -1 to -3 and the integral of 1/delta
+    among the factors."""
+    terms = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        picked = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+        exps = data.draw(st.lists(st.integers(1, 3), min_size=len(picked), max_size=len(picked)))
+        c = data.draw(st.sampled_from([1.0, -0.7, 2.3]))
+        p = ca.mul_pow([(nodes[i], -e if nodes[i] is d else e) for i, e in zip(picked, exps)], c)
+        terms.append((p, data.draw(st.sampled_from([1.0, 0.1, -1.0 / 3.0, 2.7]))))
+    return ca.lin(terms, data.draw(st.sampled_from([0.0, 0.3])))
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@PROPERTIES
+@given(st.data())
+def test_a_walk_over_concatenated_point_sets_equals_the_separate_walks(block, data):
+    """A node's value at a point does not depend on which other points share
+    its walk: one walk over sets of 1, 2 and 41 points concatenated, each
+    point with its own eps, gives each set's values bit for bit.  A sum over
+    one point takes another path than a sum over several, and with
+    ``_SUM_BLOCK`` at 8 the sums also cross block boundaries at a different
+    row in each walk."""
+    d, nodes = _pool()
+    roots = [_drawn_sum(data, d, nodes) for _ in range(data.draw(st.integers(1, 3)))]
+    roots.append(nodes[data.draw(st.integers(0, 7))])  # a bare pool node
+    r = d.profile.R
+    sets = []
+    for n in data.draw(st.permutations([1, 2, 41])):
+        x = data.draw(st.lists(st.floats(-r, r), min_size=n, max_size=n))
+        eps = data.draw(st.lists(st.sampled_from(_EPS_PAIR), min_size=n, max_size=n))
+        sets.append((np.array(x), np.array(eps)))
+    with mock.patch.object(ca, "_SUM_BLOCK", block or ca._SUM_BLOCK):
+        whole = ca._walk(roots, *(np.concatenate(a) for a in zip(*sets)))
+        parts = [ca._walk(roots, x, eps) for x, eps in sets]
+    ends = np.cumsum([0] + [len(x) for x, _ in sets])
+    for i, v in enumerate(whole):
+        v = np.broadcast_to(v, (ends[-1],))
+        for (x, _), part, lo, hi in zip(sets, parts, ends, ends[1:]):
+            assert v[lo:hi].tobytes() == np.broadcast_to(part[i], x.shape).tobytes()
