@@ -13,8 +13,10 @@ Layout is MAC: u at x-faces, v at t-faces, p at cell centers.  Walls carry v
 exactly and reach u through linear ghost extrapolation; side boundaries
 mirror this.  The discrete pressure gradient is the negative volume-weighted
 adjoint of the discrete divergence, which pins the saddle structure down to
-one gauge cell, fixed by a single pressure pin.  One sparse LU per grid
-serves any number of right-hand sides.
+one gauge cell, fixed by a single pressure pin.  The last grid factored
+keeps its sparse LU for any number of right-hand sides; an earlier grid is
+factored again, bit for bit the same, if it is solved again, and a
+``DiscreteSolution`` reads only its grid's geometry.
 
 The matrix is assembled from stencil arrays, with no sparse product: each
 flux term is a coefficient array times a shifted slice of the unknown
@@ -48,6 +50,7 @@ it returns, through the next solve and whatever the caller does next.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +180,10 @@ def _cell_ranks(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     return rank.reshape(n1, n2), host
 
 
+# a weak reference to the one grid whose factors are held (NeckGrid.solver)
+_factored = None
+
+
 @dataclass
 class NeckGrid:
     """Mapped MAC grid with metric coefficients from the exact profile."""
@@ -209,7 +216,7 @@ class NeckGrid:
         self._c = lambda x: 0.5 * (p.h1(x) - p.h2(x))
         self._ddelta = lambda x: dh1(x) + dh2(x)
         self._dc = lambda x: 0.5 * (dh1(x) - dh2(x))
-        self._lu = None
+        self._lu = self._parts = None
 
     def x2_of(self, x, t):
         """Physical height of the mapped point (x, t)."""
@@ -348,14 +355,39 @@ class NeckGrid:
         return A, iu, iv, ip, pin, bc_rows, vol_c, a_inf
 
     def solver(self):
+        """(LU, assembly parts) of this grid, factored on first use.
+
+        One grid per process holds its factors, the last one factored: an
+        earlier grid's are dropped before this one is assembled, so they add
+        nothing to its peak, and it is factored again if it is solved again.
+        The slot is a weak reference, so a grid nobody references frees its
+        factors at once."""
+        global _factored
         if self._lu is None:
+            held = _factored() if _factored is not None else None
+            if held is not None and held is not self:
+                held._lu = held._parts = None
             # the assembly's arrays are freed before the factorization; every
             # pressure follows a u face of its own cell, so its pivot has
             # filled in when it is reached: diagonal pivots keep the order
-            self._parts = self._assemble()
-            self._lu = spla.splu(self._parts[0], permc_spec="NATURAL",
-                                 diag_pivot_thresh=0.0)
+            parts = self._assemble()
+            self._lu = spla.splu(parts[0], permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            self._parts = parts
+            _factored = weakref.ref(self)
         return self._lu, self._parts
+
+    def sup_window(self, r: float):
+        """Masks of the cell centers and of the x faces with |x1| <= r,
+        beyond a side margin of 2 cells; a window holding no cell is a
+        ValueError."""
+        masks = []
+        for x in (self.xc, self.xf):
+            mask = np.abs(x) <= r
+            mask[:2] = mask[-2:] = False
+            masks.append(mask)
+        if not np.any(masks[0]):
+            raise ValueError(f"no cell within |x1| <= {r:g} beyond the side margin")
+        return masks
 
 
 @dataclass
@@ -528,11 +560,8 @@ def sup_grad(sol: DiscreteSolution, r: float) -> float:
     three-point formula through the wall value instead.
     """
     g = sol.grid
+    mask, maskf = g.sup_window(r)
     comps = _cell_grad(sol)
-    mask = np.abs(g.xc) <= r
-    mask[:2] = mask[-2:] = False
-    if not np.any(mask):
-        raise ValueError(f"no cell within |x1| <= {r:g} beyond the side margin")
     best = max(float(np.max(np.abs(c[mask]))) for c in comps)
 
     # centered shear at interior corner rows (smooth solution error cancels),
@@ -542,8 +571,6 @@ def sup_grad(sol: DiscreteSolution, r: float) -> float:
     dt_b = 2.0 * u_t[:, 0] - u_t[:, 1]
     dt_t = 2.0 * u_t[:, -1] - u_t[:, -2]
     d_f = g._delta(g.xf)
-    maskf = np.abs(g.xf) <= r
-    maskf[:2] = maskf[-2:] = False
     for wall in (dt_b, dt_t):
         best = max(best, float(np.max(np.abs(wall[maskf] / d_f[maskf]))))
     return best

@@ -342,6 +342,95 @@ def test_a_rejected_forcing_is_not_factored_first(mild_profile):
     assert g._lu is None
 
 
+def _forcing(g, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((g.n1 - 1, g.n2)), rng.standard_normal((g.n1, g.n2 - 1))
+
+
+def _bytes(*values):
+    return b"".join(np.asarray(x).tobytes() for x in values)
+
+
+def _solution_bytes(sol):
+    return _bytes(sol.u_pad, sol.v_pad, sol.p, sol.residual_rel, sol.div_max,
+                  sol.correction_rel, sol.backward_err)
+
+
+@pytest.fixture()
+def splu_calls(monkeypatch):
+    """The matrices factored from here on, by every grid."""
+    calls = []
+    splu = fd.spla.splu
+    monkeypatch.setattr(fd.spla, "splu", lambda A, *a, **k: calls.append(A) or splu(A, *a, **k))
+    return calls
+
+
+def test_only_the_last_grid_factored_keeps_its_factors(mild_profile, manufactured):
+    # a grid kept its LU as long as it, or a solution on it, was referenced,
+    # so a caller holding earlier grids paid for every factorization at once
+    w, _q, f = manufactured
+    g1 = NeckGrid(mild_profile, r=0.6, n1=32, n2=32)
+    sol = solve_fields(g1, f, bc_field=w)
+
+    def post():
+        return _bytes(sup_grad(sol, 0.3), global_energy(sol), *sol.cell_velocity())
+
+    before = post()
+    g2 = NeckGrid(mild_profile, r=0.6, n1=33, n2=32)
+    g2.solver()
+    assert g1._lu is None and g1._parts is None
+    assert g2._lu is not None and g2._parts is not None
+    assert post() == before  # a solution reads only its grid's geometry
+
+
+def test_a_grid_solved_again_is_factored_again_bit_for_bit(mild_profile, splu_calls):
+    g1 = NeckGrid(mild_profile, r=0.6, n1=40, n2=32)
+    f1, f2 = _forcing(g1)
+    first = _solution_bytes(solve_w(g1, f1, f2))
+    nnz = g1._lu.nnz
+    NeckGrid(mild_profile, r=0.6, n1=41, n2=32).solver()
+    assert _solution_bytes(solve_w(g1, f1, f2)) == first
+    assert len(splu_calls) == 3  # g1, the other grid, then g1 once more
+    assert g1._lu.nnz == nnz
+
+
+def test_repeated_solves_on_one_grid_factor_it_once(mild_profile, splu_calls):
+    g = NeckGrid(mild_profile, r=0.6, n1=40, n2=32)
+    for seed in range(3):
+        solve_w(g, *_forcing(g, seed))
+    assert len(splu_calls) == 1
+
+
+def test_a_forcing_rejected_on_another_grid_drops_no_factors(mild_profile):
+    g1 = NeckGrid(mild_profile, r=0.6, n1=40, n2=32)
+    g1.solver()
+    lu = g1._lu
+    g2 = NeckGrid(mild_profile, r=0.6, n1=41, n2=32)
+    f1, f2 = _forcing(g2)
+    with pytest.raises(ValueError, match="f1"):
+        solve_w(g2, np.zeros((g2.n1, g2.n2)), f2)
+    f1[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_w(g2, f1, f2)
+    assert g1._lu is lu
+    assert g2._lu is None
+
+
+def test_a_failed_factorization_leaves_later_solves_working(mild_profile):
+    g1 = NeckGrid(mild_profile, r=0.6, n1=40, n2=32)
+    f1, f2 = _forcing(g1)
+    first = _solution_bytes(solve_w(g1, f1, f2))
+    bad = NeckGrid(named_profile("sym-quadratic", eps=1e-200), r=0.6, n1=33, n2=32)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        bad.solver()
+    assert bad._lu is None and bad._parts is None
+    assert _solution_bytes(solve_w(g1, f1, f2)) == first
+    g3 = NeckGrid(mild_profile, r=0.6, n1=33, n2=32)
+    sol = solve_w(g3, *_forcing(g3))
+    assert sol.residual_rel < 1e-10
+    assert g1._lu is None
+
+
 def test_boundary_data_on_asymmetric_walls():
     # the bump flow has zero boundary data; these exact Stokes flows (q = 0,
     # f = 0) do not, so a permuted or mis-weighted boundary row shows here

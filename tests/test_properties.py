@@ -1,5 +1,6 @@
 """Property tests of the coefficient algebra's construction rules, drawn from
-a small pool of nodes on one asymmetric wall shape."""
+a small pool of nodes on one asymmetric wall shape, and of the FD solver's
+elimination order on random grid shapes."""
 
 import functools
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckflow import coeffs as ca
+from neckflow import fd
 from neckflow.geometry import named_profile
 
 # a failing property makes hypothesis's pytest plugin import libcst, where
@@ -195,3 +197,24 @@ def test_a_walk_over_concatenated_point_sets_equals_the_separate_walks(block, da
         v = np.broadcast_to(v, (ends[-1],))
         for (x, _), part, lo, hi in zip(sets, parts, ends, ends[1:]):
             assert v[lo:hi].tobytes() == np.broadcast_to(part[i], x.shape).tobytes()
+
+
+@PROPERTIES
+@given(st.sampled_from([("asym-quadratic", 1e-4), ("sym-quadratic", 3e-3)]),
+       st.integers(1, 40), st.integers(32, 40), st.integers(0, 2**32 - 1))
+def test_the_cell_block_order_keeps_diagonal_pivots_on_any_shape(profile, n1, n2, seed):
+    """On any grid shape the unknowns' positions are a permutation, the
+    diagonal-pivot factorization swaps no row, and a random forcing is
+    solved to a backward error of at most 1e-12 (about 3e-13 at 257 x 64
+    on asym-quadratic eps=1e-4).  A vertical separator whose pressures all
+    join their east neighbours' blocks leaves the right half's pressure
+    constant free, and fails this."""
+    g = fd.NeckGrid(named_profile(*profile), r=0.6, n1=n1, n2=n2)
+    pos = g.unknown_positions()
+    n = (n1 + 1) * (n2 + 2) + (n1 + 2) * (n2 + 1) + n1 * n2
+    assert np.array_equal(np.sort(pos), np.arange(n))
+    rng = np.random.default_rng(seed)
+    sol = fd.solve_w(g, rng.standard_normal((n1 - 1, n2)), rng.standard_normal((n1, n2 - 1)))
+    lu, _ = g.solver()
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert sol.backward_err <= 1e-12

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from neckflow import fd
 from neckflow.cli import main
 from neckflow.fd import NeckGrid
 from neckflow.geometry import named_profile
@@ -277,8 +278,16 @@ def test_cli_corrector_build_rejects_format(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [["--n1", "0"], ["--n1", "2"], ["--n1", "-5"],
-                                 ["--n2", "16"], ["--level", "0"], ["--level", "9"]])
-def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, bad):
+                                 ["--n2", "16"], ["--level", "0"], ["--level", "9"],
+                                 ["--n1", "4"]])
+def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, monkeypatch, bad):
+    # each is found before the grid is factored: an --n1 whose |x1| <= R
+    # window has no cell beyond the side margin (2 and 4 here) was found
+    # only by sup_grad, after the whole grid had been assembled and factored
+    def splu(*_a, **_k):
+        raise RuntimeError("factored before the config was checked")
+
+    monkeypatch.setattr(fd.spla, "splu", splu)
     code = main(["stokes", "solve", "--profile", "sym-quadratic", "--eps", "1e-2",
                  "--n1", "33", "--n2", "32", "--out", str(tmp_path)] + bad)
     assert code == 2
