@@ -13,6 +13,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import fd
 from . import sweeps
 from .coeffs import QuadratureError
@@ -253,7 +255,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        # at a tiny eps the powers of 1/delta overflow; a sample that is not
+        # finite reaches the user through the row, error row or FAIL line
+        # that reads it, not as numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, OSError) as exc:  # bad values, bad paths
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -64,7 +64,10 @@ sum takes its product children's rule terms into its own ``lin``, each
 weight times its own, so only a product that ``diff`` is called on interns
 its derivative: a child's derivative sum would be flattened away at once.
 The unit products are interned in the same order either way, and w * (e*k)
-is the weight that flattening would form.
+is the weight that flattening would form.  A product's rule terms are
+computed once per ``diff`` call that reaches it, and once per build inside
+``rule_terms_kept``, which the corrector constructions enter: there they
+are kept from the first ``diff`` that reaches the product to the build's end.
 
 Evaluation is one iterative walk (``_walk``) over a list of roots at 1-D x1
 and eps, so each value but a constant's is a 1-D array (``eval_many``
@@ -97,6 +100,7 @@ opens only the nodes it prints, however deep the DAG.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from bisect import bisect_left
 from itertools import compress
@@ -198,13 +202,20 @@ class Coeff:
         # children first: each listed node's derivative reads its children's,
         # set earlier in the same loop or by an earlier diff.  A listed product
         # but the root has only sums for parents here (products do not nest,
-        # integrals are leaves): its rule terms go to them, its _diff stays unset
+        # integrals are leaves): its rule terms go to them, its _diff stays
+        # unset.  Inside a build the rule terms are kept for the next diff
+        # that reaches the product (``rule_terms_kept``)
         if self._diff is None:
-            rules = {}
+            rules = _KEPT_RULES[0] if _KEPT_RULES else {}
             for node in _post_order([self], {}, diffs=True):
-                if node.__class__ is _Prod and node is not self:
-                    rules[node] = node._rule_terms()
-                elif node.__class__ is _Sum:
+                cls = node.__class__
+                if cls is _Prod:
+                    terms = rules.get(node)
+                    if terms is None:
+                        terms = rules[node] = node._rule_terms()
+                    if node is self:
+                        node._diff = lin(terms)
+                elif cls is _Sum:
                     node._diff = node._diff_impl(rules)
                 else:
                     node._diff = node._diff_impl()
@@ -337,9 +348,6 @@ class _Prod(Coeff):
 
     __slots__ = ("c", "nodes", "exps")
 
-    def _diff_impl(self):
-        return lin(self._rule_terms())
-
     def _rule_terms(self) -> list:
         # product rule from the stored factors: term i is this product with
         # factor i's exponent lowered by one, times that factor's derivative:
@@ -427,6 +435,25 @@ class _Antideriv(Coeff):
 
     def _tokens(self):
         return [f"(int {self.lower!r} ", self.integrand, ")"]
+
+
+_KEPT_RULES: list = []  # the rule-term memo of the outermost rule_terms_kept
+
+
+@contextlib.contextmanager
+def rule_terms_kept():
+    """Within the outermost ``with``, a product's rule terms are computed by
+    the first ``diff`` that reaches the product and kept for every later one;
+    they are dropped on the way out.  ``lin`` gets the same lists, so every
+    derivative is the one a fresh computation gives."""
+    if _KEPT_RULES:
+        yield
+        return
+    _KEPT_RULES.append({})
+    try:
+        yield
+    finally:
+        _KEPT_RULES.clear()
 
 
 # -- smart constructors ----------------------------------------------------

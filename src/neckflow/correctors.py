@@ -40,7 +40,9 @@ build allocates nodes by the thousand and frees few, so the collector would
 start a pass every few hundred allocations, some over the whole DAG.  Pausing
 it is safe: the coefficient DAG is acyclic, with children made before
 parents, and its nodes live as long as their profile's intern table, so such
-a pass could free nothing; reference counting frees every temporary.
+a pass could free nothing; reference counting frees every temporary.  A
+build also computes each product's rule terms once, for every ``diff`` that
+reaches the product, and drops them when its outermost call returns.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ __all__ = [
     "build_symmetric_green",
     "verify_level",
     "verify_level_many",
+    "verify_structure_many",
     "psi_top_traces",
 ]
 
@@ -430,24 +433,26 @@ def _extend_green(h: CorrectorHierarchy) -> CorrectorLevel:
     return CorrectorLevel(1, l, v, p, VectorField2(f1, f2))
 
 
-def _collector_paused(build):
+def _construction(build):
     """``build`` with the cyclic garbage collector paused, and left as it was
-    found on the way out, raise or not (see the module docstring).  The
-    allocations made while paused still count: the caller's next allocation
-    starts one young-generation pass over them."""
+    found on the way out, raise or not, and with each product's rule terms
+    computed once (``coeffs.rule_terms_kept``; see the module docstring).
+    The allocations made while paused still count: the caller's next
+    allocation starts one young-generation pass over them."""
     @functools.wraps(build)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return build(*args, **kwargs)
+            with ca.rule_terms_kept():
+                return build(*args, **kwargs)
         finally:
             if enabled:
                 gc.enable()
     return paused
 
 
-@_collector_paused
+@_construction
 def extend(h: CorrectorHierarchy) -> CorrectorLevel:
     """Append the next level; levels are capped at LEVEL_CAP."""
     if h.depth >= LEVEL_CAP:
@@ -462,7 +467,7 @@ def extend(h: CorrectorHierarchy) -> CorrectorLevel:
     return lev
 
 
-@_collector_paused
+@_construction
 def build_hierarchy(profile: NeckProfile, alpha: int, levels: int) -> CorrectorHierarchy:
     if not 1 <= levels <= LEVEL_CAP:
         raise ValueError(f"levels must be in 1..{LEVEL_CAP}")
@@ -470,7 +475,7 @@ def build_hierarchy(profile: NeckProfile, alpha: int, levels: int) -> CorrectorH
     return h.extend_to(levels)
 
 
-@_collector_paused
+@_construction
 def build_symmetric_green(profile: NeckProfile, levels: int) -> CorrectorHierarchy:
     """Green-kernel hierarchy for identical walls (first boundary mode)."""
     if not profile.symmetric:
@@ -515,28 +520,27 @@ def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
     return verify_level_many(h, l, [h.profile.eps_or(eps)], n1, n2, n_trace)[0]
 
 
-def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
-                      n_trace: int = 1000) -> list[dict]:
-    """``verify_level``'s dict at each eps of ``eps``, the hierarchy read at
-    that eps.  Two walks cover every eps, each point carrying its own eps:
-    one evaluates the four wall-trace errors and the divergence's x2
-    coefficients over the divergence's x1 points and the trace points
-    together, the other the identity check's fields on a coarse grid.  A
-    node's value at a point does not depend on which other points share its
-    walk, so the dicts equal the one-eps calls bit for bit."""
+def _tiled(x, eps):
+    """``x`` once per eps of ``eps``, and the eps of each point."""
+    return np.tile(x, len(eps)), np.repeat(eps, len(x))
+
+
+def verify_structure_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
+                          n_trace: int = 1000) -> list[dict]:
+    """The structural half of ``verify_level_many``'s dicts at each eps of
+    ``eps``: divergence, wall traces and degrees, without the identity.  One
+    walk covers every eps, each point carrying its own eps: it evaluates the
+    four wall-trace errors and the divergence's x2 coefficients over the
+    divergence's x1 points and the trace points together."""
     k = len(eps)
     if not k:
-        raise ValueError("verify_level_many: the eps list is empty")
+        raise ValueError("verify: the eps list is empty")
     profile = h.profile
     lev = h.level(l)
     r = profile.R
 
-    def tiled(x):
-        """``x`` once per eps, and the eps of each point."""
-        return np.tile(x, k), np.repeat(eps, len(x))
-
-    # the divergence, then the traces, then the identity's fields: nodes are
-    # interned in this order, which sets the order of terms in their sums
+    # the divergence, then the traces: nodes are interned in this order,
+    # which sets the order of terms in their sums
     div = lev.v.divergence()
     if l == 1:
         t1, t2 = psi_top_traces(profile, h.alpha)
@@ -544,8 +548,8 @@ def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int
     else:
         top_err = [trace(lev.v.u1, "top"), trace(lev.v.u2, "top")]
     bot_err = [trace(lev.v.u1, "bottom"), trace(lev.v.u2, "bottom")]
-    x1, at = tiled(cheb_nodes(n1, -r, r))
-    xs, at_s = tiled(np.linspace(-r, r, n_trace))
+    x1, at = _tiled(cheb_nodes(n1, -r, r), eps)
+    xs, at_s = _tiled(np.linspace(-r, r, n_trace), eps)
     # the root order sets the walk's live set: with the trace roots first a
     # warm asym-quadratic alpha=2 level-3 verify peaks 7.4 MB above its start
     # (tracemalloc), against 11.0 MB with the divergence's first
@@ -555,22 +559,35 @@ def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int
     traces = [v[n:].reshape(k, -1) for v in vals[:4]]
     cols = [v[:n] for v in vals[4:]]
     div_sups = fiber_max([horner_x2(cols, x1, fiber_x2(profile, x1, n2, at))]).reshape(k, -1)
+    return [{"alpha": h.alpha, "level": l, "div_sup": float(np.max(div_sups[i])),
+             "trace_sup": max(float(np.max(np.abs(v[i]))) for v in traces),
+             "degrees": (lev.residual.u1.degree, lev.residual.u2.degree),
+             "expected_degrees": RESIDUAL_DEGREES[h.alpha](l)} for i in range(k)]
 
-    # identity check on a coarse grid: reduced residual vs direct evaluation
-    x1, at = tiled(cheb_nodes(41, -r, r))
+
+def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
+                      n_trace: int = 1000) -> list[dict]:
+    """``verify_level``'s dict at each eps of ``eps``, the hierarchy read at
+    that eps: ``verify_structure_many``'s dicts, completed by the identity
+    check, whose fields a second walk evaluates on a coarse grid at every
+    eps.  A node's value at a point does not depend on which other points
+    share its walk, so the dicts equal the one-eps calls bit for bit."""
+    outs = verify_structure_many(h, l, eps, n1, n2, n_trace)
+    profile = h.profile
+    lev = h.level(l)
+    r = profile.R
+    k = len(eps)
+
+    # identity check on a coarse grid: reduced residual vs direct evaluation;
+    # its fields are interned after the divergence and the traces
+    x1, at = _tiled(cheb_nodes(41, -r, r), eps)
     x2 = fiber_x2(profile, x1, 9, at)
     direct = lev.v.laplacian().scale(profile.mu)
     grad_p = VectorField2(lev.pressure.partial_x1(), lev.pressure.partial_x2())
     prev = [h.level(l - 1).residual] if l > 1 else []
     vals = [v.reshape(k, -1) for v in eval_fields([lev.residual, direct, grad_p] + prev,
                                                   x1, x2, at)]
-
-    outs = []
-    for i in range(k):
-        out = {"alpha": h.alpha, "level": l, "div_sup": float(np.max(div_sups[i]))}
-        out["trace_sup"] = max(float(np.max(np.abs(v[i]))) for v in traces)
-        out["degrees"] = (lev.residual.u1.degree, lev.residual.u2.degree)
-        out["expected_degrees"] = RESIDUAL_DEGREES[h.alpha](l)
+    for i, out in enumerate(outs):
         err = 0.0
         scale = 1e-300
         for comp in (0, 1):
@@ -580,5 +597,4 @@ def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int
             scale = max(scale, float(np.max(np.abs(lap))), float(np.max(np.abs(gp))))
         out["identity_abs"] = err
         out["identity_rel"] = err / scale
-        outs.append(out)
     return outs

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import verifier as vf
 from .verifier import ConfigError
-from .correctors import verify_level_many
+from .correctors import verify_structure_many
 from .geometry import NAMED_PROFILES
 
 __all__ = [
@@ -220,10 +220,11 @@ def _structural_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     levels = min(config.m_max + 1, 4)
     eps_struct = [e for e in config.eps if e >= 1e-3] or [config.eps[0]]
     for alpha in sorted(config.alphas):
-        # one hierarchy serves every eps, and one walk per check covers them all
+        # one hierarchy serves every eps, and one walk per level covers them
+        # all; no row reads the identity check, so it is not walked
         h = cache.get(config.profile, alpha, levels)
         for l in range(1, levels + 1):
-            infos = verify_level_many(h, l, eps_struct, n1=101, n2=17, n_trace=301)
+            infos = verify_structure_many(h, l, eps_struct, n1=101, n2=17, n_trace=301)
             for eps, info in zip(eps_struct, infos):
                 win = f"eps={eps:g},l={l}"
                 rows.append(RateRow("structural/divergence", "exactness", config.profile,
@@ -247,10 +248,10 @@ def _decay_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
     for alpha in sorted(config.alphas):
         h = cache.get(config.profile, alpha, config.m_max + 1)
         for m in range(1, config.m_max + 1):
-            for s in range(0, m + 1):
-                res = vf.residual_order(h, s, m, eps=eps_fit)
+            # the fits of every s from one walk
+            for res in vf.residual_orders(h, range(m + 1), m, eps=eps_fit):
                 rows.append(RateRow(
-                    "decay/residual", "order", config.profile, alpha, m, s,
+                    "decay/residual", "order", config.profile, alpha, m, res["s"],
                     f"[2sqrt(eps),R/2]@eps={eps_fit:g}", res["predicted"],
                     res["fit"].slope, res["tolerance"], res["passed"]))
     return rows

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import CorrectorHierarchy, build_hierarchy, build_symmetric_green
-from .fields import deriv_fields, eval_fields, fiber_max, fiber_sup, fiber_x2
+from .fields import deriv_fields, eval_fields, fiber_max, fiber_x2
 from .geometry import NAMED_PROFILES, NeckProfile, check_eps, named_profile, profile_from_json
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "load_profile",
     "fit_decay_order",
     "residual_order",
+    "residual_orders",
     "corrector_blowup_order",
     "theorem_rate_table",
     "HierarchyCache",
@@ -89,31 +90,44 @@ def decay_window(profile: NeckProfile, n: int = 20, eps=None) -> np.ndarray:
 
 def residual_order(h: CorrectorHierarchy, s: int, m: int, eps=None) -> dict:
     """Fitted decay order of sup-fiber |grad^s f^{m+1}| against the gap width,
-    at ``eps`` or the hierarchy's profile's own.
+    at ``eps`` or the hierarchy's profile's own (``residual_orders`` at one s).
 
     Passes when the slope is at least (m - s - 1) - 0.25; faster decay than
     predicted is a pass.
     """
-    if s > m:
+    return residual_orders(h, (s,), m, eps)[0]
+
+
+def residual_orders(h: CorrectorHierarchy, s_values, m: int, eps=None) -> list[dict]:
+    """``residual_order``'s dict at each s of ``s_values``, from one walk over
+    the derivative fields of every s.  The fields are made in the order of
+    ``s_values`` before the walk, as one ``residual_order`` call per s makes
+    them, and a fiber's values do not depend on which other fields share
+    its walk, so each dict is that call's bit for bit."""
+    if any(s > m for s in s_values):
         raise ValueError("derivative order s must satisfy s <= m")
     if h.depth < m + 1:
         raise ValueError(f"hierarchy has {h.depth} levels, need {m + 1}")
     eps = h.profile.eps_or(eps)
     x1 = decay_window(h.profile, eps=eps)
     f = h.residual(m + 1)
-    sup = fiber_sup(deriv_fields(f, s), x1, FIBER_N2, eps)
+    fields = [deriv_fields(f, s) for s in s_values]
+    vals = iter(eval_fields(fields, x1, fiber_x2(h.profile, x1, FIBER_N2, eps), eps))
     dlt = h.profile.delta(x1, eps)
-    fit = fit_decay_order(zip(dlt, sup))
-    predicted = float(m - s - 1)
-    return {
-        "fit": fit,
-        "predicted": predicted,
-        "tolerance": RESIDUAL_SLOPE_TOL,
-        "passed": fit.slope >= predicted - RESIDUAL_SLOPE_TOL,
-        "m": m,
-        "s": s,
-        "alpha": h.alpha,
-    }
+    rows = []
+    for s, group in zip(s_values, fields):
+        fit = fit_decay_order(zip(dlt, fiber_max([next(vals) for _ in group])))
+        predicted = float(m - s - 1)
+        rows.append({
+            "fit": fit,
+            "predicted": predicted,
+            "tolerance": RESIDUAL_SLOPE_TOL,
+            "passed": fit.slope >= predicted - RESIDUAL_SLOPE_TOL,
+            "m": m,
+            "s": s,
+            "alpha": h.alpha,
+        })
+    return rows
 
 
 def corrector_blowup_order(h: CorrectorHierarchy, eps, m: int,
@@ -193,39 +207,44 @@ FAMILIES = {
 }
 
 
-def _envelope_sups(h: CorrectorHierarchy, m: int, x1: np.ndarray,
-                   eps: np.ndarray) -> np.ndarray:
-    """Per-fiber sup of |grad^{m+1} v^{m+1}| + the pressure part at order m,
-    at x1[i] and gap eps[i], velocity and pressure from one walk."""
-    vel = deriv_fields(h.cumulative_v(m + 1), m + 1)
-    p = h.cumulative_pressure(m + 1)
-    n = len(x1)
-    if m == 0:
-        # the pressure in the gauge p(R/2, 0) = 0: each point's gauge value
-        # is one more fiber, at x1 = R/2, whose samples all sit at x2 = 0
-        pts, eps = np.concatenate([x1, np.full(n, h.profile.R / 2)]), np.concatenate([eps, eps])
-        x2 = fiber_x2(h.profile, pts, FIBER_N2, eps)
-        x2[n:] = 0.0
-        vals = eval_fields(vel + [p], pts, x2, eps)
-        pv = vals.pop()
-        return fiber_max(vals)[:n] + np.max(np.abs(pv[:n] - pv[n:, :1]), axis=-1)
-    vals = eval_fields(vel + deriv_fields(p, m), x1, fiber_x2(h.profile, x1, FIBER_N2, eps), eps)
-    return fiber_max(vals[:len(vel)]) + fiber_max(vals[len(vel):])
-
-
-def _envelope(cache: HierarchyCache, family: str, eps, m: int,
-              x1: np.ndarray) -> np.ndarray:
-    """Mode-weighted derivative envelope over the family's members at x1[i]
-    and gap eps[i]: sqrt(eps) on the translation modes, eps^{3/2} on the
-    vertical mode.  One walk per member covers every point."""
+def _envelopes(cache: HierarchyCache, family: str, eps, m_values,
+               x1: np.ndarray) -> list[np.ndarray]:
+    """Mode-weighted derivative envelope over the family's members at each m
+    of ``m_values``, at x1[i] and gap eps[i]: sqrt(eps) on the translation
+    modes, eps^{3/2} on the vertical mode times the per-fiber sup of
+    |grad^{m+1} v^{m+1}| + the pressure part at order m.  One walk per
+    member covers every m and every point.  The fields are made first, m
+    outer and member inner, in the order one call per m makes them, since
+    the order of interning sets the order of terms in sums."""
     name, members = FAMILIES[family]
     eps = [float(e) for e in eps]
-    e = np.zeros_like(x1)
-    for alpha, green in members:
-        h = cache.get(name, alpha, m + 1, green=green)
+    fields = [[] for _ in members]  # per member: (velocity, pressure) fields per m
+    for m in m_values:
+        for per_m, (alpha, green) in zip(fields, members):
+            h = cache.get(name, alpha, m + 1, green=green)
+            vel = deriv_fields(h.cumulative_v(m + 1), m + 1)
+            p = h.cumulative_pressure(m + 1)
+            per_m.append((vel, [p] if m == 0 else deriv_fields(p, m)))
+    shape, n = cache.shape(name), len(x1)
+    pts, at = x1, np.array(eps)
+    if 0 in m_values:
+        # the pressure in the gauge p(R/2, 0) = 0: each point's gauge value
+        # is one more fiber, at x1 = R/2, whose samples all sit at x2 = 0
+        pts, at = np.concatenate([x1, np.full(n, shape.R / 2)]), np.concatenate([at, at])
+    x2 = fiber_x2(shape, pts, FIBER_N2, at)
+    x2[n:] = 0.0  # the gauge fibers, if any
+    envs = [np.zeros_like(x1) for _ in m_values]
+    for per_m, (alpha, _) in zip(fields, members):
+        vals = iter(eval_fields([vel + pf for vel, pf in per_m], pts, x2, at))
         scale = np.array([ep**1.5 if alpha == 2 else np.sqrt(ep) for ep in eps])
-        e = e + scale * _envelope_sups(h, m, x1, np.array(eps))
-    return e
+        for i, (m, (vel, pf)) in enumerate(zip(m_values, per_m)):
+            v, pv = [next(vals) for _ in vel], [next(vals) for _ in pf]
+            if m == 0:
+                sups = fiber_max(v)[:n] + np.max(np.abs(pv[0][:n] - pv[0][n:, :1]), axis=-1)
+            else:
+                sups = fiber_max(v)[:n] + fiber_max(pv)[:n]
+            envs[i] = envs[i] + scale * sups
+    return envs
 
 
 def _envelope_exponent(family: str, m: int) -> float:
@@ -244,21 +263,23 @@ _DELTA_FIT = {"general": (1e-5, 3.0), "symmetric": (1e-5, 6.0)}
 def theorem_rate_table(eps_sweep=DEFAULT_EPS_SWEEP, m_values=(0, 1, 2),
                        cache: HierarchyCache | None = None) -> list[dict]:
     """Measured envelope slopes, in the gap width at fixed eps and in eps at
-    the moving point x1 = 0.5 sqrt(eps), against the predicted exponents."""
+    the moving point x1 = 0.5 sqrt(eps), against the predicted exponents.
+    Each member hierarchy is walked once per family, for every m of
+    ``m_values`` and every point of both fits (``_envelopes``)."""
     cache = cache or HierarchyCache()
     eps_sweep = sorted(eps_sweep, reverse=True)
     x_sweep = [R_EVAL * np.sqrt(eps) for eps in eps_sweep]
     rows = []
     for family, (name, _) in FAMILIES.items():
         eps_d, cutoff = _DELTA_FIT[family]
-        for m in m_values:
+        shape = cache.shape(name)
+        x1 = np.geomspace(cutoff * np.sqrt(eps_d), shape.R / 2.0, DELTA_N_X1)
+        # the delta window at eps_d and the moving point of each sweep eps,
+        # in one envelope per m
+        envs = _envelopes(cache, family, [eps_d] * DELTA_N_X1 + eps_sweep, m_values,
+                          np.concatenate([x1, x_sweep]))
+        for m, env in zip(m_values, envs):
             pred_d = _envelope_exponent(family, m)
-            shape = cache.shape(name)
-            x1 = np.geomspace(cutoff * np.sqrt(eps_d), shape.R / 2.0, DELTA_N_X1)
-            # the delta window at eps_d and the moving point of each sweep
-            # eps, in one envelope
-            env = _envelope(cache, family, [eps_d] * DELTA_N_X1 + eps_sweep, m,
-                            np.concatenate([x1, x_sweep]))
             fit_d = fit_decay_order(zip(shape.delta(x1, eps_d), env[:DELTA_N_X1]))
             pred_e = 0.5 + pred_d
             fit_e = fit_decay_order(zip(eps_sweep, env[DELTA_N_X1:]), min_samples=5,

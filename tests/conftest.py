@@ -13,6 +13,15 @@ def cache():
 
 
 @pytest.fixture()
+def eval_calls(monkeypatch):
+    """A list that gains one entry per ``coeffs.eval_many`` call, one walk."""
+    from neckflow import coeffs as ca
+    calls, real = [], ca.eval_many
+    monkeypatch.setattr(ca, "eval_many", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
 

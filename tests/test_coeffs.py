@@ -336,7 +336,7 @@ def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
         got = []
         monkeypatch.setattr(ca, "lin", lambda terms, c0=0.0: got.append(terms)
                             or real_lin(terms, c0))
-        result = p._diff_impl()
+        result = ca.lin(p._rule_terms())
         monkeypatch.setattr(ca, "lin", real_lin)
         assert len(got) == 1 and len(got[0]) == len(units)
         assert all(g is u and gc == uc for (g, gc), (u, uc) in zip(got[0], units))

@@ -449,3 +449,49 @@ def test_construction_runs_no_cyclic_collection_and_restores_the_collector():
             gc.enable()
         else:
             gc.disable()
+
+
+def test_structural_rows_walk_once_per_level_and_skip_the_identity(eval_calls):
+    # the sweep's structural rows read the divergence, the traces and the
+    # degrees, so one walk per (alpha, level) serves them, where the identity
+    # check's walk doubled it; their values are verify_level_many's
+    from neckflow import sweeps
+    from neckflow.verifier import HierarchyCache
+    config = sweeps.RunConfig(alphas=(1, 2), m_max=1)
+    rows = sweeps._structural_rows(config, HierarchyCache())
+    assert len(eval_calls) == 2 * 2
+    cache, want = HierarchyCache(), []
+    for alpha in (1, 2):
+        h = cache.get(config.profile, alpha, 2)
+        for l in (1, 2):
+            for info in verify_level_many(h, l, [1e-2, 3e-3, 1e-3], n1=101, n2=17, n_trace=301):
+                d1, d2 = info["degrees"]
+                want += [info["div_sup"], info["trace_sup"], float(d1 * 100 + d2)]
+    assert [r.measured for r in rows] == want
+
+
+def test_a_build_computes_each_products_rule_terms_once(monkeypatch):
+    # a product reached by the diff() calls of several sums computed its rule
+    # terms in each; inside one build they are computed once and kept, and
+    # dropped when the outermost call returns, raise or not
+    counts = {}
+    real = ca._Prod._rule_terms
+
+    def counted(p):
+        counts[p] = counts.get(p, 0) + 1
+        return real(p)
+
+    monkeypatch.setattr(ca._Prod, "_rule_terms", counted)
+    profile = named_profile("sym-quadratic", eps=3e-3)
+    computed = []
+    for build, args in ((build_symmetric_green, (4,)), (build_hierarchy, (1, 4)),
+                        (build_hierarchy, (2, 4)), (build_hierarchy, (3, 4))):
+        counts.clear()
+        build(profile, *args)
+        assert max(counts.values()) == 1
+        assert not ca._KEPT_RULES
+        computed.append(len(counts))
+    assert sum(computed) > 4000
+    with pytest.raises(ConstructionError):
+        extend(build_hierarchy(profile, 1, LEVEL_CAP))
+    assert not ca._KEPT_RULES

@@ -170,6 +170,33 @@ def _drawn_sum(data, d, nodes):
     return ca.lin(terms, data.draw(st.sampled_from([0.0, 0.3])))
 
 
+_FD_EPS, _FD_STEP, _FD_TOL = 1e-2, 1e-5, 1e-6
+
+
+@PROPERTIES
+@given(st.data())
+def test_diff_agrees_with_a_central_difference_in_x1(data):
+    """The exact derivative of a drawn sum of pool products, the integral of
+    1/delta among their factors, is the central difference (f(x + h) - f(x -
+    h)) / 2h at eps = 1e-2 and h = 1e-5, to 1e-6 of the scale max(|f'|,
+    |f| / sqrt(eps)) over the drawn points and 41 points across the chart;
+    sqrt(eps) = 0.1 is the gap's length scale.  The difference's truncation
+    error, about (h / 0.1)^2 of that scale, reads at most 1.5e-8 of it over
+    these examples, and the integral's panel tables add less.  A dropped
+    product-rule term is off by a whole term."""
+    d, nodes = _pool()
+    f = _drawn_sum(data, d, nodes)
+    r = d.profile.R
+    x = np.array(data.draw(st.lists(st.floats(-r + _FD_STEP, r - _FD_STEP),
+                                    min_size=1, max_size=5)))
+    exact, at = ca.eval_many([f.diff(), f], np.concatenate([x, np.linspace(-r, r, 41)]),
+                             _FD_EPS)
+    hi, lo = (ca.eval_many([f], x + step, _FD_EPS)[0] for step in (_FD_STEP, -_FD_STEP))
+    central = (hi - lo) / (2 * _FD_STEP)
+    scale = max(np.max(np.abs(exact)), np.max(np.abs(at)) / np.sqrt(_FD_EPS))
+    assert np.max(np.abs(exact[:len(x)] - central)) <= _FD_TOL * scale
+
+
 @pytest.mark.parametrize("block", [None, 8])
 @PROPERTIES
 @given(st.data())

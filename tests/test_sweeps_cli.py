@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,28 @@ def test_cli_corrector_build_fails_on_a_sup_that_is_not_finite(tmp_path, src_env
     assert out.returncode == 1, out.stdout + out.stderr
     assert "l1=nan" in out.stdout
     assert "FAIL alpha=1 level=1: residual sup is not finite" in out.stdout
+
+
+@pytest.mark.parametrize("argv, fail_line", [
+    (["corrector", "verify", "--profile", "asym-quartic", "--m", "1"],
+     "FAIL structural/trace a=3 eps=1e-300,l=2: measured=nan tol=1e-10"),
+    (["sweep", "rates", "--eps", "1e-2,3e-3,1e-3,3e-4,1e-300"], "FAIL decay/residual"),
+    (["corrector", "build", "--profile", "asym-quadratic", "--m", "1"],
+     "FAIL alpha=2 level=2: residual sup is not finite"),
+], ids=["corrector-verify", "sweep-rates", "corrector-build"])
+def test_samples_that_overflow_reach_the_user_only_through_their_rows(tmp_path, capsys,
+                                                                      argv, fail_line):
+    # at eps=1e-300 the powers of 1/delta overflow: the commands printed
+    # numpy's overflow and invalid-value warnings next to their FAIL lines
+    if "--eps" not in argv:
+        argv = argv + ["--eps", "1e-300"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert code == 1 and err == ""
+    assert fail_line in out
 
 
 def test_cli_corrector_verify_error_row(monkeypatch, tmp_path):

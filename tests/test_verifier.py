@@ -169,7 +169,45 @@ def test_batched_envelope_equals_the_one_point_calls(cache, family):
     eps = [1e-2, 1e-3, 1e-3, 1e-4, 1e-5]
     x1 = np.array([0.05, 0.5 * np.sqrt(1e-3), 0.2, 0.5 * np.sqrt(1e-4), 0.1])
     for m in (0, 1):
-        env = vf._envelope(cache, family, eps, m, x1)
+        env = vf._envelopes(cache, family, eps, (m,), x1)[0]
         for i in range(len(x1)):
-            one = vf._envelope(cache, family, eps[i:i + 1], m, x1[i:i + 1])
+            one = vf._envelopes(cache, family, eps[i:i + 1], (m,), x1[i:i + 1])[0]
             assert env[i:i + 1].tobytes() == one.tobytes()
+
+
+def test_the_rate_table_walks_each_member_once_for_every_m(monkeypatch, eval_calls):
+    # one walk per member and family serves m = 0, 1, 2 (the m = 0 gauge
+    # fibers at R/2 included), where one walk per member and m did; the rows
+    # are, float for float, those of one _envelopes call per m on a second
+    # fresh cache, which makes the fields in the same order
+    m_values = (0, 1, 2)
+    rows = vf.theorem_rate_table(m_values=m_values, cache=vf.HierarchyCache())
+    assert len(eval_calls) == sum(len(members) for _, members in vf.FAMILIES.values())
+    one_m = vf._envelopes
+    monkeypatch.setattr(vf, "_envelopes", lambda cache, family, eps, ms, x1: [
+        one_m(cache, family, eps, (m,), x1)[0] for m in ms])
+    eval_calls.clear()
+    want = vf.theorem_rate_table(m_values=m_values, cache=vf.HierarchyCache())
+    assert len(eval_calls) == len(m_values) * 5
+    assert rows == want
+    assert [(r["family"], r["m"]) for r in rows[::2]] == [
+        (family, m) for family in ("general", "symmetric") for m in m_values]
+
+
+def test_decay_rows_take_every_s_from_one_walk(eval_calls):
+    from neckflow import sweeps
+    config = sweeps.RunConfig(alphas=(1, 2, 3), m_max=2)
+    rows = sweeps._decay_rows(config, vf.HierarchyCache())
+    assert len(eval_calls) == 3 * 2  # one per (alpha, m)
+    cache, want = vf.HierarchyCache(), []
+    for alpha in (1, 2, 3):
+        h = cache.get(config.profile, alpha, 3)
+        for m in (1, 2):
+            for s in range(m + 1):
+                res = vf.residual_order(h, s, m, eps=config.eps[-1])
+                want.append((alpha, m, s, res["predicted"], res["fit"].slope,
+                             res["tolerance"], res["passed"]))
+    assert [(r.alpha, r.m, r.s, r.predicted, r.measured, r.tolerance, r.passed)
+            for r in rows] == want
+    with pytest.raises(ValueError, match="s <= m"):
+        vf.residual_orders(h, (0, 3), 2, eps=1e-4)
