@@ -53,13 +53,13 @@ derivative is built from its stored factors (``_rule_terms``): term i lowers
 factor i's exponent by one and merges in that factor's derivative, without
 re-flattening or re-sorting the rest, and goes to ``lin`` as a unit product
 (constant 1) with its weight, so no scaled copy is interned only to be
-rescaled.  A constant or single-node derivative, most of them, is merged
-into copies of the stored tuples at the position ``bisect`` finds in the
-rank list, zero exponents dropped, and the unit product is looked up by its
-intern key, so a hit builds nothing; a product-valued derivative is merged
-in a rank map that ``_make_prod`` sorts.  Both give the same nodes,
-interned in the same order, and ``lin`` takes a unit product straight into
-its accumulator.  A
+rescaled.  The derivative's factors (none for a constant, itself for a
+single node, its stored factors for a product) are merged into copies of
+the stored tuples at the positions ``bisect`` finds in the rank list,
+highest rank first, zero exponents dropped, and the unit product is looked
+up by its intern key, so a hit builds nothing; it is the node that sorting
+the factors by rank (``_make_prod``) would give, and ``lin`` takes it
+straight into its accumulator.  A
 sum takes its product children's rule terms into its own ``lin``, each
 weight times its own, so only a product that ``diff`` is called on interns
 its derivative: a child's derivative sum would be flattened away at once.
@@ -350,45 +350,42 @@ class _Prod(Coeff):
 
     def _rule_terms(self) -> list:
         # product rule from the stored factors: term i is this product with
-        # factor i's exponent lowered by one, times that factor's derivative:
-        # k times a unit product, listed with weight e*k, so no scaled
-        # product is interned only to be rescaled; a term with k == 0 adds
-        # nothing and is dropped.  A constant or single-node derivative is
-        # merged into copies of the stored tuples at the bisect_left position
-        # of its rank, which is that of the factor it already is, if any;
-        # zero exponents are dropped and the unit product is looked up by its
-        # intern key.  A product derivative is merged in a rank map.  Either
-        # way the unit products are the ones _make_prod gives, interned in
-        # factor order.  No denominator check: a negative exponent here is
-        # one of this product's or of d's, so it sits on delta already
+        # factor i's exponent lowered by one, times that factor's derivative
+        # d = k * (its factors): k times a unit product, listed with weight
+        # e*k, so no scaled product is interned only to be rescaled; a term
+        # with k == 0 adds nothing and is dropped.  d's factors (none for a
+        # constant, d itself for a single node) are merged into copies of
+        # the stored tuples at the bisect_left position of their rank in the
+        # stored ranks, which is that of the factor they already are, if
+        # any: highest rank first, so each insertion leaves the positions
+        # below it as found.  Zero exponents are dropped and the unit product
+        # is looked up by its intern key: it is the one _make_prod gives,
+        # interned in factor order.  No denominator check: a negative
+        # exponent here is one of this product's or of d's, so it sits on
+        # delta already
         c, nodes, exps = self.c, self.nodes, self.exps
         ranks = list(map(_RANK, nodes))
         terms = []
         for i, (t, e) in enumerate(zip(nodes, exps)):
             d = t._diff
             cls = d.__class__
-            if cls is _Prod:
-                k = c * d.c
-                if k:
-                    acc = {n._rank: (n, x) for n, x in zip(nodes, exps)}
-                    acc[t._rank] = (t, e - 1)
-                    for n, x in zip(d.nodes, d.exps):
-                        slot = acc.get(n._rank)
-                        acc[n._rank] = (n, x if slot is None else slot[1] + x)
-                    terms.append((_make_prod(1.0, acc), e * k))
-                continue
-            k = c * d.value if cls is _Const else c
+            if cls is _Const:
+                k, merge = c * d.value, ()
+            elif cls is _Prod:
+                k, merge = c * d.c, zip(reversed(d.nodes), reversed(d.exps))
+            else:
+                k, merge = c, ((d, 1),)
             if not k:
                 continue
             ns, xs = nodes, list(exps)
             xs[i] = e - 1
-            if cls is not _Const:
-                at = bisect_left(ranks, d._rank)
-                if at < len(ranks) and ranks[at] == d._rank:
-                    xs[at] += 1
+            for n, x in merge:
+                at = bisect_left(ranks, n._rank)
+                if at < len(ranks) and ranks[at] == n._rank:
+                    xs[at] += x
                 else:
-                    ns = ns[:at] + (d,) + ns[at:]
-                    xs.insert(at, 1)
+                    ns = ns[:at] + (n,) + ns[at:]
+                    xs.insert(at, x)
             if 0 in xs:
                 ns, xs = tuple(compress(ns, xs)), list(filter(None, xs))
             if not ns:

@@ -535,6 +535,9 @@ def verify_structure_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2:
     k = len(eps)
     if not k:
         raise ValueError("verify: the eps list is empty")
+    if n1 < 2 or n2 < 1 or n_trace < 1:
+        raise ValueError(f"verify: needs n1 >= 2, n2 >= 1 and n_trace >= 1, "
+                         f"got n1={n1}, n2={n2}, n_trace={n_trace}")
     profile = h.profile
     lev = h.level(l)
     r = profile.R

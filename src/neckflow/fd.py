@@ -194,8 +194,12 @@ class NeckGrid:
     n2: int = 64
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) for n in (self.n1, self.n2)):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in (self.n1, self.n2)):
             raise ValueError("n1 and n2 must be integers")
+        if self.profile.eps is None:
+            raise ValueError(f"profile {self.profile.name!r} is a wall shape with no eps; "
+                             "a grid needs a profile at an eps")
         if not (np.isfinite(self.r) and self.r > 0):
             raise ValueError("r must be finite and positive")
         if self.n1 < 1:

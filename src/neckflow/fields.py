@@ -227,6 +227,8 @@ def trace(field: PolyField, side: str) -> Coeff:
 
 def cheb_nodes(n: int, a: float, b: float) -> np.ndarray:
     """Chebyshev-spaced nodes on [a, b], endpoints included, ascending."""
+    if n < 2:
+        raise ValueError(f"Chebyshev nodes with both endpoints need n >= 2, got {n}")
     j = np.arange(n)
     x = np.cos(np.pi * j / (n - 1))[::-1]
     return 0.5 * (a + b) + 0.5 * (b - a) * x

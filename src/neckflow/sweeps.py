@@ -73,6 +73,8 @@ class RunConfig:
         if not self.alphas or any(not _is_a(a, numbers.Integral) or a not in (1, 2, 3)
                                   for a in self.alphas):
             raise ConfigError("alphas must be a nonempty subset of {1,2,3}")
+        if len(set(self.alphas)) < len(self.alphas):  # each alpha's rows would repeat
+            raise ConfigError(f"alphas must name each alpha once, got {list(self.alphas)}")
         if not _is_a(self.m_max, numbers.Integral):
             raise ConfigError(f"m_max must be an integer, got {self.m_max!r}")
         if self.m_max > M_CAP:

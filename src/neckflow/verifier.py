@@ -73,7 +73,8 @@ def fit_decay_order(samples, min_samples: int = 6, min_decades: float = 1.5) -> 
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    # a NaN sample makes ss_tot NaN, and r2 with it
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return RateFit(float(slope), float(intercept), r2, len(pts))
 
 

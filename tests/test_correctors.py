@@ -395,16 +395,27 @@ def test_a_level_outside_the_depth_is_an_error():
     assert h.cumulative_v().u1.coeffs == (h.level(1).v + h.level(2).v).u1.coeffs
 
 
+def _no_walk(*args):
+    raise AssertionError("walked")
+
+
 def test_verify_over_an_empty_eps_list_is_an_error_before_any_walk(cache, monkeypatch):
     h = cache.get("sym-quadratic", 1, 2)
-
-    def no_walk(*args):
-        raise AssertionError("walked")
-
-    monkeypatch.setattr(ca, "_walk", no_walk)
+    monkeypatch.setattr(ca, "_walk", _no_walk)
     for eps in ([], np.array([])):
         with pytest.raises(ValueError, match="the eps list is empty"):
             verify_level_many(h, 1, eps)
+
+
+@pytest.mark.parametrize("sizes", [{"n1": 1}, {"n_trace": 0}, {"n2": 0}],
+                         ids=["one-chebyshev-node", "no-trace-point", "no-fiber-point"])
+def test_verify_at_too_few_points_is_an_error_before_any_walk(cache, monkeypatch, sizes):
+    # n1=1 divided by zero in cheb_nodes and read div_sup nan; n_trace=0
+    # and n2=0 walked, then ended in numpy's zero-size-reduction error
+    h = cache.get("sym-quadratic", 1, 2)
+    monkeypatch.setattr(ca, "_walk", _no_walk)
+    with pytest.raises(ValueError, match="verify: needs n1 >= 2"):
+        verify_level(h, 1, eps=1e-2, **sizes)
 
 
 def _collections_during(build, *args):

@@ -130,6 +130,15 @@ def test_grid_validation(mild_profile):
             NeckGrid(mild_profile, **{"r": 0.6, "n1": 32, "n2": 32, **bad})
 
 
+@pytest.mark.parametrize("eps, n1, match", [(None, 32, "wall shape"), (1e-2, True, "integers")],
+                         ids=["wall-shape", "bool-n1"])
+def test_a_grid_needs_an_eps_and_integer_sizes(eps, n1, match):
+    # a wall shape failed only at the first solve, inside assembly, asking
+    # for an eps a grid cannot pass; n1=True made a one-cell grid
+    with pytest.raises(ValueError, match=match):
+        NeckGrid(named_profile("sym-quadratic", eps), r=0.3, n1=n1, n2=32)
+
+
 @pytest.mark.parametrize("name, eps, n1, n2", [("sym-quadratic", 0.05, 48, 32),
                                                ("asym-quadratic", 1e-4, 33, 32),
                                                ("sym-quadratic", 0.05, 65, 32)])

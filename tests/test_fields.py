@@ -5,6 +5,7 @@ from neckflow import coeffs as ca
 from neckflow.fields import (
     PolyField,
     VectorField2,
+    cheb_nodes,
     deriv_fields,
     fiber_x2,
     keller_field,
@@ -149,3 +150,11 @@ def test_deriv_fields_count():
     p = sym()
     v = VectorField2(x2_field(p), x2_field(p))
     assert len(deriv_fields(v, 2)) == 6  # 3 multi-indices x 2 components
+
+
+def test_chebyshev_nodes_need_both_endpoints():
+    # one node divided by zero and gave nan
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n >= 2"):
+            cheb_nodes(n, -1.0, 1.0)
+    assert cheb_nodes(2, -1.0, 1.0).tolist() == [-1.0, 1.0]

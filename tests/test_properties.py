@@ -27,22 +27,29 @@ PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline
 
 def _fresh_pool():
     """(delta, nodes): x1, the eps leaf, delta, delta + 1, h1, h2, h1' and
-    the integral of 1/delta, on a new wall shape with its own intern table,
-    so no node but x1 has been differentiated yet."""
+    the integrals of 1/delta, x1/delta^2 and 3 h1'/delta, on a new wall shape
+    with its own intern table, so no node but x1 has been differentiated
+    yet.  The integrals' derivatives are products of one factor, of two and
+    of two scaled by 3."""
     p = named_profile("asym-quadratic", None)
     d = ca.delta_coeff(p)
     eps = next(n for n in d.nodes if isinstance(n, ca._Eps))
+    h1p = ca.profile_deriv(p, 1, 1)
     nodes = (ca.X1, eps, d, d + 1.0, ca.profile_deriv(p, 1, 0), ca.profile_deriv(p, 2, 0),
-             ca.profile_deriv(p, 1, 1), ca.antideriv(0.0, ca.mul_pow([(d, -1)])))
+             h1p, ca.antideriv(0.0, ca.mul_pow([(d, -1)])),
+             ca.antideriv(0.0, ca.mul_pow([(ca.X1, 1), (d, -2)])),
+             ca.antideriv(0.0, ca.mul_pow([(h1p, 1), (d, -1)], 3.0)))
     return d, nodes
 
 
 # built once, outside any drawn example
 _pool = functools.cache(_fresh_pool)
+# the index of a pool node, drawn over the whole pool
+_INDEX = st.deferred(lambda: st.integers(0, len(_pool()[1]) - 1))
 
 
 @PROPERTIES
-@given(st.integers(0, 7), st.integers(-4, -1))
+@given(_INDEX, st.integers(-4, -1))
 def test_only_delta_takes_a_negative_exponent(i, e):
     d, nodes = _pool()
     n = nodes[i]
@@ -63,7 +70,7 @@ def test_sums_and_products_of_distinct_nodes_ignore_term_order(data):
     integers, whose sums are exact.  With repeated nodes and arbitrary float
     weights the property is false, as float addition is not associative."""
     d, nodes = _pool()
-    picked = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    picked = data.draw(st.lists(_INDEX, min_size=1, max_size=8, unique=True))
     weights = data.draw(st.lists(st.integers(-16, 16).map(lambda k: k / 4.0),
                                  min_size=len(picked), max_size=len(picked)))
     exps = data.draw(st.lists(st.integers(1, 3), min_size=len(picked), max_size=len(picked)))
@@ -87,7 +94,7 @@ def test_diff_is_linear_and_obeys_the_product_rule_as_node_identity(data):
     d, nodes = _fresh_pool()
     prods = []
     for _ in range(data.draw(st.integers(1, 4))):
-        picked = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+        picked = data.draw(st.lists(_INDEX, min_size=1, max_size=3, unique=True))
         # a single factor needs an exponent above 1 to make a product
         exps = data.draw(st.lists(st.integers(2 if len(picked) == 1 else 1, 3),
                                   min_size=len(picked), max_size=len(picked)))
@@ -134,15 +141,17 @@ def _reference_rule_terms(p):
 @given(st.data())
 def test_product_rule_terms_are_the_rank_map_reference(data):
     """_rule_terms gives the reference's unit products, node for node, with
-    its weights.  The pool's factors have constant derivatives (x1, eps), a
-    product derivative (the integral of 1/delta), single-node derivatives
-    that may be factors of the same product (h1 and h1'), and delta takes
-    exponents -1 to -3; a factor of exponent 1 falls to exponent 0."""
+    its weights.  The pool's factors have constant derivatives (x1, eps),
+    product derivatives of one factor, of two and of two scaled by 3 (the
+    integrals), whose factors may be factors of the same product (x1, h1'
+    and delta), single-node derivatives that may be factors of the same
+    product (h1 and h1'), and delta takes exponents -1 to -3; a factor of
+    exponent 1 falls to exponent 0."""
     d, nodes = _pool()
     for n in nodes:
         n.diff()
     for _ in range(data.draw(st.integers(1, 4))):
-        picked = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
+        picked = data.draw(st.lists(_INDEX, min_size=1, max_size=5, unique=True))
         exps = data.draw(st.lists(st.integers(1, 3), min_size=len(picked), max_size=len(picked)))
         c = data.draw(st.sampled_from([1.0, -0.5, 3.0]))
         p = ca.mul_pow([(nodes[i], -e if nodes[i] is d else e) for i, e in zip(picked, exps)], c)
@@ -158,11 +167,11 @@ _EPS_PAIR = (1e-2, 1e-3)
 
 def _drawn_sum(data, d, nodes):
     """lin of one to six pool products, with weights and constants whose
-    sums round, delta at exponents -1 to -3 and the integral of 1/delta
-    among the factors."""
+    sums round, delta at exponents -1 to -3 and the pool's integrals among
+    the factors."""
     terms = []
     for _ in range(data.draw(st.integers(1, 6))):
-        picked = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+        picked = data.draw(st.lists(_INDEX, min_size=1, max_size=3, unique=True))
         exps = data.draw(st.lists(st.integers(1, 3), min_size=len(picked), max_size=len(picked)))
         c = data.draw(st.sampled_from([1.0, -0.7, 2.3]))
         p = ca.mul_pow([(nodes[i], -e if nodes[i] is d else e) for i, e in zip(picked, exps)], c)
@@ -176,14 +185,14 @@ _FD_EPS, _FD_STEP, _FD_TOL = 1e-2, 1e-5, 1e-6
 @PROPERTIES
 @given(st.data())
 def test_diff_agrees_with_a_central_difference_in_x1(data):
-    """The exact derivative of a drawn sum of pool products, the integral of
-    1/delta among their factors, is the central difference (f(x + h) - f(x -
+    """The exact derivative of a drawn sum of pool products, the pool's
+    integrals among their factors, is the central difference (f(x + h) - f(x -
     h)) / 2h at eps = 1e-2 and h = 1e-5, to 1e-6 of the scale max(|f'|,
     |f| / sqrt(eps)) over the drawn points and 41 points across the chart;
     sqrt(eps) = 0.1 is the gap's length scale.  The difference's truncation
-    error, about (h / 0.1)^2 of that scale, reads at most 1.5e-8 of it over
-    these examples, and the integral's panel tables add less.  A dropped
-    product-rule term is off by a whole term."""
+    error is about (h / 0.1)^2 of that scale, and with the integrals' panel
+    tables its whole error reads at most 7.5e-9 of it over these examples.
+    A dropped product-rule term is off by a whole term."""
     d, nodes = _pool()
     f = _drawn_sum(data, d, nodes)
     r = d.profile.R
@@ -209,7 +218,7 @@ def test_a_walk_over_concatenated_point_sets_equals_the_separate_walks(block, da
     row in each walk."""
     d, nodes = _pool()
     roots = [_drawn_sum(data, d, nodes) for _ in range(data.draw(st.integers(1, 3)))]
-    roots.append(nodes[data.draw(st.integers(0, 7))])  # a bare pool node
+    roots.append(nodes[data.draw(_INDEX)])  # a bare pool node
     r = d.profile.R
     sets = []
     for n in data.draw(st.permutations([1, 2, 41])):

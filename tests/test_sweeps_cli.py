@@ -401,17 +401,21 @@ _VERIFY_M1 = ["corrector", "verify", "--profile", "{path}", "--alpha", "1", "--m
     (_VERIFY_M1, '{"h1": {"poly": [0, 0, 1.0]}, "h2": {"poly": [0, 0, 0.5]}, "kapa": 5}'),
     (_VERIFY_M1, '{"eps": 0.01, "h1": {"poly": [0, 0, 1.0], "pol": [0, 0, 9.0]}, '
                  '"h2": {"poly": [0, 0, 0.5]}}'),
+    (["corrector", "verify", "--config", "{path}", "--out", "{out}"],
+     '{"alphas": [1, 1], "m_max": 0, "eps": [0.01]}'),
 ], ids=["config-not-json", "config-list", "config-dir", "profile-no-h1",
         "profile-list", "report-list", "report-dir", "config-eps-strings",
         "config-m-max-string", "config-grid", "config-quad-tol", "config-no-formats",
-        "profile-m", "profile-misspelt-kappa", "profile-misspelt-wall-poly"])
+        "profile-m", "profile-misspelt-kappa", "profile-misspelt-wall-poly",
+        "config-repeated-alpha"])
 def test_malformed_json_inputs_are_config_errors(tmp_path, capsys, argv, text):
     # each of these ended in a traceback (JSONDecodeError, TypeError,
     # IsADirectoryError, ValueError) instead of exit code 2, or in a run that
     # ignored grid and quad_tol, kapa or a wall's pol (fields no check read,
     # now unknown ones), or wrote no report for an empty formats list, or
     # ("M", a wall-derivative cap now deleted) in a CapabilityError row and
-    # exit 1; a None text makes the input path a directory
+    # exit 1, or (a repeated alpha) in a report with every row twice; a None
+    # text makes the input path a directory
     path = tmp_path / "input.json"
     if text is None:
         path.mkdir()

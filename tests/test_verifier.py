@@ -21,6 +21,14 @@ def test_fit_constant_samples():
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
+def test_fit_of_a_nan_sample_is_no_perfect_fit():
+    # a NaN sample made ss_tot NaN, and r2 read 1.0
+    x = np.geomspace(1e-3, 1.0, 8)
+    y = x**2
+    y[3] = np.nan
+    assert np.isnan(vf.fit_decay_order(zip(x, y)).r2)
+
+
 def test_fit_noisy_power_law(rng):
     x = np.geomspace(1e-4, 1e-1, 24)
     y = 3.0 * x**-1.5 * (1.0 + 0.01 * rng.standard_normal(24))
