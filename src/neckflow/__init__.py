@@ -25,7 +25,7 @@ from .correctors import (
     build_symmetric_green,
     extend,
     verify_level,
-    verify_level_many,
+    verify_structure_many,
 )
 from .verifier import (
     HierarchyCache,

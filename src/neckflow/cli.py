@@ -26,7 +26,7 @@ from .sweeps import ConfigError, RateReport, RunConfig
 
 def _parse_alphas(text: str) -> tuple:
     try:
-        return tuple(sorted({int(a) for a in text.split(",") if a}))
+        return tuple(sorted(int(a) for a in text.split(",") if a))
     except ValueError:
         raise ConfigError(f"bad --alpha list {text!r}") from None
 

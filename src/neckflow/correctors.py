@@ -83,7 +83,6 @@ __all__ = [
     "build_hierarchy",
     "build_symmetric_green",
     "verify_level",
-    "verify_level_many",
     "verify_structure_many",
     "psi_top_traces",
 ]
@@ -515,20 +514,35 @@ def psi_top_traces(profile: NeckProfile, alpha: int) -> tuple[Coeff, Coeff]:
 def verify_level(h: CorrectorHierarchy, l: int, n1: int = 201, n2: int = 33,
                  n_trace: int = 1000, eps=None) -> dict:
     """Certify one level at ``eps`` or its profile's own: divergence, wall
-    traces, degrees and the identity residual_l == residual_{l-1}
-    + mu*Lap(v_l) - grad(p_l), all sampled (``verify_level_many`` at one eps)."""
-    return verify_level_many(h, l, [h.profile.eps_or(eps)], n1, n2, n_trace)[0]
+    traces and degrees (``verify_structure_many`` at one eps), then the
+    identity residual_l == residual_{l-1} + mu*Lap(v_l) - grad(p_l), which a
+    second walk samples on a coarse grid."""
+    profile = h.profile
+    eps = profile.eps_or(eps)
+    out = verify_structure_many(h, l, [eps], n1, n2, n_trace)[0]
+    lev = h.level(l)
 
-
-def _tiled(x, eps):
-    """``x`` once per eps of ``eps``, and the eps of each point."""
-    return np.tile(x, len(eps)), np.repeat(eps, len(x))
+    # reduced residual vs direct evaluation; its fields are interned after
+    # the divergence and the traces
+    x1 = cheb_nodes(41, -profile.R, profile.R)
+    direct = lev.v.laplacian().scale(profile.mu)
+    grad_p = VectorField2(lev.pressure.partial_x1(), lev.pressure.partial_x2())
+    prev = [h.level(l - 1).residual] if l > 1 else []
+    vals = eval_fields([lev.residual, direct, grad_p] + prev, x1,
+                       fiber_x2(profile, x1, 9, eps), eps)
+    err, scale = 0.0, 1e-300
+    for comp in (0, 1):
+        red, lap, gp = vals[comp], vals[2 + comp], vals[4 + comp]
+        before = vals[6 + comp] if prev else 0.0
+        err = max(err, float(np.max(np.abs(red - (before + lap - gp)))))
+        scale = max(scale, float(np.max(np.abs(lap))), float(np.max(np.abs(gp))))
+    return {**out, "identity_abs": err, "identity_rel": err / scale}
 
 
 def verify_structure_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
                           n_trace: int = 1000) -> list[dict]:
-    """The structural half of ``verify_level_many``'s dicts at each eps of
-    ``eps``: divergence, wall traces and degrees, without the identity.  One
+    """``verify_level``'s dict at each eps of ``eps``, the hierarchy read at
+    that eps, without the identity: divergence, wall traces and degrees.  One
     walk covers every eps, each point carrying its own eps: it evaluates the
     four wall-trace errors and the divergence's x2 coefficients over the
     divergence's x1 points and the trace points together."""
@@ -551,8 +565,9 @@ def verify_structure_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2:
     else:
         top_err = [trace(lev.v.u1, "top"), trace(lev.v.u2, "top")]
     bot_err = [trace(lev.v.u1, "bottom"), trace(lev.v.u2, "bottom")]
-    x1, at = _tiled(cheb_nodes(n1, -r, r), eps)
-    xs, at_s = _tiled(np.linspace(-r, r, n_trace), eps)
+    # each point set once per eps, each point with its eps
+    x1, at = np.tile(cheb_nodes(n1, -r, r), k), np.repeat(eps, n1)
+    xs, at_s = np.tile(np.linspace(-r, r, n_trace), k), np.repeat(eps, n_trace)
     # the root order sets the walk's live set: with the trace roots first a
     # warm asym-quadratic alpha=2 level-3 verify peaks 7.4 MB above its start
     # (tracemalloc), against 11.0 MB with the divergence's first
@@ -567,37 +582,3 @@ def verify_structure_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2:
              "degrees": (lev.residual.u1.degree, lev.residual.u2.degree),
              "expected_degrees": RESIDUAL_DEGREES[h.alpha](l)} for i in range(k)]
 
-
-def verify_level_many(h: CorrectorHierarchy, l: int, eps, n1: int = 201, n2: int = 33,
-                      n_trace: int = 1000) -> list[dict]:
-    """``verify_level``'s dict at each eps of ``eps``, the hierarchy read at
-    that eps: ``verify_structure_many``'s dicts, completed by the identity
-    check, whose fields a second walk evaluates on a coarse grid at every
-    eps.  A node's value at a point does not depend on which other points
-    share its walk, so the dicts equal the one-eps calls bit for bit."""
-    outs = verify_structure_many(h, l, eps, n1, n2, n_trace)
-    profile = h.profile
-    lev = h.level(l)
-    r = profile.R
-    k = len(eps)
-
-    # identity check on a coarse grid: reduced residual vs direct evaluation;
-    # its fields are interned after the divergence and the traces
-    x1, at = _tiled(cheb_nodes(41, -r, r), eps)
-    x2 = fiber_x2(profile, x1, 9, at)
-    direct = lev.v.laplacian().scale(profile.mu)
-    grad_p = VectorField2(lev.pressure.partial_x1(), lev.pressure.partial_x2())
-    prev = [h.level(l - 1).residual] if l > 1 else []
-    vals = [v.reshape(k, -1) for v in eval_fields([lev.residual, direct, grad_p] + prev,
-                                                  x1, x2, at)]
-    for i, out in enumerate(outs):
-        err = 0.0
-        scale = 1e-300
-        for comp in (0, 1):
-            red, lap, gp = vals[comp][i], vals[2 + comp][i], vals[4 + comp][i]
-            before = vals[6 + comp][i] if prev else 0.0
-            err = max(err, float(np.max(np.abs(red - (before + lap - gp)))))
-            scale = max(scale, float(np.max(np.abs(lap))), float(np.max(np.abs(gp))))
-        out["identity_abs"] = err
-        out["identity_rel"] = err / scale
-    return outs

@@ -54,8 +54,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import coeffs as ca
 from .fields import PolyField, VectorField2, eval_fields, horner_x2, keller_plus_half
@@ -270,6 +268,7 @@ class NeckGrid:
         u_pad, v_pad and p, the gauge cell, the boundary table (rows, x, t,
         component, weight), the cell volumes and ||A||_inf.  At a gap so
         narrow that a metric term overflows, a ValueError."""
+        import scipy.sparse as sp  # here, so that corrector runs load numpy alone
         n1, n2, dx, dt = self.n1, self.n2, self.dx, self.dt
         n_u, n_v = (n1 + 1) * (n2 + 2), (n1 + 2) * (n2 + 1)
         ids = self.unknown_positions()
@@ -371,6 +370,7 @@ class NeckGrid:
             held = _factored() if _factored is not None else None
             if held is not None and held is not self:
                 held._lu = held._parts = None
+            import scipy.sparse.linalg as spla
             # the assembly's arrays are freed before the factorization; every
             # pressure follows a u face of its own cell, so its pivot has
             # filled in when it is reached: diagonal pivots keep the order

@@ -238,6 +238,8 @@ def fiber_x2(profile: NeckProfile, x1: np.ndarray, n2: int = 33, eps=None) -> np
     """(len(x1), n2) vertical sample points spanning each gap fiber.  The
     walls sit at -eps/2 - h2 and eps/2 + h1, with ``eps`` a float or one eps
     per x1 entry, by default the profile's (``NeckProfile.eps_or``)."""
+    if n2 < 1:
+        raise ValueError(f"a gap fiber needs n2 >= 1 samples, got n2={n2}")
     eps = np.asarray(profile.eps_or(eps), dtype=float)
     lo, hi = profile.bottom(x1, eps), profile.top(x1, eps)
     s = np.linspace(0.0, 1.0, n2)

@@ -298,7 +298,7 @@ def _fd_rows(config: RunConfig, cache: vf.HierarchyCache) -> list:
         ue = w.u1.eval(g.xf, g.x2_of(g.xf[:, None], g.tc[None, :]))
         errs.append(float(np.max(np.abs(sol.u - ue))))
         hs.append(2.0 * 1.2 * prof.R / n)
-    order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    order = vf.fit_decay_order(zip(hs, errs), min_samples=3, min_decades=0.5).slope
     rows.append(RateRow("fd/manufactured-order", "solver", config.profile, None,
                         None, None, "32..128", 2.0, order, 0.2,
                         1.8 <= order <= 2.2))

@@ -10,7 +10,7 @@ import pytest
 
 from neckflow import coeffs as ca
 from neckflow import verifier as vf
-from neckflow.correctors import verify_level
+from neckflow.correctors import verify_structure_many
 from neckflow.fd import (
     NeckGrid,
     global_energy,
@@ -35,11 +35,12 @@ def test_criterion_1_structural_exactness(cache):
     worst = {"div": 0.0, "trace": 0.0}
     degrees_ok = True
     for name in ("sym-quadratic", "asym-quadratic"):
-        for eps in (1e-2, 1e-3):
-            for alpha in (1, 2, 3):
-                h = cache.get(name, alpha, 4)
-                for l in range(1, 5):
-                    info = verify_level(h, l, n1=201, n2=33, n_trace=1000, eps=eps)
+        for alpha in (1, 2, 3):
+            h = cache.get(name, alpha, 4)
+            for l in range(1, 5):
+                # one walk covers both eps; no line reads the identity check
+                for info in verify_structure_many(h, l, [1e-2, 1e-3], n1=201, n2=33,
+                                                  n_trace=1000):
                     worst["div"] = max(worst["div"], info["div_sup"])
                     worst["trace"] = max(worst["trace"], info["trace_sup"])
                     d, e = info["degrees"], info["expected_degrees"]
@@ -58,8 +59,8 @@ def test_criterion_2_residual_decay(cache):
     for alpha in (1, 2, 3):
         h = cache.get("asym-quadratic", alpha, 4)
         for m in (1, 2, 3):
-            for s in range(0, m + 1):
-                rows.append(vf.residual_order(h, s, m, eps=1e-4))
+            # the fits of every s from one walk
+            rows += vf.residual_orders(h, range(m + 1), m, eps=1e-4)
     ok = all(r["passed"] for r in rows)
     margin = min(r["fit"].slope - (r["predicted"] - r["tolerance"]) for r in rows)
     _line(2, ok, f"residual decay: {len(rows)} slope fits "

@@ -17,7 +17,7 @@ from neckflow.correctors import (
     extend,
     psi_top_traces,
     verify_level,
-    verify_level_many,
+    verify_structure_many,
 )
 from neckflow.fields import (PolyField, cheb_nodes, eval_fields, fiber_sup, fiber_x2,
                              sup_abs, trace)
@@ -333,9 +333,13 @@ def test_a_level_does_not_depend_on_what_the_shape_built_before():
     assert after == alone
 
 
+_STRUCTURE = ("alpha", "level", "div_sup", "trace_sup", "degrees", "expected_degrees")
+
+
 def test_multi_eps_verify_equals_the_one_eps_calls_bitwise():
-    # one walk per check over three eps gives verify_level's dict at each eps;
-    # two fresh shapes built alike, so neither side reads the other's tables
+    # one walk over three eps gives the structural part of verify_level's
+    # dict at each eps; two fresh shapes built alike, so neither side reads
+    # the other's tables
     eps = [1e-2, 3e-3, 1e-3]
     sizes = dict(n1=101, n2=17, n_trace=301)
     got, want = [], []
@@ -344,9 +348,10 @@ def test_multi_eps_verify_equals_the_one_eps_calls_bitwise():
         for h in [build_hierarchy(profile, alpha, 2) for alpha in (1, 2, 3)]:
             if out is got:
                 for l in (1, 2):
-                    out += verify_level_many(h, l, eps, **sizes)
+                    out += verify_structure_many(h, l, eps, **sizes)
             else:
-                out += [verify_level(h, l, **sizes, eps=e) for l in (1, 2) for e in eps]
+                out += [{k: verify_level(h, l, **sizes, eps=e)[k] for k in _STRUCTURE}
+                        for l in (1, 2) for e in eps]
     assert got == want
     assert [(d["alpha"], d["level"]) for d in got] == [
         (alpha, l) for alpha in (1, 2, 3) for l in (1, 2) for _ in eps]
@@ -378,7 +383,8 @@ def test_one_walk_for_divergence_and_traces_equals_the_separate_walks_bitwise(ca
     h = cache.get("asym-quadratic", alpha, 2)
     sizes = dict(n1=101, n2=17, n_trace=301)
     for l in (1, 2):
-        got = [(d["div_sup"], d["trace_sup"]) for d in verify_level_many(h, l, eps, **sizes)]
+        got = [(d["div_sup"], d["trace_sup"])
+               for d in verify_structure_many(h, l, eps, **sizes)]
         assert got == _separate_div_and_trace_sups(h, l, eps, **sizes)
 
 
@@ -404,7 +410,7 @@ def test_verify_over_an_empty_eps_list_is_an_error_before_any_walk(cache, monkey
     monkeypatch.setattr(ca, "_walk", _no_walk)
     for eps in ([], np.array([])):
         with pytest.raises(ValueError, match="the eps list is empty"):
-            verify_level_many(h, 1, eps)
+            verify_structure_many(h, 1, eps)
 
 
 @pytest.mark.parametrize("sizes", [{"n1": 1}, {"n_trace": 0}, {"n2": 0}],
@@ -465,7 +471,7 @@ def test_construction_runs_no_cyclic_collection_and_restores_the_collector():
 def test_structural_rows_walk_once_per_level_and_skip_the_identity(eval_calls):
     # the sweep's structural rows read the divergence, the traces and the
     # degrees, so one walk per (alpha, level) serves them, where the identity
-    # check's walk doubled it; their values are verify_level_many's
+    # check's walk doubled it; their values are verify_level's at each eps
     from neckflow import sweeps
     from neckflow.verifier import HierarchyCache
     config = sweeps.RunConfig(alphas=(1, 2), m_max=1)
@@ -475,7 +481,8 @@ def test_structural_rows_walk_once_per_level_and_skip_the_identity(eval_calls):
     for alpha in (1, 2):
         h = cache.get(config.profile, alpha, 2)
         for l in (1, 2):
-            for info in verify_level_many(h, l, [1e-2, 3e-3, 1e-3], n1=101, n2=17, n_trace=301):
+            for eps in (1e-2, 3e-3, 1e-3):
+                info = verify_level(h, l, n1=101, n2=17, n_trace=301, eps=eps)
                 d1, d2 = info["degrees"]
                 want += [info["div_sup"], info["trace_sup"], float(d1 * 100 + d2)]
     assert [r.measured for r in rows] == want

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from neckflow import coeffs as ca
 from neckflow import fd
@@ -369,8 +370,8 @@ def _solution_bytes(sol):
 def splu_calls(monkeypatch):
     """The matrices factored from here on, by every grid."""
     calls = []
-    splu = fd.spla.splu
-    monkeypatch.setattr(fd.spla, "splu", lambda A, *a, **k: calls.append(A) or splu(A, *a, **k))
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, *a, **k: calls.append(A) or splu(A, *a, **k))
     return calls
 
 

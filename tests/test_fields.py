@@ -7,6 +7,7 @@ from neckflow.fields import (
     VectorField2,
     cheb_nodes,
     deriv_fields,
+    fiber_sup,
     fiber_x2,
     keller_field,
     keller_plus_half,
@@ -158,3 +159,19 @@ def test_chebyshev_nodes_need_both_endpoints():
         with pytest.raises(ValueError, match="n >= 2"):
             cheb_nodes(n, -1.0, 1.0)
     assert cheb_nodes(2, -1.0, 1.0).tolist() == [-1.0, 1.0]
+
+
+def _no_walk(*args):
+    raise AssertionError("walked")
+
+
+def test_a_fiber_of_no_point_is_an_error_before_any_walk(monkeypatch):
+    # n2=0 walked every coefficient, then ended in numpy's zero-size
+    # reduction error
+    p = sym()
+    f = keller_plus_half(p)
+    monkeypatch.setattr(ca, "_walk", _no_walk)
+    for sample in (lambda: sup_abs(f, n2=0), lambda: fiber_sup(f, np.array([0.0, 0.1]), n2=0),
+                   lambda: fiber_x2(p, np.array([0.0]), n2=-1)):
+        with pytest.raises(ValueError, match="n2 >= 1 samples, got n2="):
+            sample()

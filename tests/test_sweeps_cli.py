@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-from neckflow import fd
 from neckflow.cli import main
 from neckflow.fd import NeckGrid
 from neckflow.geometry import named_profile
@@ -158,6 +157,39 @@ def test_cli_corrector_verify(tmp_path):
                  "--alpha", "2", "--m", "1", "--eps", "1e-2",
                  "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_a_repeated_alpha_flag_is_a_config_error(tmp_path, capsys):
+    # --alpha 1,1 was merged into (1,) and ran, where "alphas": [1, 1] in a
+    # config is refused; the flag's list is still sorted, so --alpha 3,1
+    # names the config that --alpha 1,3 names
+    argv = ["corrector", "verify", "--profile", "sym-quadratic", "--m", "0", "--eps", "1e-2",
+            "--format", "json"]
+    assert main(argv + ["--alpha", "1,1", "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err.startswith("config error: alphas must name each alpha once")
+    assert not (tmp_path / "a").exists()
+    for alphas, out in (("3,1", "b"), ("1,3", "c")):
+        assert main(argv + ["--alpha", alphas, "--out", str(tmp_path / out)]) == 0
+    assert os.listdir(tmp_path / "b") == os.listdir(tmp_path / "c")
+
+
+def test_corrector_runs_load_no_scipy(tmp_path, src_env):
+    # only the FD solver needs scipy: corrector verify and a sweep without
+    # --fd load numpy alone, which saves them scipy's import time and memory
+    code = (
+        "import sys\n"
+        "from neckflow import cli\n"
+        "out = sys.argv[1]\n"
+        "for argv in (['corrector', 'verify', '--profile', 'sym-quadratic', '--alpha', '1',\n"
+        "              '--m', '1', '--eps', '1e-2', '--out', out],\n"
+        "             ['sweep', 'rates', '--profile', 'sym-quadratic', '--alpha', '1',\n"
+        "              '--m', '1', '--out', out]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, timeout=300, env=src_env, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_corrector_verify_runs_the_structural_checks_whatever_its_config(tmp_path):
@@ -310,7 +342,7 @@ def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, monkeypatch, bad):
     def splu(*_a, **_k):
         raise RuntimeError("factored before the config was checked")
 
-    monkeypatch.setattr(fd.spla, "splu", splu)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", splu)
     code = main(["stokes", "solve", "--profile", "sym-quadratic", "--eps", "1e-2",
                  "--n1", "33", "--n2", "32", "--out", str(tmp_path)] + bad)
     assert code == 2
