@@ -846,8 +846,10 @@ def _tabulate(node: _Antideriv, eps: list) -> list:
         a, b = min(-1.0, node.lower), max(1.0, node.lower)
     # the lower limit is forced to be a panel edge: the prefix is then
     # anchored there, so values near the limit sum only nearby panels and
-    # never cancel the far mass of the chart
-    edges = np.unique(np.concatenate([np.linspace(a, b, 9), [node.lower]]))
+    # never cancel the far mass of the chart.  Repeats are dropped by hand:
+    # np.unique loads numpy.ma, which no corrector run needs otherwise
+    edges = np.sort(np.concatenate([np.linspace(a, b, 9), [node.lower]]), kind="stable")
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     empty = np.empty(0)
     kept = [(empty, empty, empty, empty, np.empty((0, 15)))] * len(eps)
     todo = dict.fromkeys(range(len(eps)), (edges[:-1], edges[1:]))

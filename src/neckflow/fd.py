@@ -112,19 +112,9 @@ def _stencil(terms):
 
 
 def _flat(pieces):
-    """(rows, columns, values) of all the pieces as three 1-D arrays.  Each
-    piece broadcasts its three arrays together and is written in place."""
+    """One 1-D array per component: each piece broadcast, the pieces concatenated in order."""
     pieces = [np.broadcast_arrays(*piece) for piece in pieces]
-    n = sum(i.size for _, i, _ in pieces)
-    rows, cols, vals = np.empty(n, np.int32), np.empty(n, np.int32), np.empty(n)
-    end = 0
-    for r, i, c in pieces:
-        s = slice(end, end + i.size)
-        end = s.stop
-        rows[s].reshape(i.shape)[...] = r
-        cols[s].reshape(i.shape)[...] = i
-        vals[s].reshape(i.shape)[...] = c
-    return rows, cols, vals
+    return tuple(np.concatenate(comp, axis=None) for comp in zip(*pieces))
 
 
 def _cell_ranks(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,6 +196,8 @@ class NeckGrid:
             raise ValueError("n2 must be at least 32 to resolve the gap")
         if self.r > 2 * self.profile.R:
             raise ValueError("grid exceeds the neck chart")
+        if 3.0 * (self.n1 + 1.0) * (self.n2 + 1.0) + 1 > 2**31:  # unknowns, in floats
+            raise ValueError(f"a {self.n1} x {self.n2} grid has too many unknowns for int32 indices")
         p = self.profile
         self.dx = 2 * self.r / self.n1
         self.dt = 1.0 / self.n2
@@ -334,12 +326,7 @@ class NeckGrid:
             (ghost_v, ends_x, self.tf[:, None], 1, 2.0),               # v ghosts, sides
             (ip[:, [0, -1]], self.xc[:, None], ends_t, 0, flux),       # wall fluxes
         )
-        bc_rows = tuple(
-            np.concatenate([np.broadcast_to(g[k], g[0].shape).ravel() for g in table])
-            for k in range(5))
-        bnd = np.concatenate([g[0].ravel() for g in table[:4]])
-        ghost = np.concatenate([ghost_u.ravel(), ghost_v.ravel()])
-        first = np.concatenate([iu[:, [1, -2]].ravel(), iv[[1, -2]].T.ravel()])
+        bc_rows = _flat(table)
 
         # continuity at cells, one interior cell pinned for the pressure gauge
         pin = (n1 // 2, n2 // 2)
@@ -349,7 +336,8 @@ class NeckGrid:
         rows, cols, vals = _flat(
             [(int_u, i, c) for c, i in lap_u] + [(int_v, i, c) for c, i in lap_v]
             + [(cols_d, ip[..., None], grad), (ip[..., None], cols_d, cont),
-               (ip[pin], ip[pin], 1.0), (bnd, bnd, 1.0), (ghost, first, 1.0)])
+               (ip[pin], ip[pin], 1.0)] + [(g[0], g[0], 1.0) for g in table[:4]]
+            + [(ghost_u, iu[:, [1, -2]], 1.0), (ghost_v, iv[[1, -2]].T, 1.0)])
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix entries must be finite: the gap is too narrow to assemble")
         A = sp.csc_matrix((vals, (rows, cols)), shape=(ids.size, ids.size))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -154,6 +155,24 @@ def test_assembly_matches_the_kron_reference(name, eps, n1, n2):
     row_max = np.maximum.reduceat(np.abs(want.data), want.indptr[:-1])
     ulp = np.repeat(np.spacing(row_max), np.diff(want.indptr))
     assert np.all(np.abs(got.data - want.data) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("name, eps, n1, n2, digest", [
+    ("sym-quadratic", 0.05, 32, 32,
+     "6d0ec10a1d9bae9dee7f3294f849cda583e6d995453c0285ad7ff816ff8709c4"),
+    ("asym-quadratic", 1e-4, 64, 32,
+     "a6552b7e739db8c489d9c59c5809feb94d66ce1d62058c856ab473dbb45bf425")])
+def test_the_assembled_matrix_bytes_are_pinned(name, eps, n1, n2, digest):
+    # A's CSC arrays, every boundary-table array and ||A||_inf, values and
+    # dtypes: a change to the assembly's plumbing moves none of them.  The
+    # assembly calls no BLAS, so the digest holds on any host
+    A, *_, bc_rows, _, a_inf = NeckGrid(named_profile(name, eps=eps), r=0.6,
+                                        n1=n1, n2=n2)._assemble()
+    h = hashlib.sha256()
+    for arr in (A.data, A.indices, A.indptr, *bc_rows, np.float64(a_inf)):
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def _vertical_separators(n1, n2):

@@ -174,22 +174,25 @@ def test_a_repeated_alpha_flag_is_a_config_error(tmp_path, capsys):
 
 
 def test_corrector_runs_load_no_scipy(tmp_path, src_env):
-    # only the FD solver needs scipy: corrector verify and a sweep without
-    # --fd load numpy alone, which saves them scipy's import time and memory
+    # only the FD solver needs scipy: corrector build, corrector verify and a
+    # sweep without --fd load numpy alone, which saves them scipy's import
+    # time and memory; nor do they load numpy.ma, which np.unique imported
     code = (
         "import sys\n"
         "from neckflow import cli\n"
         "out = sys.argv[1]\n"
-        "for argv in (['corrector', 'verify', '--profile', 'sym-quadratic', '--alpha', '1',\n"
+        "for argv in (['corrector', 'build', '--profile', 'asym-quadratic', '--alpha', '1',\n"
+        "              '--m', '1', '--eps', '1e-2', '--out', out],\n"
+        "             ['corrector', 'verify', '--profile', 'sym-quadratic', '--alpha', '1',\n"
         "              '--m', '1', '--eps', '1e-2', '--out', out],\n"
         "             ['sweep', 'rates', '--profile', 'sym-quadratic', '--alpha', '1',\n"
         "              '--m', '1', '--out', out]):\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print('scipy.sparse' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, timeout=300, env=src_env, check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "False False"
 
 
 def test_corrector_verify_runs_the_structural_checks_whatever_its_config(tmp_path):
@@ -347,6 +350,16 @@ def test_cli_stokes_solve_bad_grid_or_level(tmp_path, capsys, monkeypatch, bad):
                  "--n1", "33", "--n2", "32", "--out", str(tmp_path)] + bad)
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: stokes solve: ")
+
+
+def test_cli_stokes_solve_refuses_a_grid_beyond_int32_numbering(capsys):
+    # numpy raised MemoryError (7.28 TiB for the t faces) out of cli.main;
+    # the grid is refused from its unknown count, before any allocation
+    code = main(["stokes", "solve", "--n1", "40", "--n2", "1000000000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: stokes solve: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_the_config_digest_names_the_checks_not_the_report_path(tmp_path):
