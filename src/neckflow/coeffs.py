@@ -39,9 +39,11 @@ keeps ``nodes`` and ``exps``.  Both are sorted by node rank, with no
 constant, no nested product and no zero exponent among a product's factors.
 The tuples of floats and ints hold no object the cyclic GC has to track, so
 it tracks one tuple per node, the one of its children.  Both are interned
-under one key rule (``_compound``): one flat tuple of the class name, the
-constant, the children's ids and the node's weights or exponents, which the
-GC stops tracking in its first pass over it.
+under one key rule (``_compound``): an int, the hash of the class, the
+constant and the two tuples, or the next int up while that slot holds
+another node.  A slot matches when its node has the class and equal
+constant and tuples, so lookups find the nodes a key of the structure itself
+would; the int copies none of the node's tuples, and the GC never tracks it.
 
 Differentiation (``Coeff.diff``) is one loop over ``_post_order``, the
 children-first listing the evaluation walk uses, with integrals as leaves
@@ -135,7 +137,7 @@ _GLOBAL_INTERN: dict = {}
 _NEXT_ID = [1]
 _FREE_RANK = 1 << 62
 # readers of a node slot, for map() over a tuple of nodes
-_ID, _RANK, _PROFILE = attrgetter("_id"), attrgetter("_rank"), attrgetter("profile")
+_RANK, _PROFILE = attrgetter("_rank"), attrgetter("profile")
 
 
 class QuadratureError(RuntimeError):
@@ -407,6 +409,10 @@ class _Prod(Coeff):
         return out
 
 
+# a compound node's (constant, nodes, coefs), in the order _compound keys them
+_SLOTS = {cls: attrgetter(*cls.__slots__) for cls in (_Sum, _Prod)}
+
+
 class _Antideriv(Coeff):
     """int_lower^{x1} integrand(y) dy, evaluated by panelized quadrature:
     one panel table per eps, kept in ``_tables``; an evaluation queries each
@@ -461,12 +467,17 @@ def _intern(profile, key, cls, *values):
     ``values`` in order, so a hit builds nothing."""
     table = _GLOBAL_INTERN if profile is None else profile._intern
     node = table.get(key)
-    if node is None:
-        node = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            setattr(node, name, value)
-        node._register(profile)
-        table[key] = node
+    return _new(table, key, cls, profile, values) if node is None else node
+
+
+def _new(table, key, cls, profile, values):
+    """A new ``cls`` whose first slots take ``values`` in order, registered
+    on ``profile`` and filed under ``key`` in ``table``."""
+    node = cls.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(node, name, value)
+    node._register(profile)
+    table[key] = node
     return node
 
 
@@ -594,13 +605,22 @@ def _make_prod(c: float, acc: dict) -> Coeff:
 
 
 def _compound(cls, c: float, nodes: tuple, coefs: tuple, profile) -> Coeff:
-    """The sum or product ``cls`` (slots: constant, nodes, coefs), interned under
-    the flat key (class name, c, *child ids, *coefs): a tuple of atoms, which
-    the cyclic GC stops tracking in its first pass over it (a nested tuple
-    would stay tracked until a second pass, as that pass reaches it before its
-    inner tuples)."""
-    key = (cls.__name__, c, *map(_ID, nodes), *coefs)
-    return _intern(profile, key, cls, c, nodes, coefs)
+    """The sum or product ``cls`` (slots: constant, nodes, coefs), filed under
+    an int: ``hash((cls, c, nodes, coefs))``, or the next int up while that
+    slot holds another node.  A slot matches a ``cls`` whose slots equal
+    (c, nodes, coefs), identity first and then ``==``, as a tuple key would;
+    the int copies neither tuple and the cyclic GC never tracks it.  Tables
+    only grow, so no probe meets a freed slot, and every other key is a
+    tuple or a string, which never equals an int."""
+    table = _GLOBAL_INTERN if profile is None else profile._intern
+    key = hash((cls, c, nodes, coefs))
+    node = table.get(key)
+    while node is not None:
+        if node.__class__ is cls and _SLOTS[cls](node) == (c, nodes, coefs):
+            return node
+        key += 1
+        node = table.get(key)
+    return _new(table, key, cls, profile, (c, nodes, coefs))
 
 
 def quotient(num, den) -> Coeff:

@@ -26,7 +26,7 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture()
+@pytest.fixture(scope="session")
 def src_env():
     """Environment for a fresh interpreter that imports this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -178,12 +178,16 @@ def test_walk_matches_recursive_reference_bitwise(cache):
     # (scalar leaf values) included
     grids = (cheb_nodes(41, -r, r), np.linspace(-r, r, 1000),
              np.array([-0.5 * r, 0.0, 0.5 * r]), np.array([0.3 * r]), np.asarray(0.0))
-    for xs in grids:
+    cases = [(xs, nodes) for xs in grids]
+    # past one block of values each block holds a single row; the wide sum
+    # alone, so the reference memo stays near 20 MB
+    cases.append((np.linspace(-r, r, ca._SUM_BLOCK + 1), [wide]))
+    for xs, roots in cases:
         memo: dict = {}
         want = [_reference_eval(n, xs, np.full(xs.shape, eps), memo)
-                for n in nodes]
-        got = [np.asarray(v) for v in ca.eval_many(nodes, xs, eps)]
-        one = [np.asarray(n.eval(xs, eps)) for n in nodes]
+                for n in roots]
+        got = [np.asarray(v) for v in ca.eval_many(roots, xs, eps)]
+        one = [np.asarray(n.eval(xs, eps)) for n in roots]
         for w, g, o in zip(want, got, one):
             assert np.array_equal(w, g) and np.array_equal(w, o)
             assert w.tobytes() == g.tobytes() == o.tobytes()  # signed zeros too
@@ -304,6 +308,29 @@ def test_hash_consing_shares_nodes():
     assert a is b
 
 
+def test_an_occupied_intern_slot_files_the_new_node_at_the_next_int():
+    # a sum or product is filed under the hash of its structure, or the next
+    # int up while that slot holds another node: here a product of another
+    # structure (same class) and a product in a sum's slot (another class)
+    p = asym()
+    h1 = ca.profile_deriv(p, 1, 0)
+    cases = [
+        (ca._Prod, 1.0, (ca.X1, h1), (2, 1), ca.mul_pow([(h1, 3)]),
+         lambda: ca.mul_pow([(h1, 1), (ca.X1, 2)])),
+        (ca._Sum, 0.0, (ca.X1, h1), (2.0, 3.0), ca.mul_pow([(h1, 2)]),
+         lambda: ca.lin([(h1, 3.0), (ca.X1, 2.0)])),
+    ]
+    for cls, c, nodes, coefs, planted, build in cases:
+        key = hash((cls, c, nodes, coefs))
+        assert key not in p._intern and key + 1 not in p._intern
+        p._intern[key] = planted
+        node = build()
+        assert node.__class__ is cls and node is not planted
+        assert (node.nodes, getattr(node, cls.__slots__[2])) == (nodes, coefs)
+        assert p._intern[key] is planted and p._intern[key + 1] is node
+        assert build() is node
+
+
 def _unit_and_weight(node):
     """``node`` as (unit product, constant): the product with its constant
     c taken out, and c."""
@@ -343,35 +370,12 @@ def test_product_rule_terms_are_the_rebuilt_products(cache, monkeypatch):
         assert result is p.diff() is real_lin(want)
 
 
-def test_nodes_store_children_in_one_tracked_tuple(src_env):
-    # parallel tuples: a node's weights or exponents are a tuple of floats or
-    # ints, which the cyclic GC stops tracking; tuples of (node, weight)
-    # pairs left 7.05 tracked objects per node
-    code = (
-        "import gc\n"
-        "from neckflow import coeffs as ca\n"
-        "from neckflow.correctors import build_hierarchy\n"
-        "from neckflow.geometry import named_profile\n"
-        "p = named_profile('asym-quadratic', eps=1e-3)\n"
-        "gc.collect()\n"
-        "n0, i0 = len(gc.get_objects()), ca._NEXT_ID[0]\n"
-        "h = build_hierarchy(p, 2, 3)\n"
-        "gc.collect()\n"
-        "print(ca._NEXT_ID[0] - i0, len(gc.get_objects()) - n0)\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, env=src_env, check=True)
-    nodes, tracked = map(int, out.stdout.split())
-    assert nodes > 10_000
-    assert tracked / nodes <= 2.5
-
-
-def test_interned_nodes_take_at_most_600_live_bytes_each(src_env):
-    # a sum or product key of (id, weight) pair tuples held 798 bytes per
-    # node after these builds; one of child ids and the node's own weights
-    # or exponents tuple holds about 540.  The builds intern about 21,000
-    # nodes; 32,605 when each product child of a differentiated sum interned
-    # its own derivative sum, which the sum's lin flattened away at once
+@pytest.fixture(scope="module")
+def build_memory(src_env):
+    """One fresh interpreter builds asym-quadratic eps=1e-3 to 3 levels at
+    alpha=2, then alpha=1 and 3, under tracemalloc.  Returns the nodes and
+    GC-tracked objects the alpha=2 build added, and the nodes and live
+    bytes after all three."""
     code = (
         "import gc, tracemalloc\n"
         "from neckflow import coeffs as ca\n"
@@ -380,16 +384,40 @@ def test_interned_nodes_take_at_most_600_live_bytes_each(src_env):
         "p = named_profile('asym-quadratic', eps=1e-3)\n"
         "gc.collect()\n"
         "tracemalloc.start()\n"
-        "i0 = ca._NEXT_ID[0]\n"
-        "hs = [build_hierarchy(p, a, 3) for a in (1, 2, 3)]\n"
+        "n0, i0 = len(gc.get_objects()), ca._NEXT_ID[0]\n"
+        "hs = [build_hierarchy(p, 2, 3)]\n"
+        "gc.collect()\n"
+        "print(ca._NEXT_ID[0] - i0, len(gc.get_objects()) - n0)\n"
+        "hs += [build_hierarchy(p, a, 3) for a in (1, 3)]\n"
         "gc.collect()\n"
         "print(ca._NEXT_ID[0] - i0, tracemalloc.get_traced_memory()[0])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=300, env=src_env, check=True)
-    nodes, live = map(int, out.stdout.split())
+    return [tuple(map(int, line.split())) for line in out.stdout.splitlines()]
+
+
+def test_nodes_store_children_in_one_tracked_tuple(build_memory):
+    # parallel tuples: a node's weights or exponents are a tuple of floats or
+    # ints, which the cyclic GC stops tracking; tuples of (node, weight)
+    # pairs left 7.05 tracked objects per node.  Interned under an int key
+    # the builds read 1.93; a nested (class, c, nodes, coefs) tuple key
+    # read 2.93, as the GC keeps tracking the outer tuple
+    nodes, tracked = build_memory[0]
+    assert nodes > 10_000
+    assert tracked / nodes <= 2.5
+
+
+def test_interned_nodes_take_at_most_450_live_bytes_each(build_memory):
+    # a sum or product key of (id, weight) pair tuples held 798 bytes per
+    # node after these builds, and a flat key of child ids and the node's
+    # own weights or exponents 523; an int key copies neither tuple and
+    # holds about 408 (a nested tuple key, 444).  The builds intern about
+    # 21,000 nodes; 32,605 when each product child of a differentiated sum
+    # interned its own derivative sum, which the sum's lin flattened away
+    nodes, live = build_memory[1]
     assert 15_000 < nodes <= 25_000
-    assert live / nodes <= 600
+    assert live / nodes <= 450
 
 
 def test_a_sums_product_children_intern_no_derivative():
